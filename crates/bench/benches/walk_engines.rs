@@ -3,9 +3,7 @@
 //! plus steps-per-second throughput comparisons of the optimized hot-path
 //! implementations against their retained reference paths (flat vs
 //! nested-HashMap frequency store; alias-table vs linear-scan transition
-//! sampling; run-scoped round loop vs per-round worker pool vs
-//! spawn-per-superstep BSP execution)
-//! and the serving layer's top-k query throughput (multi-probe LSH vs the
+//! sampling) and the serving layer's top-k query throughput (multi-probe LSH vs the
 //! exact scan, with LSH recall@10 against the exact ground truth), exported
 //! together to `BENCH_walks.json`. Every `*_speedup` report row is enforced
 //! by the CI regression gate against `crates/bench/baselines.json` (see
@@ -14,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use distger_bench::json::{object, Value};
 use distger_bench::{bench_dataset, BenchScale, Report};
-use distger_cluster::{machine_split, InMemoryTransport, SocketTransport};
+use distger_cluster::{machine_split, SocketTransport};
 use distger_eval::recall_at_k;
 use distger_graph::generate::PaperDataset;
 use distger_graph::{barabasi_albert, CsrGraph};
@@ -27,9 +25,8 @@ use distger_serve::{
     ServeConfig, ShardedQueryEngine, TopK,
 };
 use distger_walks::{
-    run_distributed_walks, run_walks_over, run_walks_over_loopback, CheckpointPolicy,
-    ExecutionBackend, FreqBackend, LengthPolicy, SamplingBackend, WalkCountPolicy,
-    WalkEngineConfig, WalkModel, WalkResult,
+    run_distributed_walks, run_walks_over_loopback, CheckpointPolicy, FreqBackend, LengthPolicy,
+    SamplingBackend, WalkCountPolicy, WalkEngineConfig, WalkModel, WalkResult,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -121,29 +118,6 @@ fn bench_transition_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Superstep-coordination overhead of the two execution backends in the
-/// many-small-rounds regime the worker pool exists for: many machines, short
-/// fixed-length walks, several rounds — each superstep carries only a few
-/// hundred walker steps per machine, so per-superstep thread spawn/join
-/// dominates the reference backend.
-fn bench_execution_backends(c: &mut Criterion) {
-    let (graph, partitioning) = small_rounds_workload();
-    let mut group = c.benchmark_group("execution_backend_steps_per_sec");
-    group.sample_size(10);
-    for (label, backend) in EXECUTION_BACKENDS {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(run_distributed_walks(
-                    graph,
-                    partitioning,
-                    &small_rounds_config(backend),
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Batched top-k query throughput of the serving layer's two backends on the
 /// Gaussian-cluster fixture — exact brute-force scan vs multi-probe LSH with
 /// exact re-rank (both fanned out over the same worker pool).
@@ -204,12 +178,6 @@ const SAMPLING_BACKENDS: [(&str, SamplingBackend); 2] = [
     ("linear_scan", SamplingBackend::LinearScan),
 ];
 
-const EXECUTION_BACKENDS: [(&str, ExecutionBackend); 3] = [
-    ("round_loop", ExecutionBackend::RoundLoop),
-    ("pool", ExecutionBackend::Pool),
-    ("spawn_per_step", ExecutionBackend::SpawnPerStep),
-];
-
 fn freq_store_config(backend: FreqBackend) -> WalkEngineConfig {
     let mut config = WalkEngineConfig::distger_general(WalkModel::DeepWalk)
         .with_seed(7)
@@ -253,20 +221,16 @@ fn freq_bench_graph() -> &'static CsrGraph {
 /// over 8 machines: with a workload-balanced partition most steps hop
 /// machines, so each round runs ~8 supersteps of ~250 walkers per machine —
 /// the many-short-rounds regime DistGER's early termination produces, where
-/// per-superstep thread spawning dominates `spawn_per_step` and per-round
-/// pool setup/teardown (8 spawns + joins × 12 rounds) is what the
-/// run-scoped `round_loop` eliminates.
-fn small_rounds_config(execution: ExecutionBackend) -> WalkEngineConfig {
-    let mut config = WalkEngineConfig::knightking_routine(WalkModel::DeepWalk)
-        .with_seed(29)
-        .with_execution_backend(execution);
+/// per-superstep and per-round costs (barriers, harvests, checkpoints,
+/// spans) weigh the most.
+fn small_rounds_config() -> WalkEngineConfig {
+    let mut config = WalkEngineConfig::knightking_routine(WalkModel::DeepWalk).with_seed(29);
     config.length = LengthPolicy::Fixed(8);
     config.walks_per_node = WalkCountPolicy::Fixed(12);
     config
 }
 
-/// The graph and 8-machine partition shared by the execution-backend
-/// criterion group and the JSON export.
+/// The graph and 8-machine partition of the many-small-rounds workload.
 fn small_rounds_workload() -> &'static (CsrGraph, Partitioning) {
     static WORKLOAD: std::sync::OnceLock<(CsrGraph, Partitioning)> = std::sync::OnceLock::new();
     WORKLOAD.get_or_init(|| {
@@ -394,73 +358,6 @@ fn export_reports(_c: &mut Criterion) {
         }
     }
 
-    // Part 3: the three execution backends — run-scoped round loop,
-    // per-round worker pool, spawn-per-superstep — end-to-end walk
-    // throughput on the many-small-rounds workload. `sync_secs` is the
-    // engine's own superstep-overhead accounting (the quantity the pools
-    // shrink) and `thread_spawns` the run's thread-spawn count (the
-    // quantity the round loop collapses from machines × rounds to
-    // machines).
-    let (graph, partitioning) = small_rounds_workload();
-    let mut execution_report = Report::new(
-        "execution_backend",
-        "End-to-end walk throughput: run-scoped round loop vs per-round worker pool vs \
-         spawn-per-superstep (Barabási–Albert n=2000 m=8, 8 machines, L=8, r=12)",
-        &[
-            "steps_per_sec",
-            "total_steps",
-            "best_secs",
-            "sync_secs",
-            "thread_spawns",
-        ],
-    );
-    let mut execution_speedup_report = Report::new(
-        "execution_backend_speedup",
-        "Pool-over-spawn end-to-end walk throughput ratio on many small supersteps",
-        &["pool_over_spawn"],
-    );
-    let mut round_loop_speedup_report = Report::new(
-        "round_loop_speedup",
-        "Run-scoped round loop end-to-end walk throughput ratio over the per-round \
-         references (thread spawns per run: machines vs machines x rounds)",
-        &["round_loop_over_reference"],
-    );
-    let mut rates = Vec::new();
-    for (label, backend) in EXECUTION_BACKENDS {
-        let (best_secs, result) = best_of(reps, graph, partitioning, &small_rounds_config(backend));
-        let total_steps = result.comm.total_steps();
-        let steps_per_sec = total_steps as f64 / best_secs;
-        println!(
-            "execution_backend/{label}: {steps_per_sec:.0} steps/s \
-             ({total_steps} steps in {best_secs:.4}s, {:.4}s superstep sync overhead, \
-             {} thread spawns)",
-            result.superstep_sync_secs, result.pool_spawn_count
-        );
-        execution_report.push(
-            label,
-            vec![
-                steps_per_sec,
-                total_steps as f64,
-                best_secs,
-                result.superstep_sync_secs,
-                result.pool_spawn_count as f64,
-            ],
-        );
-        rates.push(steps_per_sec);
-    }
-    if let [round_loop, pool, spawn] = rates[..] {
-        println!(
-            "execution_backend: pool/spawn speedup = {:.2}x, \
-             round_loop/pool = {:.2}x, round_loop/spawn = {:.2}x",
-            pool / spawn,
-            round_loop / pool,
-            round_loop / spawn
-        );
-        execution_speedup_report.push("small_rounds", vec![pool / spawn]);
-        round_loop_speedup_report.push("over_per_round_pool", vec![round_loop / pool]);
-        round_loop_speedup_report.push("over_spawn_per_step", vec![round_loop / spawn]);
-    }
-
     // Part 4: the serving layer — batched top-k query throughput of the
     // exact scan vs multi-probe LSH, plus LSH recall@10 against the exact
     // ground truth. Both rows of the speedup report are gated: the QPS
@@ -536,10 +433,10 @@ fn export_reports(_c: &mut Criterion) {
         query_speedup_report.push("lsh_recall_at_10", vec![recall]);
     }
 
-    // Part 5: fault-tolerance overhead — the round-loop walk engine with an
-    // every-round checkpoint policy vs the plain fault-free run, on the same
-    // many-small-rounds workload as Part 3 (many rounds means many
-    // checkpoints: the worst case for the policy). `checkpoint_secs` and
+    // Part 5: fault-tolerance overhead — the walk engine with an
+    // every-round checkpoint policy vs the plain fault-free run, on the
+    // many-small-rounds workload (many rounds means many checkpoints: the
+    // worst case for the policy). `checkpoint_secs` and
     // `checkpoint_bytes` are the engine's own accounting of the snapshot
     // cost. The gated ratio row follows the `lsh_recall_at_10` idiom: a 1.06
     // floor under the 15% tolerance makes the *effective* floor 0.90 — i.e.
@@ -564,7 +461,7 @@ fn export_reports(_c: &mut Criterion) {
          every-round snapshots may cost at most 10%)",
         &["checkpointed_over_fault_free"],
     );
-    let base_config = small_rounds_config(ExecutionBackend::RoundLoop);
+    let base_config = small_rounds_config();
     let checkpointed_config = base_config.with_checkpoint_policy(CheckpointPolicy::every(1));
     // The two configs run the identical walk and differ by ~1 ms of snapshot
     // encoding on a ~17 ms run, so the ratio is noise-sensitive: reps are
@@ -793,28 +690,18 @@ fn export_reports(_c: &mut Criterion) {
     );
     serve_slo_report.push("p99_under_50ms_slo", vec![slo_headroom, p99_ms, SLO_MS]);
 
-    // Part 7: the transport layer — the Transport-threaded round loop vs the
-    // in-process engine it re-arranges, on the same many-small-rounds
-    // workload as Parts 3 and 5. Three rows: the classic in-process engine
-    // (`run_distributed_walks`), the same job driven through an
-    // `InMemoryTransport` (`run_walks_over` — the abstraction cost in
-    // isolation, no sockets), and a 4-endpoint loopback-TCP run (real
-    // frames, real sockets, one process). The gated ratio follows the
-    // serve-scheduler idiom — interleaved reps, 0.94 floor, effective 0.80
-    // under the 15% tolerance: the Transport driver hosts its machines
-    // sequentially and pays the round-harvest codec it shares with the
-    // socket path, so against the 8-thread in-process engine it records
-    // 0.88-0.93x, and the contract is that the whole abstraction stack may
-    // cost at most ~20%. The socket rows also
-    // carry the measured wire traffic, checked here against the analytic
-    // `CommStats` byte estimate: the two must agree within an order of
-    // magnitude, or the simulated cluster's network model is pricing a
-    // fiction.
+    // Part 7: the transport layer — the walk driver with every machine in
+    // this process (`InMemoryTransport`) and as a 4-endpoint loopback-TCP run
+    // (real frames, real sockets, one process), on the same many-small-rounds
+    // workload as Part 5. The socket row also carries the measured wire
+    // traffic, checked here against the analytic `CommStats` byte estimate:
+    // the two must agree within an order of magnitude, or the simulated
+    // cluster's network model is pricing a fiction.
     let mut transport_report = Report::new(
         "transport_overhead",
-        "Walk throughput of the in-process engine vs the Transport-threaded \
-         round loop, in-memory and over loopback TCP with 4 worker processes' \
-         worth of endpoints (Barabási–Albert n=2000 m=8, 8 machines, L=8, r=12)",
+        "Walk throughput of the round loop over an in-memory transport and over \
+         loopback TCP with 4 worker processes' worth of endpoints \
+         (Barabási–Albert n=2000 m=8, 8 machines, L=8, r=12)",
         &[
             "steps_per_sec",
             "total_steps",
@@ -823,43 +710,9 @@ fn export_reports(_c: &mut Criterion) {
             "wire_batch_bytes",
         ],
     );
-    let mut transport_speedup_report = Report::new(
-        "transport_overhead_speedup",
-        "InMemoryTransport-over-classic walk throughput ratio (>= 0.80 \
-         effective floor: the sequential Transport-threaded round loop plus \
-         the round-harvest codec may cost at most ~20% vs the 8-thread \
-         in-process engine)",
-        &["in_memory_over_classic"],
-    );
-    let transport_config = small_rounds_config(ExecutionBackend::RoundLoop);
-    // Like Part 5, the gated ratio compares two runs of the identical walk
-    // that differ only in dispatch plumbing, so reps are interleaved at
-    // triple the usual count to sample the same machine-load phases.
-    let mut transport_best: [Option<(f64, WalkResult)>; 2] = [None, None];
-    for _ in 0..3 * reps {
-        for (slot, best) in transport_best.iter_mut().enumerate() {
-            let start = Instant::now();
-            let result = if slot == 0 {
-                black_box(run_distributed_walks(
-                    graph,
-                    partitioning,
-                    &transport_config,
-                ))
-            } else {
-                let mut transport = InMemoryTransport::new(partitioning.num_machines());
-                black_box(
-                    run_walks_over(&mut transport, graph, partitioning, &transport_config)
-                        .expect("in-memory transport cannot fail")
-                        .expect("single endpoint is the coordinator"),
-                )
-            };
-            let secs = start.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-                *best = Some((secs, result));
-            }
-        }
-    }
-    let (socket_secs, socket_result) = {
+    let transport_config = small_rounds_config();
+    let in_memory = best_of(reps, graph, partitioning, &transport_config);
+    let socket = {
         let mut best: Option<(f64, WalkResult)> = None;
         for _ in 0..reps {
             let start = Instant::now();
@@ -876,14 +729,10 @@ fn export_reports(_c: &mut Criterion) {
         }
         best.expect("reps >= 1")
     };
-    let mut transport_rates = Vec::new();
-    let transport_rows = [
-        ("classic_in_process", &transport_best[0]),
-        ("in_memory_transport", &transport_best[1]),
-        ("socket_loopback_4", &Some((socket_secs, socket_result))),
-    ];
-    for (label, slot) in transport_rows {
-        let (best_secs, result) = slot.as_ref().expect("reps >= 1");
+    for (label, (best_secs, result)) in [
+        ("in_memory_transport", &in_memory),
+        ("socket_loopback_4", &socket),
+    ] {
         let total_steps = result.comm.total_steps();
         let steps_per_sec = total_steps as f64 / best_secs;
         println!(
@@ -902,32 +751,17 @@ fn export_reports(_c: &mut Criterion) {
                 result.comm.wire.batch_bytes_sent as f64,
             ],
         );
-        transport_rates.push(steps_per_sec);
-
-        // Whatever the path, the walk itself must be the bit-identical job:
-        // the transport layer is plumbing, not semantics.
-        let classic = &transport_best[0].as_ref().expect("reps >= 1").1;
-        assert_eq!(
-            result.corpus, classic.corpus,
-            "transport path {label} changed the corpus"
-        );
     }
-    if let [classic_rate, in_memory_rate, _] = transport_rates[..] {
-        println!(
-            "transport_overhead: in_memory/classic = {:.3}x \
-             ({:.1}% abstraction overhead)",
-            in_memory_rate / classic_rate,
-            (1.0 - in_memory_rate / classic_rate) * 100.0
-        );
-        transport_speedup_report.push(
-            "in_memory_over_classic",
-            vec![in_memory_rate / classic_rate],
-        );
-    }
+    // Whatever the transport, the walk itself must be the bit-identical job:
+    // the transport layer is plumbing, not semantics.
+    let socket = &socket.1;
+    assert_eq!(
+        socket.corpus, in_memory.1.corpus,
+        "the socket transport changed the corpus"
+    );
     // The estimate-vs-measured contract: the analytic byte count the
     // NetworkModel prices must agree with the bytes actually shipped in
     // BATCH frames within an order of magnitude.
-    let socket = &transport_rows[2].1.as_ref().expect("reps >= 1").1;
     assert!(
         socket.comm.wire.batch_bytes_sent > 0,
         "loopback run must measure real traffic"
@@ -949,7 +783,7 @@ fn export_reports(_c: &mut Criterion) {
 
     // Part 8: the observability layer — end-to-end walk throughput with span
     // tracing enabled vs disabled, on the same many-small-rounds workload as
-    // Parts 3, 5 and 7 (many rounds means many `superstep`/`round` spans:
+    // Parts 5 and 7 (many rounds means many `superstep`/`round` spans:
     // the worst case for the per-span cost). Like Part 5, the two sides run
     // the identical walk and differ only by the ring-buffer writes, so reps
     // are interleaved at triple the usual count. The gated ratio follows the
@@ -958,7 +792,7 @@ fn export_reports(_c: &mut Criterion) {
     // few percent (recorded ~1.00x; the floor absorbs runner noise, and the
     // disabled path's cost is bounded transitively by every other gated
     // throughput floor in this file, all measured with tracing off).
-    let obs_config = small_rounds_config(ExecutionBackend::RoundLoop);
+    let obs_config = small_rounds_config();
     let mut obs_best: [Option<(f64, WalkResult)>; 2] = [None, None];
     let mut traced_events = 0usize;
     for _ in 0..3 * reps {
@@ -1172,9 +1006,6 @@ fn export_reports(_c: &mut Criterion) {
                 freq_speedup_report.to_json(),
                 sampling_report.to_json(),
                 speedup_report.to_json(),
-                execution_report.to_json(),
-                execution_speedup_report.to_json(),
-                round_loop_speedup_report.to_json(),
                 query_report.to_json(),
                 query_speedup_report.to_json(),
                 checkpoint_report.to_json(),
@@ -1184,7 +1015,6 @@ fn export_reports(_c: &mut Criterion) {
                 serve_speedup_report.to_json(),
                 serve_slo_report.to_json(),
                 transport_report.to_json(),
-                transport_speedup_report.to_json(),
                 obs_report.to_json(),
                 obs_speedup_report.to_json(),
                 sharded_qps_report.to_json(),
@@ -1201,9 +1031,6 @@ fn export_reports(_c: &mut Criterion) {
     println!("{}", freq_speedup_report.to_text());
     println!("{}", sampling_report.to_text());
     println!("{}", speedup_report.to_text());
-    println!("{}", execution_report.to_text());
-    println!("{}", execution_speedup_report.to_text());
-    println!("{}", round_loop_speedup_report.to_text());
     println!("{}", query_report.to_text());
     println!("{}", query_speedup_report.to_text());
     println!("{}", checkpoint_report.to_text());
@@ -1213,7 +1040,6 @@ fn export_reports(_c: &mut Criterion) {
     println!("{}", serve_speedup_report.to_text());
     println!("{}", serve_slo_report.to_text());
     println!("{}", transport_report.to_text());
-    println!("{}", transport_speedup_report.to_text());
     println!("{}", obs_report.to_text());
     println!("{}", obs_speedup_report.to_text());
     println!("{}", sharded_qps_report.to_text());
@@ -1226,7 +1052,6 @@ criterion_group!(
     bench_walks,
     bench_freq_store_throughput,
     bench_transition_sampling,
-    bench_execution_backends,
     bench_query_backends,
     export_reports
 );

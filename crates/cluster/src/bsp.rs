@@ -1,35 +1,41 @@
-//! Bulk Synchronous Parallel execution over simulated machines.
+//! Bulk Synchronous Parallel execution of a job's machines over a
+//! [`Transport`].
 //!
 //! KnightKing (§2.2) coordinates walkers with the BSP model \[56\]: in every
 //! superstep each machine processes the messages addressed to it and emits
 //! messages for the next superstep; machines synchronize at the superstep
-//! boundary. [`run_bsp`] reproduces this scheme with one OS thread per
-//! machine — by default a **persistent worker pool** created once per
-//! invocation and reused for every superstep ([`ExecutionBackend::Pool`],
-//! see [`pool`](crate::pool)); the original spawn-one-thread-per-machine-
-//! per-superstep scheme is retained as [`ExecutionBackend::SpawnPerStep`]
-//! and selectable through [`run_bsp_with`]. Every cross-machine message is
-//! accounted through [`CommStats`], and the coordination overhead of the
-//! superstep boundaries themselves is reported as
+//! boundary. [`run_bsp_round_loop`] is the one driver of that scheme. Each
+//! endpoint (process) of a job calls it with its [`Transport`]: the
+//! endpoint's [`local_machines`](Transport::local_machines) run on one
+//! persistent worker thread each (see [`pool`](crate::pool)), the superstep
+//! boundary is the transport's [`sync_pending`](Transport::sync_pending) +
+//! [`exchange`](Transport::exchange) pair, and round boundaries hand the
+//! transport to the caller for its own collectives. With an
+//! [`InMemoryTransport`](crate::InMemoryTransport) that is the whole job in
+//! one process; with a [`SocketTransport`](crate::SocketTransport) the same
+//! loop runs in every process. [`run_bsp_supervised`] wraps it in a bounded
+//! retry. Every cross-machine message is accounted through [`CommStats`],
+//! and the coordination overhead of the superstep boundaries is reported as
 //! [`BspOutcome::sync_secs`].
 //!
 //! The message queues are **double-buffered**: every machine owns a
 //! persistent [`Outbox`] whose per-destination queues survive across
 //! supersteps, and inboxes are refilled by *moving* messages out of those
 //! queues at the superstep boundary ([`Vec::append`] keeps both allocations
-//! alive). After the first few supersteps the exchange runs without any
-//! queue reallocation — the steady state is allocation-free. Both backends
-//! perform the exchange in the same machine order, so inbox contents — and
-//! therefore entire runs — are bit-identical between them.
+//! alive). After the first few supersteps the in-memory exchange runs without
+//! any queue reallocation — the steady state is allocation-free. Every
+//! transport delivers an inbox's messages in ascending source-machine order,
+//! so inbox contents — and therefore entire runs — are bit-identical however
+//! the machines are spread over endpoints.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::comm::{CommStats, MessageSize};
 use crate::fault::{panic_message, FaultInjector, RecoveryExhausted, RecoveryPolicy};
-use crate::pool::{run_rounds, ExecutionBackend};
-use crate::transport::{InMemoryTransport, Transport};
+use crate::pool::run_rounds;
+use crate::transport::Transport;
 use crate::MachineId;
 
 /// Per-machine outgoing message buffer handed to the step function.
@@ -44,9 +50,6 @@ pub struct Outbox<M> {
 
 impl<M: MessageSize> Outbox<M> {
     /// An empty outbox for machine `owner` in a `num_machines`-machine job.
-    /// Public so out-of-process drivers (the walks crate's distributed round
-    /// loop) can own their machines' outboxes and hand them to a
-    /// [`Transport`].
     pub fn new(owner: MachineId, num_machines: usize) -> Self {
         Self {
             owner,
@@ -82,6 +85,19 @@ impl<M: MessageSize> Outbox<M> {
     pub fn owner(&self) -> MachineId {
         self.owner
     }
+
+    /// Moves the messages queued for machine `d` onto the end of the `d`-th
+    /// inbox, for every `d`; both allocations are kept. Calling this for
+    /// each outbox in ascending owner order is the reference superstep
+    /// boundary: every inbox receives its messages in ascending source order.
+    pub fn drain_into<'a>(&mut self, inboxes: impl IntoIterator<Item = &'a mut Vec<M>>)
+    where
+        M: 'a,
+    {
+        for (queue, inbox) in self.queues.iter_mut().zip(inboxes) {
+            inbox.append(queue);
+        }
+    }
 }
 
 /// Messages delivered to one machine at the start of a superstep.
@@ -94,109 +110,28 @@ pub struct Mailbox<'a, M> {
     pub messages: std::vec::Drain<'a, M>,
 }
 
-/// Result of a BSP run.
+/// Result of a BSP run on one endpoint.
 #[derive(Debug)]
 pub struct BspOutcome<S> {
-    /// Final per-machine states, indexed by machine id.
+    /// Final states of this endpoint's machines, in machine order.
     pub states: Vec<S>,
-    /// Aggregated communication statistics over all machines and supersteps.
+    /// Communication statistics of this endpoint's machines, summed over all
+    /// supersteps; `supersteps` is the **maximum supersteps of any single
+    /// round** (a job-wide quantity, equal on every endpoint).
     pub comm: CommStats,
-    /// Number of supersteps executed.
+    /// Number of supersteps executed, summed over rounds.
     pub supersteps: u64,
-    /// Thread-coordination overhead of the superstep boundaries. For the
-    /// pooled backends this is **measured from barrier waits**
-    /// ([`PoolStats::sync_secs`](crate::pool::PoolStats::sync_secs)): the
-    /// coordinator's round-start waits plus the minimum worker's round-end
-    /// waits, i.e. the barrier-crossing cost with straggler slack (compute
-    /// imbalance) excluded. For spawn-per-step — which has no barrier to
-    /// measure — it remains the historical wall-minus-slowest inference of
-    /// the spawn/join cost the pool exists to eliminate; the pool regression
-    /// test pins both accountings to agree within scheduling noise. The
-    /// message exchange itself runs on the coordinator between supersteps
-    /// and is not included (it is identical work under both backends).
+    /// Thread-coordination overhead of the superstep boundaries, **measured
+    /// from barrier waits** ([`PoolStats::sync_secs`](crate::pool::PoolStats::sync_secs)):
+    /// the coordinator's round-start waits plus the minimum worker's
+    /// round-end waits, i.e. the barrier-crossing cost with straggler slack
+    /// (compute imbalance) excluded. The message exchange itself runs in the
+    /// control phase between supersteps and is not included.
     pub sync_secs: f64,
-    /// OS threads spawned over the run: `machines` for the pooled backends
-    /// (including the whole multi-round loop of [`run_bsp_round_loop`]),
-    /// `machines × supersteps` for [`ExecutionBackend::SpawnPerStep`].
-    pub spawn_count: u64,
-}
-
-/// Runs BSP supersteps until no machine has pending messages, on the default
-/// [`ExecutionBackend::Pool`]. See [`run_bsp_with`].
-pub fn run_bsp<S, M, F>(
-    states: Vec<S>,
-    initial: Vec<Vec<M>>,
-    max_supersteps: u64,
-    step: F,
-) -> BspOutcome<S>
-where
-    S: Send,
-    M: MessageSize + Send,
-    F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-{
-    run_bsp_with(
-        ExecutionBackend::Pool,
-        states,
-        initial,
-        max_supersteps,
-        step,
-    )
-}
-
-/// Runs BSP supersteps until no machine has pending messages.
-///
-/// * `backend` — how machine threads are managed across supersteps:
-///   a persistent worker pool ([`ExecutionBackend::Pool`], the default used
-///   by [`run_bsp`]; [`ExecutionBackend::RoundLoop`] is identical for a
-///   *single* invocation — its run-scoped behaviour only differs when a
-///   multi-round caller drives all rounds through [`run_bsp_round_loop`])
-///   or one fresh thread per machine per superstep
-///   ([`ExecutionBackend::SpawnPerStep`], the reference).
-/// * `states` — one mutable state per machine (e.g. its graph partition plus
-///   local walker bookkeeping).
-/// * `initial` — initial messages per machine (superstep 0 input).
-/// * `step` — called once per machine per superstep as
-///   `step(machine, &mut state, mailbox, &mut outbox)`; it may emit messages
-///   to any machine through the outbox.
-///
-/// Machines run concurrently within a superstep; the superstep boundary is a
-/// barrier (a [`pool::EpochBarrier`](crate::pool::EpochBarrier) generation
-/// for the pool, a thread join for spawn-per-step). Both backends produce
-/// bit-identical message schedules and final states.
-///
-/// # Panics
-/// Panics if `states.len() != initial.len()`, if there are zero machines, or
-/// if the run exceeds `max_supersteps` (a runaway-loop guard). A panic inside
-/// `step` propagates to the caller with either backend; the pool's poisoned
-/// barrier guarantees the surviving workers shut down instead of
-/// deadlocking.
-pub fn run_bsp_with<S, M, F>(
-    backend: ExecutionBackend,
-    states: Vec<S>,
-    initial: Vec<Vec<M>>,
-    max_supersteps: u64,
-    step: F,
-) -> BspOutcome<S>
-where
-    S: Send,
-    M: MessageSize + Send,
-    F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-{
-    let num_machines = states.len();
-    assert!(num_machines > 0, "need at least one machine");
-    assert_eq!(states.len(), initial.len(), "one inbox per machine");
-    match backend {
-        ExecutionBackend::RoundLoop | ExecutionBackend::Pool => {
-            run_bsp_pooled(states, initial, max_supersteps, step)
-        }
-        ExecutionBackend::SpawnPerStep => {
-            run_bsp_spawn_per_step(states, initial, max_supersteps, step)
-        }
-    }
 }
 
 /// One machine's mutable triple. Workers lock their own slot during the
-/// compute phase and the coordinator locks slots during the exchange phase;
+/// compute phase and the coordinator locks slots during the control phase;
 /// the phases never overlap (the pool barrier separates them), so the
 /// mutexes exist to satisfy the borrow checker and are never contended.
 struct MachineSlot<S, M> {
@@ -205,161 +140,87 @@ struct MachineSlot<S, M> {
     outbox: Outbox<M>,
 }
 
-/// Superstep boundary for the pooled backends, routed through the machine's
-/// [`Transport`]: lock every slot (the coordinator has exclusive access —
-/// workers are parked at the barrier), project the guards into outbox/inbox
-/// reference slices, and let the transport move the queues. For the
-/// in-process engine the transport is always [`InMemoryTransport`], which
-/// delivers each inbox's messages in ascending source order — exactly like
-/// the spawn-per-step boundary — so inbox contents are bit-identical across
-/// backends. `append` transfers elements and keeps both allocations.
-fn exchange_messages<S, M: MessageSize>(
-    transport: &mut InMemoryTransport,
-    slots: &[Mutex<MachineSlot<S, M>>],
-    superstep: u64,
-) {
-    // Safety of the unwraps: the exchange runs in the coordinator's
-    // exclusive control phase with every worker parked at the barrier, and a
-    // worker panic poisons the barrier before the coordinator can get here —
-    // the locks are never contended and never poisoned.
-    let mut guards: Vec<_> = slots.iter().map(|slot| slot.lock().unwrap()).collect();
-    let mut outboxes: Vec<&mut Outbox<M>> = Vec::with_capacity(guards.len());
-    let mut inboxes: Vec<&mut Vec<M>> = Vec::with_capacity(guards.len());
-    for guard in guards.iter_mut() {
-        let slot = &mut **guard;
-        outboxes.push(&mut slot.outbox);
-        inboxes.push(&mut slot.inbox);
-    }
-    transport
-        .exchange(superstep, &mut outboxes, &mut inboxes)
-        .expect("the in-memory transport is infallible");
+/// Locks a machine slot. A slot mutex is only ever locked by its pinned
+/// worker during the compute phase and by the coordinator during the
+/// exclusive control phase, which the pool barrier strictly alternates — so
+/// the lock is never contended. Nor can it be poisoned where this is called:
+/// a worker that panics inside `step` poisons the *barrier* during
+/// unwinding, the coordinator's next wait fails, and the panic is re-raised
+/// from the join before any control phase runs again.
+fn lock_slot<S, M>(slot: &Mutex<MachineSlot<S, M>>) -> MutexGuard<'_, MachineSlot<S, M>> {
+    slot.lock()
+        .expect("a slot is locked by one phase at a time, and a worker panic stops the run first")
 }
 
-/// The pool backend: `num_machines` persistent worker threads, one pinned to
-/// each machine index, separated from the coordinator's exchange phase by a
-/// reusable two-phase barrier (see [`pool::run_rounds`](crate::pool::run_rounds)).
+/// Runs a **multi-round** BSP computation for the machines this endpoint
+/// hosts: the entire round loop — every superstep of every round — executes
+/// inside a single [`run_rounds`] invocation, one worker thread per
+/// [`local machine`](Transport::local_machines) for the whole run no matter
+/// how many rounds the caller's convergence logic ends up executing (an
+/// endpoint hosting a single machine steps it on the calling thread). Every
+/// endpoint of the job must call this with the same `max_supersteps` and a
+/// `boundary` that makes the same decisions.
 ///
-/// A single BSP invocation is exactly a one-round round loop, so this is a
-/// thin wrapper over [`run_bsp_round_loop`]: seed `initial` at the first
-/// boundary, stop at the second. Keeping one copy of the coordinator
-/// (exchange order, pending check, superstep cap) is what makes the
-/// per-round and run-scoped backends bit-identical by construction.
-fn run_bsp_pooled<S, M, F>(
-    states: Vec<S>,
-    initial: Vec<Vec<M>>,
-    max_supersteps: u64,
-    step: F,
-) -> BspOutcome<S>
-where
-    S: Send,
-    M: MessageSize + Send,
-    F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-{
-    let mut initial = Some(initial);
-    run_bsp_round_loop(states, max_supersteps, step, move |_states| initial.take())
-}
-
-/// Runs a **multi-round** BSP computation on one run-scoped worker pool: the
-/// entire round loop — every superstep of every round — executes inside a
-/// single [`run_rounds`] invocation, so exactly
-/// `machines` threads are spawned for the whole run no matter how many
-/// rounds the caller's convergence logic ends up executing. This is the
-/// driver behind [`ExecutionBackend::RoundLoop`]; a per-round driver calling
-/// [`run_bsp`] in a loop pays `machines × rounds` spawns instead.
-///
-/// Within a round, supersteps run exactly as in [`run_bsp`] (same message
-/// exchange, same ascending-machine order, bit-identical schedules). When a
-/// round drains — no machine has pending messages — the coordinator calls
-/// `boundary` **exclusively**, with every worker parked at the barrier and
-/// mutable access to all machine states. The callback harvests whatever the
-/// finished round produced, runs its convergence logic, and either returns
-/// the next round's initial per-machine messages (`Some(inboxes)`) or ends
-/// the run (`None`). This is the early-termination handshake: because the
-/// decision executes in a control phase, the coordinator simply stops
-/// scheduling further generations and the pool releases the workers once
-/// more to observe the stop flag — no participant can be left blocked on
-/// the barrier.
+/// * `states` — one mutable state per local machine, in machine order.
+/// * `step` — called once per local machine per superstep as
+///   `step(machine, &mut state, mailbox, &mut outbox)` with the job-wide
+///   machine id; it may emit messages to any machine through the outbox.
+/// * `boundary` — called as `boundary(transport, states, comm)` whenever no
+///   machine of the job has pending messages, **exclusively**: every worker
+///   is parked at the barrier. It harvests whatever the finished round
+///   produced (running its own collectives over `transport` if the job has
+///   several endpoints), and either returns the next round's initial
+///   messages, one inbox per local machine (`Some(inboxes)`), or ends the
+///   run (`None`). `comm` is the traffic of the local machines accumulated
+///   so far in this invocation, with `supersteps` the maximum of any
+///   completed round — a checkpointing caller persists it here, because a
+///   later crash discards the machine slots and their counters with them.
+/// * `faults` — when `Some`, every worker calls
+///   [`trip(machine, round, superstep)`](FaultInjector::trip) at the top of
+///   its compute phase with 0-based coordinates. The trip runs *before* the
+///   worker locks its slot, so an injected panic poisons the barrier —
+///   exactly like a real crash — but never the slot mutex.
 ///
 /// `boundary` is first called before any superstep ran (states untouched) to
-/// seed round 0. A round seeded with all-empty inboxes is skipped without
-/// burning a barrier generation — the callback is invoked again immediately,
-/// so a caller that never seeds and never returns `None` would spin; return
-/// `None` to stop.
+/// seed round 0. Whether the seeds start a round is decided job-wide by the
+/// same pending check that ends one: a round seeded with all-empty inboxes
+/// on every endpoint is skipped and the callback is invoked again
+/// immediately, so a caller that never seeds must return `None` to stop.
 ///
-/// The outcome aggregates over all rounds: `comm` sums traffic,
-/// [`BspOutcome::supersteps`] is the total across rounds, and
-/// `comm.supersteps` is the **maximum supersteps of any single round** — the
-/// same value a per-round driver accumulates through [`CommStats::merge`]'s
-/// max semantics, so multi-round statistics are directly comparable across
-/// backends. `max_supersteps` caps each round individually, exactly like one
-/// `run_bsp` call per round.
+/// Every decision executes in a control phase, so the run ends by not
+/// scheduling another generation and no participant can be left blocked on
+/// the barrier. An [`io::Error`] from `transport` or `boundary` takes the
+/// same path: the pool stops, every worker is joined, the error is returned.
+///
+/// `max_supersteps` caps each round individually.
 ///
 /// # Panics
-/// Panics if there are zero machines, if a round exceeds `max_supersteps`,
-/// or if `step`/`boundary` panics (the pool's poisoned barrier guarantees an
-/// orderly shutdown before the payload propagates).
-pub fn run_bsp_round_loop<S, M, F, C>(
-    states: Vec<S>,
-    max_supersteps: u64,
-    step: F,
-    mut boundary: C,
-) -> BspOutcome<S>
-where
-    S: Send,
-    M: MessageSize + Send,
-    F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-    C: FnMut(&mut [&mut S]) -> Option<Vec<Vec<M>>>,
-{
-    run_bsp_round_loop_with(
-        states,
-        max_supersteps,
-        step,
-        |states, _comm| boundary(states),
-        None,
-    )
-}
-
-/// [`run_bsp_round_loop`] with the two hooks the fault-tolerance layer
-/// needs; the plain variant delegates here with both disabled, so the
-/// default path pays nothing.
-///
-/// * **Comm-aware boundary** — the callback additionally receives the
-///   communication statistics accumulated *so far in this invocation*
-///   (traffic summed over all machines; `supersteps` is the max of any
-///   completed round). A checkpointing caller must persist traffic totals at
-///   the round boundary: a later crash discards the machine slots — and the
-///   partial round's traffic with them — so the statistics cannot be
-///   reconstructed after the fact.
-/// * **Fault injection** — when `faults` is `Some`, every worker calls
-///   [`trip(machine, round, superstep)`](FaultInjector::trip) at the top of
-///   its compute phase, with 0-based round/superstep coordinates published
-///   by the coordinator (the barrier orders the writes before the reads).
-///   The trip runs *before* the worker locks its slot, so an injected panic
-///   poisons the barrier — exactly like a real crash — but never the slot
-///   mutex.
-pub fn run_bsp_round_loop_with<S, M, F, C>(
+/// Panics if `states` does not hold one state per local machine, if a round
+/// exceeds `max_supersteps`, or if `step`/`boundary` panics (the pool's
+/// poisoned barrier guarantees an orderly shutdown before the payload
+/// propagates).
+pub fn run_bsp_round_loop<T, S, M, F, C>(
+    transport: &mut T,
     states: Vec<S>,
     max_supersteps: u64,
     step: F,
     mut boundary: C,
     faults: Option<&FaultInjector>,
-) -> BspOutcome<S>
+) -> io::Result<BspOutcome<S>>
 where
+    T: Transport<M>,
     S: Send,
     M: MessageSize + Send,
     F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-    C: FnMut(&mut [&mut S], &CommStats) -> Option<Vec<Vec<M>>>,
+    C: FnMut(&mut T, &mut [&mut S], &CommStats) -> io::Result<Option<Vec<Vec<M>>>>,
 {
-    let num_machines = states.len();
-    assert!(num_machines > 0, "need at least one machine");
-    // The in-process engine always exchanges through the in-memory
-    // transport; out-of-process runs use their own driver (see the walks
-    // crate's distributed round loop) with a `SocketTransport`.
-    let mut transport = InMemoryTransport::new(num_machines);
+    let local = transport.local_machines();
+    let num_machines = transport.num_machines();
+    assert_eq!(states.len(), local.len(), "one state per local machine");
     let slots: Vec<Mutex<MachineSlot<S, M>>> = states
         .into_iter()
-        .enumerate()
-        .map(|(machine, state)| {
+        .zip(local.clone())
+        .map(|(state, machine)| {
             Mutex::new(MachineSlot {
                 state,
                 inbox: Vec::new(),
@@ -371,125 +232,139 @@ where
     let mut total_supersteps: u64 = 0;
     let mut round_supersteps: u64 = 0;
     let mut max_round_supersteps: u64 = 0;
-    // Rounds seeded so far; `cur_round`/`cur_superstep` publish the 0-based
+    // Rounds started so far; `cur_round`/`cur_superstep` publish the 0-based
     // coordinates of the superstep about to run, written by the coordinator
     // and read by the workers for fault injection (Relaxed suffices: the
     // round-start barrier crossing orders the store before the loads).
-    let mut seeded_rounds: u64 = 0;
+    let mut started_rounds: u64 = 0;
     let cur_round = AtomicU64::new(0);
     let cur_superstep = AtomicU64::new(0);
 
-    // Safety of the slot-lock unwraps below: a slot mutex is only ever
-    // locked by its pinned worker during the compute phase and by the
-    // coordinator during the exclusive control phase, which the pool barrier
-    // strictly alternates — so the locks are never contended. Nor can they
-    // be poisoned here: a worker that panics inside `step` poisons the
-    // *barrier* during unwinding, the coordinator's next wait fails, and the
-    // panic is re-raised from the join before any of these sites runs again.
-    let stats = run_rounds(
-        num_machines,
-        |generation| {
-            // Exchange phase for the superstep that just finished (a no-op
-            // right after a round boundary: all outboxes are drained).
-            if generation > 0 {
-                let _span = distger_obs::span!("exchange", round = total_supersteps);
-                exchange_messages(&mut transport, &slots, total_supersteps);
-            }
-            let pending = slots
-                .iter()
-                .any(|slot| !slot.lock().unwrap().inbox.is_empty());
-            if pending {
+    let mut control_phase = |generation: u64| -> io::Result<bool> {
+        let mut control_span = Some(distger_obs::span!("control", round = generation));
+        if generation > 0 {
+            // Superstep boundary: project the slots (all ours — workers are
+            // parked at the barrier) into outbox/inbox reference slices and
+            // let the transport move the queues.
+            let _span = distger_obs::span!("exchange", round = total_supersteps);
+            let mut guards: Vec<_> = slots.iter().map(lock_slot).collect();
+            let (mut outboxes, mut inboxes): (Vec<_>, Vec<_>) = guards
+                .iter_mut()
+                .map(|guard| {
+                    let slot = &mut **guard;
+                    (&mut slot.outbox, &mut slot.inbox)
+                })
+                .unzip();
+            transport.exchange(total_supersteps, &mut outboxes, &mut inboxes)?;
+        }
+        loop {
+            let local_pending = slots.iter().any(|slot| !lock_slot(slot).inbox.is_empty());
+            if transport.sync_pending(local_pending)? {
                 assert!(
                     round_supersteps < max_supersteps,
                     "BSP exceeded {max_supersteps} supersteps — runaway walk?"
                 );
+                if round_supersteps == 0 {
+                    cur_round.store(started_rounds, Ordering::Relaxed);
+                    started_rounds += 1;
+                }
+                cur_superstep.store(round_supersteps, Ordering::Relaxed);
                 round_supersteps += 1;
                 total_supersteps += 1;
-                cur_superstep.store(round_supersteps - 1, Ordering::Relaxed);
-                return true;
+                return Ok(true);
             }
-            // Round boundary: every inbox drained, so the previous round (if
-            // any) is complete. Hand exclusive state access to the caller,
-            // which either seeds the next round or ends the run.
+            // Round boundary: every inbox of the job drained, so the previous
+            // round (if any) is complete. The caller's spans may outlive this
+            // control phase, so ours closes first.
+            drop(control_span.take());
             max_round_supersteps = max_round_supersteps.max(round_supersteps);
             round_supersteps = 0;
-            let mut guards: Vec<_> = slots.iter().map(|slot| slot.lock().unwrap()).collect();
-            // Traffic accumulated over all completed rounds of this
-            // invocation (partial rounds cannot reach a boundary).
+            let mut guards: Vec<_> = slots.iter().map(lock_slot).collect();
             let mut comm_so_far = CommStats::new();
             for guard in guards.iter() {
                 comm_so_far.merge(&guard.outbox.stats);
             }
             comm_so_far.supersteps = max_round_supersteps;
-            loop {
-                let mut states: Vec<&mut S> =
-                    guards.iter_mut().map(|guard| &mut guard.state).collect();
-                let seeds = boundary(&mut states, &comm_so_far);
-                drop(states);
-                let Some(mut seeds) = seeds else {
-                    return false;
-                };
-                assert_eq!(seeds.len(), num_machines, "one seed inbox per machine");
-                let mut seeded = false;
-                for (guard, seed) in guards.iter_mut().zip(seeds.iter_mut()) {
-                    seeded |= !seed.is_empty();
-                    guard.inbox.append(seed);
-                }
-                if seeded {
-                    assert!(
-                        max_supersteps > 0,
-                        "BSP exceeded {max_supersteps} supersteps — runaway walk?"
-                    );
-                    round_supersteps = 1;
-                    total_supersteps += 1;
-                    cur_round.store(seeded_rounds, Ordering::Relaxed);
-                    cur_superstep.store(0, Ordering::Relaxed);
-                    seeded_rounds += 1;
-                    return true;
-                }
-                // All-empty seeds: retry the boundary instead of running a
-                // no-op superstep generation.
-            }
-        },
-        |machine, _generation| {
-            if let Some(injector) = faults {
-                injector.trip(
-                    machine,
-                    cur_round.load(Ordering::Relaxed),
-                    cur_superstep.load(Ordering::Relaxed),
-                );
-            }
-            let mut slot = slots[machine].lock().unwrap();
-            let slot = &mut *slot;
-            let mailbox = Mailbox {
-                messages: slot.inbox.drain(..),
+            let mut states: Vec<&mut S> = guards.iter_mut().map(|guard| &mut guard.state).collect();
+            let seeds = boundary(transport, &mut states, &comm_so_far)?;
+            drop(states);
+            let Some(mut seeds) = seeds else {
+                return Ok(false);
             };
-            step(machine, &mut slot.state, mailbox, &mut slot.outbox);
-        },
-    );
+            assert_eq!(
+                seeds.len(),
+                guards.len(),
+                "one seed inbox per local machine"
+            );
+            for (guard, seed) in guards.iter_mut().zip(seeds.iter_mut()) {
+                guard.inbox.append(seed);
+            }
+            control_span = Some(distger_obs::span!("control", round = generation));
+        }
+    };
+    let mut failure = None;
+    let control = |generation| {
+        control_phase(generation).unwrap_or_else(|err| {
+            failure = Some(err);
+            false
+        })
+    };
+    let work = |worker: usize, _generation: u64| {
+        let machine = local.start + worker;
+        if let Some(injector) = faults {
+            injector.trip(
+                machine,
+                cur_round.load(Ordering::Relaxed),
+                cur_superstep.load(Ordering::Relaxed),
+            );
+        }
+        let mut slot = lock_slot(&slots[worker]);
+        let slot = &mut *slot;
+        let mailbox = Mailbox {
+            messages: slot.inbox.drain(..),
+        };
+        step(machine, &mut slot.state, mailbox, &mut slot.outbox);
+    };
+    let sync_secs = if slots.len() == 1 {
+        // A lone machine has nothing to run concurrently with (the usual
+        // shape of a multi-process job: one machine per process), so its
+        // supersteps alternate with the control phases on this thread — no
+        // second thread, no barrier to cross.
+        let mut control = control;
+        let mut generation = 0;
+        while control(generation) {
+            let _span = distger_obs::span!("superstep", machine = local.start, round = generation);
+            work(0, generation);
+            generation += 1;
+        }
+        0.0
+    } else {
+        run_rounds(slots.len(), control, work).sync_secs
+    };
+    if let Some(err) = failure {
+        return Err(err);
+    }
 
     let mut comm = CommStats::new();
-    let mut states = Vec::with_capacity(num_machines);
+    let mut states = Vec::with_capacity(slots.len());
     for slot in slots {
-        // Safety of the unwrap: reaching this line means `run_rounds`
-        // returned normally, so no participant panicked while holding a slot
-        // (a worker panic would have re-raised from the join above).
-        let slot = slot.into_inner().unwrap();
+        let slot = slot
+            .into_inner()
+            .expect("run_rounds returned normally, so no worker panicked holding its slot");
         comm.merge(&slot.outbox.stats);
         states.push(slot.state);
     }
     comm.supersteps = max_round_supersteps;
-    BspOutcome {
+    Ok(BspOutcome {
         states,
         comm,
         supersteps: total_supersteps,
-        sync_secs: stats.sync_secs,
-        spawn_count: stats.spawn_count,
-    }
+        sync_secs,
+    })
 }
 
-/// Supervised wrapper around [`run_bsp_round_loop_with`]: catches a poisoned
-/// run, lets the caller restore its coordinator state from the latest valid
+/// Supervised wrapper around [`run_bsp_round_loop`]: catches a poisoned run,
+/// lets the caller restore its coordinator state from the latest valid
 /// checkpoint, rebuilds the worker pool, and retries under a bounded
 /// [`RecoveryPolicy`] with capped exponential backoff.
 ///
@@ -502,35 +377,51 @@ where
 ///   first). It rolls `ctx` back to the latest checkpoint (for attempt 0, the
 ///   initial state) and returns **fresh per-machine states** for the new
 ///   pool.
-/// * `boundary(ctx, states, comm)` is the comm-aware round boundary of
-///   [`run_bsp_round_loop_with`], additionally given `ctx` — this is where a
+/// * `boundary(ctx, transport, states, comm)` is the round boundary of
+///   [`run_bsp_round_loop`], additionally given `ctx` — this is where a
 ///   caller harvests the finished round into `ctx` and snapshots it.
 /// * A panic anywhere in the attempt (worker step, boundary, injected fault)
 ///   is caught; if the policy allows another attempt the supervisor backs
-///   off and retries, otherwise it returns [`RecoveryExhausted`] carrying
-///   the last panic message.
+///   off and retries, otherwise it returns an [`io::Error`] wrapping
+///   [`RecoveryExhausted`] with the last panic message
+///   ([`io::Error::downcast`] recovers it). A transport error is returned
+///   as is, never retried.
+///
+/// Retrying is only sound when this endpoint hosts every machine: other
+/// endpoints of a multi-endpoint job cannot be rolled back from here, so an
+/// enabled `policy` on such a transport is rejected with
+/// [`io::ErrorKind::InvalidInput`] before anything runs.
 ///
 /// The returned [`BspOutcome`] is the successful attempt's: its `comm`
 /// covers only that attempt's rounds, so a restoring caller merges it with
 /// the checkpointed statistics ([`CommStats::merge`] sums traffic and takes
 /// the max of the per-round superstep peaks, which composes correctly across
 /// the attempt boundary).
-pub fn run_bsp_supervised<T, S, M, F, R, C>(
+#[allow(clippy::too_many_arguments)]
+pub fn run_bsp_supervised<T, X, S, M, F, R, C>(
+    transport: &mut T,
     policy: RecoveryPolicy,
-    ctx: &mut T,
+    ctx: &mut X,
     mut restore: R,
     max_supersteps: u64,
     step: F,
     mut boundary: C,
     faults: Option<&FaultInjector>,
-) -> Result<BspOutcome<S>, RecoveryExhausted>
+) -> io::Result<BspOutcome<S>>
 where
+    T: Transport<M>,
     S: Send,
     M: MessageSize + Send,
     F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-    R: FnMut(&mut T, u32) -> Vec<S>,
-    C: FnMut(&mut T, &mut [&mut S], &CommStats) -> Option<Vec<Vec<M>>>,
+    R: FnMut(&mut X, u32) -> Vec<S>,
+    C: FnMut(&mut X, &mut T, &mut [&mut S], &CommStats) -> io::Result<Option<Vec<Vec<M>>>>,
 {
+    if policy.is_enabled() && transport.endpoints() > 1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "recovery needs a transport that hosts every machine in this process",
+        ));
+    }
     let mut attempt: u32 = 0;
     loop {
         let states = restore(ctx, attempt);
@@ -539,25 +430,26 @@ where
         // checkpointed (consistent) state — crash-time partial mutations of
         // `ctx` are discarded, which is the whole point of the protocol.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bsp_round_loop_with(
+            run_bsp_round_loop(
+                transport,
                 states,
                 max_supersteps,
                 &step,
-                |states, comm| boundary(ctx, states, comm),
+                |transport, states, comm| boundary(ctx, transport, states, comm),
                 faults,
             )
         }));
         match result {
-            Ok(outcome) => return Ok(outcome),
+            Ok(outcome) => return outcome,
             Err(payload) => {
                 attempt += 1;
                 let last_panic = panic_message(payload.as_ref());
                 if attempt > policy.max_retries {
                     distger_obs::instant("recovery_exhausted", -1, -1);
-                    return Err(RecoveryExhausted {
+                    return Err(io::Error::other(RecoveryExhausted {
                         attempts: attempt,
                         last_panic,
-                    });
+                    }));
                 }
                 distger_obs::instant("recovery_attempt", -1, attempt as i64);
                 std::thread::sleep(policy.backoff_for(attempt));
@@ -566,102 +458,18 @@ where
     }
 }
 
-/// The reference backend: one fresh OS thread per machine per superstep, the
-/// superstep boundary being the thread join.
-fn run_bsp_spawn_per_step<S, M, F>(
-    states: Vec<S>,
-    initial: Vec<Vec<M>>,
-    max_supersteps: u64,
-    step: F,
-) -> BspOutcome<S>
-where
-    S: Send,
-    M: MessageSize + Send,
-    F: for<'a> Fn(MachineId, &mut S, Mailbox<'a, M>, &mut Outbox<M>) + Sync,
-{
-    let num_machines = states.len();
-    let mut states = states;
-    let mut inboxes: Vec<Vec<M>> = initial;
-    // One persistent outbox per machine: queue capacity is recycled across
-    // supersteps instead of reallocated.
-    let mut outboxes: Vec<Outbox<M>> = (0..num_machines)
-        .map(|machine| Outbox::new(machine, num_machines))
-        .collect();
-    let mut supersteps: u64 = 0;
-    let mut sync_secs = 0.0f64;
-    // Per-machine compute time of the current superstep, for the same
-    // `wall - slowest` overhead accounting the pool backend reports.
-    let compute_nanos: Vec<AtomicU64> = (0..num_machines).map(|_| AtomicU64::new(0)).collect();
-
-    while inboxes.iter().any(|q| !q.is_empty()) {
-        assert!(
-            supersteps < max_supersteps,
-            "BSP exceeded {max_supersteps} supersteps — runaway walk?"
-        );
-        supersteps += 1;
-
-        // Run every machine on its own freshly spawned scoped thread.
-        let step_ref = &step;
-        let superstep_started = Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = states
-                .iter_mut()
-                .zip(inboxes.iter_mut())
-                .zip(outboxes.iter_mut())
-                .enumerate()
-                .map(|(machine, ((state, inbox), outbox))| {
-                    let slot = &compute_nanos[machine];
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let mailbox = Mailbox {
-                            messages: inbox.drain(..),
-                        };
-                        step_ref(machine, state, mailbox, outbox);
-                        slot.store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("BSP worker thread panicked");
-            }
-        });
-        let wall = superstep_started.elapsed().as_secs_f64();
-        let slowest = compute_nanos
-            .iter()
-            .map(|nanos| nanos.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0) as f64
-            / 1e9;
-        sync_secs += (wall - slowest).max(0.0);
-
-        // Superstep boundary: move queued messages into the (now empty)
-        // inboxes. `append` transfers elements and keeps both allocations.
-        for outbox in &mut outboxes {
-            for (to, queue) in outbox.queues.iter_mut().enumerate() {
-                inboxes[to].append(queue);
-            }
-        }
-    }
-
-    let mut comm = CommStats::new();
-    for outbox in &outboxes {
-        comm.merge(&outbox.stats);
-    }
-    comm.supersteps = supersteps;
-    BspOutcome {
-        states,
-        comm,
-        supersteps,
-        sync_secs,
-        spawn_count: num_machines as u64 * supersteps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{ControlChannel, InMemoryTransport, SocketTransport};
+    use crate::wire::{Wire, WireReader};
+    use crate::WireStats;
+    use std::net::TcpListener;
+    use std::ops::Range;
+    use std::time::Duration;
 
     /// A token that hops `remaining` more times round-robin across machines.
+    #[derive(Debug)]
     struct Token {
         remaining: u32,
     }
@@ -672,170 +480,19 @@ mod tests {
         }
     }
 
-    const BACKENDS: [ExecutionBackend; 3] = [
-        ExecutionBackend::RoundLoop,
-        ExecutionBackend::Pool,
-        ExecutionBackend::SpawnPerStep,
-    ];
+    impl Wire for Token {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            crate::wire::put_u32(out, self.remaining);
+        }
 
-    #[test]
-    fn token_ring_counts_messages_on_both_backends() {
-        for backend in BACKENDS {
-            let machines = 4;
-            let states: Vec<u64> = vec![0; machines]; // counts tokens seen
-            let initial: Vec<Vec<Token>> = (0..machines)
-                .map(|m| {
-                    if m == 0 {
-                        vec![Token { remaining: 7 }]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let outcome = run_bsp_with(
-                backend,
-                states,
-                initial,
-                1000,
-                |machine, state, mailbox, outbox| {
-                    for token in mailbox.messages {
-                        *state += 1;
-                        if token.remaining > 0 {
-                            let next = (machine + 1) % machines;
-                            outbox.send(
-                                next,
-                                Token {
-                                    remaining: token.remaining - 1,
-                                },
-                            );
-                        }
-                    }
-                },
-            );
-            // The token visits 8 machines in total (initial + 7 hops).
-            assert_eq!(outcome.states.iter().sum::<u64>(), 8);
-            assert_eq!(outcome.comm.messages, 7);
-            assert_eq!(outcome.comm.bytes, 7 * 16);
-            assert_eq!(outcome.supersteps, 8);
-            assert!(outcome.sync_secs >= 0.0, "{}", backend.name());
+        fn decode(r: &mut WireReader<'_>) -> io::Result<Self> {
+            Ok(Token {
+                remaining: r.u32()?,
+            })
         }
     }
 
-    /// The exchange order — and therefore the inbox message order every step
-    /// function observes — must be identical across backends.
-    #[test]
-    fn backends_deliver_identical_message_orders() {
-        // Every machine floods every machine for a few supersteps; states
-        // record the exact observation order as (superstep, payload) pairs.
-        let run = |backend| {
-            let machines = 3;
-            let states: Vec<Vec<u32>> = vec![Vec::new(); machines];
-            let initial: Vec<Vec<Token>> = (0..machines)
-                .map(|m| {
-                    vec![Token {
-                        remaining: 3 + m as u32,
-                    }]
-                })
-                .collect();
-            run_bsp_with(
-                backend,
-                states,
-                initial,
-                100,
-                |machine, state, mailbox, outbox| {
-                    for token in mailbox.messages {
-                        state.push(token.remaining);
-                        if token.remaining > 0 {
-                            outbox.send(
-                                (machine + 1) % machines,
-                                Token {
-                                    remaining: token.remaining - 1,
-                                },
-                            );
-                            outbox.send(
-                                (machine + 2) % machines,
-                                Token {
-                                    remaining: token.remaining - 1,
-                                },
-                            );
-                        }
-                    }
-                },
-            )
-        };
-        let pool = run(ExecutionBackend::Pool);
-        let spawn = run(ExecutionBackend::SpawnPerStep);
-        assert_eq!(pool.states, spawn.states);
-        assert_eq!(pool.comm, spawn.comm);
-        assert_eq!(pool.supersteps, spawn.supersteps);
-    }
-
-    #[test]
-    fn self_messages_are_local() {
-        let states = vec![0u64, 0u64];
-        let initial = vec![vec![Token { remaining: 3 }], vec![]];
-        let outcome = run_bsp(states, initial, 100, |machine, state, mailbox, outbox| {
-            for token in mailbox.messages {
-                *state += 1;
-                if token.remaining > 0 {
-                    // Always send to self: no cross-machine traffic.
-                    outbox.send(
-                        machine,
-                        Token {
-                            remaining: token.remaining - 1,
-                        },
-                    );
-                }
-            }
-        });
-        assert_eq!(outcome.comm.messages, 0);
-        assert_eq!(outcome.comm.local_steps, 3);
-        assert_eq!(outcome.states[0], 4);
-    }
-
-    #[test]
-    fn empty_initial_messages_finish_immediately() {
-        let outcome = run_bsp(
-            vec![(), ()],
-            vec![Vec::<Token>::new(), Vec::new()],
-            10,
-            |_, _, _, _| {},
-        );
-        assert_eq!(outcome.supersteps, 0);
-        assert_eq!(outcome.comm.messages, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "supersteps")]
-    fn runaway_loop_is_capped() {
-        let states = vec![(), ()];
-        let initial = vec![vec![Token { remaining: 1 }], vec![]];
-        run_bsp(states, initial, 5, |machine, _, mailbox, outbox| {
-            for _ in mailbox.messages {
-                outbox.send(1 - machine, Token { remaining: 1 });
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "supersteps")]
-    fn runaway_loop_is_capped_with_spawn_per_step() {
-        let states = vec![(), ()];
-        let initial = vec![vec![Token { remaining: 1 }], vec![]];
-        run_bsp_with(
-            ExecutionBackend::SpawnPerStep,
-            states,
-            initial,
-            5,
-            |machine, _, mailbox, outbox| {
-                for _ in mailbox.messages {
-                    outbox.send(1 - machine, Token { remaining: 1 });
-                }
-            },
-        );
-    }
-
-    /// A ring step over `M` machines: count the token, pass it on.
+    /// A ring step over `MACHINES` machines: count the token, pass it on.
     fn ring_step<const MACHINES: usize>(
         machine: MachineId,
         state: &mut u64,
@@ -855,54 +512,77 @@ mod tests {
         }
     }
 
-    /// The whole multi-round loop through one `run_bsp_round_loop` must be
-    /// observably identical to one `run_bsp` call per round — states, comm
-    /// stats (including the max-per-round superstep semantics) and superstep
-    /// totals — while spawning `machines` threads instead of
-    /// `machines × rounds`.
-    #[test]
-    fn round_loop_matches_per_round_bsp() {
-        let rounds = 4u64;
-        let seeds = |round: u64| -> Vec<Vec<Token>> {
-            (0..3)
-                .map(|m| {
-                    vec![Token {
-                        remaining: 2 + (round as u32 + m as u32) % 3,
-                    }]
-                })
-                .collect()
-        };
+    /// One token with `remaining` hops left in every one of `inboxes` inboxes.
+    fn tokens(inboxes: usize, remaining: u32) -> Vec<Vec<Token>> {
+        (0..inboxes).map(|_| vec![Token { remaining }]).collect()
+    }
 
-        let mut per_round_states = vec![0u64; 3];
-        let mut per_round_comm = CommStats::new();
-        let mut per_round_supersteps = 0u64;
-        let mut per_round_spawns = 0u64;
-        for round in 0..rounds {
-            let outcome = run_bsp(per_round_states, seeds(round), 100, ring_step::<3>);
-            per_round_states = outcome.states;
-            per_round_comm.merge(&outcome.comm);
-            per_round_supersteps += outcome.supersteps;
-            per_round_spawns += outcome.spawn_count;
-        }
-
+    /// Runs `rounds` rounds of the ring over `transport`, every local machine
+    /// seeded with one `remaining`-hop token per round.
+    fn run_ring<const MACHINES: usize, T: Transport<Token>>(
+        transport: &mut T,
+        rounds: u64,
+        remaining: u32,
+        faults: Option<&FaultInjector>,
+    ) -> io::Result<BspOutcome<u64>> {
+        let local = transport.local_machines().len();
         let mut next_round = 0u64;
-        let outcome = run_bsp_round_loop(vec![0u64; 3], 100, ring_step::<3>, |_states| {
-            if next_round == rounds {
-                return None;
-            }
-            next_round += 1;
-            Some(seeds(next_round - 1))
-        });
+        run_bsp_round_loop(
+            transport,
+            vec![0u64; local],
+            100,
+            ring_step::<MACHINES>,
+            |_transport, _states, _comm| {
+                if next_round == rounds {
+                    return Ok(None);
+                }
+                next_round += 1;
+                Ok(Some(tokens(local, remaining)))
+            },
+            faults,
+        )
+    }
 
-        assert_eq!(outcome.states, per_round_states);
-        assert_eq!(outcome.comm, per_round_comm);
-        assert_eq!(outcome.supersteps, per_round_supersteps);
-        assert_eq!(outcome.spawn_count, 3, "one spawn per machine for the run");
-        assert_eq!(
-            per_round_spawns,
-            3 * rounds,
-            "per-round pays spawns × rounds"
-        );
+    #[test]
+    fn token_ring_counts_messages() {
+        let mut seeded = false;
+        let outcome = run_bsp_round_loop(
+            &mut InMemoryTransport::new(4),
+            vec![0u64; 4],
+            1000,
+            ring_step::<4>,
+            |_transport, _states, _comm| {
+                if std::mem::replace(&mut seeded, true) {
+                    return Ok(None);
+                }
+                let mut seeds: Vec<Vec<Token>> = (0..4).map(|_| Vec::new()).collect();
+                seeds[0].push(Token { remaining: 7 });
+                Ok(Some(seeds))
+            },
+            None,
+        )
+        .unwrap();
+        // The token visits 8 machines in total (initial + 7 hops).
+        assert_eq!(outcome.states.iter().sum::<u64>(), 8);
+        assert_eq!(outcome.comm.messages, 7);
+        assert_eq!(outcome.comm.bytes, 7 * 16);
+        assert_eq!(outcome.supersteps, 8);
+        assert!(outcome.sync_secs >= 0.0);
+    }
+
+    #[test]
+    fn self_messages_are_local() {
+        // One machine: the ring's successor is the machine itself.
+        let outcome = run_ring::<1, _>(&mut InMemoryTransport::new(1), 1, 3, None).unwrap();
+        assert_eq!(outcome.comm.messages, 0);
+        assert_eq!(outcome.comm.local_steps, 3);
+        assert_eq!(outcome.states[0], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "supersteps")]
+    fn runaway_loop_is_capped() {
+        let _ = run_ring::<2, _>(&mut InMemoryTransport::new(2), 1, 1_000, None);
     }
 
     /// The coordinator ends the loop from a control phase the moment its
@@ -910,22 +590,29 @@ mod tests {
     #[test]
     fn round_loop_coordinator_terminates_early_without_deadlock() {
         let mut seeded_rounds = 0u64;
-        let outcome = run_bsp_round_loop(vec![0u64; 4], 100, ring_step::<4>, |states| {
-            // "Converged": the harvested state total crossed a threshold
-            // well before the nominal 100-round budget.
-            let total: u64 = states.iter().map(|state| **state).sum();
-            if total >= 12 {
-                return None;
-            }
-            seeded_rounds += 1;
-            Some((0..4).map(|_| vec![Token { remaining: 1 }]).collect())
-        });
+        let outcome = run_bsp_round_loop(
+            &mut InMemoryTransport::new(4),
+            vec![0u64; 4],
+            100,
+            ring_step::<4>,
+            |_transport, states, _comm| {
+                // "Converged": the harvested state total crossed a threshold
+                // well before the nominal 100-round budget.
+                let total: u64 = states.iter().map(|state| **state).sum();
+                if total >= 12 {
+                    return Ok(None);
+                }
+                seeded_rounds += 1;
+                Ok(Some(tokens(4, 1)))
+            },
+            None,
+        )
+        .unwrap();
         // Each round: 4 tokens × 2 visits = 8 counts, so 2 rounds suffice.
         assert_eq!(seeded_rounds, 2);
         assert_eq!(outcome.states.iter().sum::<u64>(), 16);
         assert_eq!(outcome.supersteps, 4);
         assert_eq!(outcome.comm.supersteps, 2, "max supersteps of one round");
-        assert_eq!(outcome.spawn_count, 4);
     }
 
     fn no_work(_: MachineId, _: &mut u64, _: Mailbox<'_, Token>, _: &mut Outbox<Token>) {
@@ -937,18 +624,21 @@ mod tests {
     #[test]
     fn round_loop_skips_all_empty_seed_rounds() {
         let mut calls = 0u64;
-        let outcome = run_bsp_round_loop(vec![0u64; 2], 10, no_work, |_states| {
-            calls += 1;
-            if calls < 3 {
-                Some(vec![Vec::new(), Vec::new()])
-            } else {
-                None
-            }
-        });
+        let outcome = run_bsp_round_loop(
+            &mut InMemoryTransport::new(2),
+            vec![0u64; 2],
+            10,
+            no_work,
+            |_transport, _states, _comm| {
+                calls += 1;
+                Ok((calls < 3).then(|| vec![Vec::new(), Vec::new()]))
+            },
+            None,
+        )
+        .unwrap();
         assert_eq!(calls, 3);
         assert_eq!(outcome.supersteps, 0);
         assert_eq!(outcome.comm.supersteps, 0);
-        assert_eq!(outcome.spawn_count, 2);
     }
 
     /// A panic in the boundary control phase poisons the barrier (workers
@@ -957,35 +647,44 @@ mod tests {
     #[should_panic(expected = "boundary exploded")]
     fn round_loop_boundary_panic_propagates() {
         let mut rounds = 0u64;
-        run_bsp_round_loop(vec![0u64; 3], 100, ring_step::<3>, |_states| {
-            if rounds == 2 {
-                panic!("boundary exploded");
-            }
-            rounds += 1;
-            Some((0..3).map(|_| vec![Token { remaining: 2 }]).collect())
-        });
+        let _ = run_bsp_round_loop(
+            &mut InMemoryTransport::new(3),
+            vec![0u64; 3],
+            100,
+            ring_step::<3>,
+            |_transport, _states, _comm| {
+                if rounds == 2 {
+                    panic!("boundary exploded");
+                }
+                rounds += 1;
+                Ok(Some(tokens(3, 2)))
+            },
+            None,
+        );
     }
 
-    /// The comm-aware boundary sees cumulative completed-round traffic, and
-    /// the final outcome matches the last boundary's view.
+    /// The boundary sees cumulative completed-round traffic, and the final
+    /// outcome matches the last boundary's view.
     #[test]
     fn round_loop_boundary_observes_cumulative_comm() {
         let mut boundary_comm: Vec<CommStats> = Vec::new();
         let mut next_round = 0u64;
-        let outcome = run_bsp_round_loop_with(
+        let outcome = run_bsp_round_loop(
+            &mut InMemoryTransport::new(3),
             vec![0u64; 3],
             100,
             ring_step::<3>,
-            |_states, comm| {
+            |_transport, _states, comm| {
                 boundary_comm.push(comm.clone());
                 if next_round == 3 {
-                    return None;
+                    return Ok(None);
                 }
                 next_round += 1;
-                Some((0..3).map(|_| vec![Token { remaining: 2 }]).collect())
+                Ok(Some(tokens(3, 2)))
             },
             None,
-        );
+        )
+        .unwrap();
         assert_eq!(boundary_comm.len(), 4);
         assert_eq!(boundary_comm[0], CommStats::new(), "nothing ran yet");
         // Each round: 3 tokens × 2 hops, all cross-machine.
@@ -1001,21 +700,8 @@ mod tests {
     #[test]
     fn round_loop_fault_injection_hits_exact_coordinates() {
         let injector = crate::fault::FaultPlan::new().panic_at(1, 2, 1).build();
-        let mut next_round = 0u64;
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bsp_round_loop_with(
-                vec![0u64; 3],
-                100,
-                ring_step::<3>,
-                |_states, _comm| {
-                    if next_round == 5 {
-                        return None;
-                    }
-                    next_round += 1;
-                    Some((0..3).map(|_| vec![Token { remaining: 3 }]).collect())
-                },
-                Some(&injector),
-            )
+            run_ring::<3, _>(&mut InMemoryTransport::new(3), 5, 3, Some(&injector))
         }))
         .unwrap_err();
         assert_eq!(
@@ -1025,22 +711,150 @@ mod tests {
         assert_eq!(injector.injected_faults(), 1);
     }
 
+    /// A panicking machine must poison the pool's barrier so the other
+    /// workers shut down and the panic propagates — not deadlock the run.
+    #[test]
+    #[should_panic(expected = "machine 2 step failed")]
+    fn pool_worker_panic_propagates_instead_of_deadlocking() {
+        let mut seeded = false;
+        // Every machine gets work, so all four workers are live inside the
+        // superstep when machine 2 panics.
+        let _ = run_bsp_round_loop(
+            &mut InMemoryTransport::new(4),
+            vec![0u64; 4],
+            100,
+            |machine, state: &mut u64, mailbox: Mailbox<'_, Token>, outbox: &mut Outbox<Token>| {
+                if *state >= 1 && machine == 2 {
+                    panic!("machine 2 step failed");
+                }
+                ring_step::<4>(machine, state, mailbox, outbox);
+            },
+            |_transport, _states, _comm| {
+                Ok((!std::mem::replace(&mut seeded, true)).then(|| tokens(4, 4)))
+            },
+            None,
+        );
+    }
+
+    /// An in-memory transport that can fail its `n`-th exchange and report
+    /// any endpoint count, to drive the driver's error paths.
+    struct Flaky {
+        inner: InMemoryTransport,
+        exchanges_before_failure: u32,
+        endpoints: usize,
+    }
+
+    impl ControlChannel for Flaky {
+        fn endpoint(&self) -> usize {
+            0
+        }
+        fn endpoints(&self) -> usize {
+            self.endpoints
+        }
+        fn broadcast(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
+            self.inner.broadcast(payload)
+        }
+        fn gather(&mut self, payload: &[u8]) -> io::Result<Vec<Vec<u8>>> {
+            self.inner.gather(payload)
+        }
+        fn scatter(&mut self, payloads: &[Vec<u8>]) -> io::Result<Vec<u8>> {
+            self.inner.scatter(payloads)
+        }
+        fn wire_stats(&self) -> WireStats {
+            WireStats::default()
+        }
+    }
+
+    impl Transport<Token> for Flaky {
+        fn num_machines(&self) -> usize {
+            Transport::<Token>::num_machines(&self.inner)
+        }
+        fn local_machines(&self) -> Range<usize> {
+            Transport::<Token>::local_machines(&self.inner)
+        }
+        fn exchange(
+            &mut self,
+            superstep: u64,
+            outboxes: &mut [&mut Outbox<Token>],
+            inboxes: &mut [&mut Vec<Token>],
+        ) -> io::Result<()> {
+            if self.exchanges_before_failure == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer went away"));
+            }
+            self.exchanges_before_failure -= 1;
+            self.inner.exchange(superstep, outboxes, inboxes)
+        }
+        fn sync_pending(&mut self, local_pending: bool) -> io::Result<bool> {
+            Transport::<Token>::sync_pending(&mut self.inner, local_pending)
+        }
+    }
+
+    /// A transport error in a control phase stops the pool (the call
+    /// returning at all proves every worker was released and joined) and
+    /// surfaces as the call's error.
+    #[test]
+    fn transport_error_in_a_control_phase_stops_the_pool_cleanly() {
+        let mut transport = Flaky {
+            inner: InMemoryTransport::new(3),
+            exchanges_before_failure: 4,
+            endpoints: 1,
+        };
+        let err = run_ring::<3, _>(&mut transport, 5, 2, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// A boundary error takes the same exit.
+    #[test]
+    fn boundary_error_stops_the_pool_cleanly() {
+        let mut seeded = false;
+        let err = run_bsp_round_loop(
+            &mut InMemoryTransport::new(2),
+            vec![0u64; 2],
+            100,
+            ring_step::<2>,
+            |_transport, _states, _comm| {
+                if std::mem::replace(&mut seeded, true) {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, "bad harvest"));
+                }
+                Ok(Some(tokens(2, 3)))
+            },
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Two endpoints over loopback TCP, three machines: every endpoint runs
+    /// the same loop over its own machines and the job is the in-memory job.
+    #[test]
+    fn loopback_endpoints_run_the_same_job_as_one_process() {
+        let reference = run_ring::<3, _>(&mut InMemoryTransport::new(3), 4, 5, None).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            let mut transport = SocketTransport::worker(addr, Duration::from_secs(5)).unwrap();
+            run_ring::<3, _>(&mut transport, 4, 5, None).unwrap()
+        });
+        let mut transport = SocketTransport::coordinator(&listener, 2, 3).unwrap();
+        let coordinator = run_ring::<3, _>(&mut transport, 4, 5, None).unwrap();
+        let worker = worker.join().unwrap();
+
+        let states: Vec<u64> = [coordinator.states, worker.states].concat();
+        assert_eq!(states, reference.states);
+        let mut comm = coordinator.comm.clone();
+        comm.merge(&worker.comm);
+        assert_eq!(comm, reference.comm);
+        assert_eq!(coordinator.supersteps, reference.supersteps);
+        assert_eq!(worker.supersteps, reference.supersteps);
+    }
+
     /// The supervised loop recovers an injected crash from the caller's
     /// checkpoint and finishes with results identical to a fault-free run —
     /// including the comm statistics stitched across the attempt boundary.
     #[test]
     fn supervised_run_recovers_to_fault_free_results() {
         let rounds = 4u64;
-        let fault_free = {
-            let mut next_round = 0u64;
-            run_bsp_round_loop(vec![0u64; 3], 100, ring_step::<3>, |_states| {
-                if next_round == rounds {
-                    return None;
-                }
-                next_round += 1;
-                Some((0..3).map(|_| vec![Token { remaining: 2 }]).collect())
-            })
-        };
+        let fault_free = run_ring::<3, _>(&mut InMemoryTransport::new(3), rounds, 2, None).unwrap();
 
         // Coordinator context: harvested per-machine token counts, completed
         // rounds, and checkpointed comm — everything a crash must not lose.
@@ -1058,6 +872,7 @@ mod tests {
         };
         let injector = crate::fault::FaultPlan::new().panic_at(2, 2, 0).build();
         let outcome = run_bsp_supervised(
+            &mut InMemoryTransport::new(3),
             RecoveryPolicy::retries(2),
             &mut ctx,
             |ctx, attempt| {
@@ -1076,17 +891,14 @@ mod tests {
             },
             100,
             ring_step::<3>,
-            |ctx, states, comm| {
-                for (total, state) in ctx.counts.iter_mut().zip(states.iter()) {
-                    *total += **state;
-                    // Consumed into ctx: zero so re-harvesting can't double
-                    // count (states accumulate across this attempt's rounds).
-                }
-                for state in states.iter_mut() {
-                    **state = 0;
+            |ctx, _transport, states, comm| {
+                // Consume the states into ctx and zero them so re-harvesting
+                // cannot double count (they accumulate across an attempt).
+                for (total, state) in ctx.counts.iter_mut().zip(states.iter_mut()) {
+                    *total += std::mem::take(*state);
                 }
                 if ctx.rounds == rounds {
-                    return None;
+                    return Ok(None);
                 }
                 // Checkpoint every completed round: harvested counts plus
                 // base comm merged with this attempt's traffic so far.
@@ -1094,7 +906,7 @@ mod tests {
                 total_comm.merge(comm);
                 ctx.checkpoint = Some((ctx.counts.clone(), ctx.rounds, total_comm));
                 ctx.rounds += 1;
-                Some((0..3).map(|_| vec![Token { remaining: 2 }]).collect())
+                Ok(Some(tokens(3, 2)))
             },
             Some(&injector),
         )
@@ -1112,6 +924,25 @@ mod tests {
         assert_eq!(recovered_comm, fault_free.comm);
     }
 
+    /// Runs the two-machine ring supervised with an endless seeding boundary.
+    fn supervised_ring<T: Transport<Token>>(
+        transport: &mut T,
+        policy: RecoveryPolicy,
+        faults: Option<&FaultInjector>,
+    ) -> io::Error {
+        run_bsp_supervised(
+            transport,
+            policy,
+            &mut (),
+            |_ctx, _attempt| vec![0u64; 2],
+            100,
+            ring_step::<2>,
+            |_ctx, _transport, _states, _comm| Ok(Some(tokens(2, 2))),
+            faults,
+        )
+        .unwrap_err()
+    }
+
     /// When the policy disallows retries (or they run out), the supervisor
     /// returns a clean error carrying the last panic message — no deadlock,
     /// no propagated panic.
@@ -1124,17 +955,13 @@ mod tests {
             .panic_at(0, 0, 0)
             .panic_at(1, 1, 0)
             .build();
-        let mut ctx = ();
-        let err = run_bsp_supervised(
+        let err = supervised_ring(
+            &mut InMemoryTransport::new(2),
             RecoveryPolicy::retries(1),
-            &mut ctx,
-            |_ctx, _attempt| vec![0u64; 2],
-            100,
-            ring_step::<2>,
-            |_ctx, _states, _comm| Some((0..2).map(|_| vec![Token { remaining: 2 }]).collect()),
             Some(&injector),
         )
-        .unwrap_err();
+        .downcast::<RecoveryExhausted>()
+        .expect("exhaustion is a typed error");
         assert_eq!(err.attempts, 2);
         assert!(
             err.last_panic.contains("injected fault: machine 1 round 1"),
@@ -1143,39 +970,17 @@ mod tests {
         );
     }
 
-    /// A panicking machine must poison the pool's barrier so the other
-    /// workers shut down and the panic propagates — not deadlock the run.
+    /// Retrying cannot roll other endpoints back, so a retry budget on a
+    /// multi-endpoint transport is a caller error, reported before anything
+    /// runs.
     #[test]
-    #[should_panic(expected = "machine 2 step failed")]
-    fn pool_worker_panic_propagates_instead_of_deadlocking() {
-        let machines = 4;
-        let states = vec![0u64; machines];
-        // Every machine gets work, so all four workers are live inside the
-        // superstep when machine 2 panics.
-        let initial: Vec<Vec<Token>> = (0..machines)
-            .map(|_| vec![Token { remaining: 4 }])
-            .collect();
-        run_bsp_with(
-            ExecutionBackend::Pool,
-            states,
-            initial,
-            100,
-            |machine, state, mailbox, outbox| {
-                for token in mailbox.messages {
-                    *state += 1;
-                    if *state >= 2 && machine == 2 {
-                        panic!("machine 2 step failed");
-                    }
-                    if token.remaining > 0 {
-                        outbox.send(
-                            (machine + 1) % machines,
-                            Token {
-                                remaining: token.remaining - 1,
-                            },
-                        );
-                    }
-                }
-            },
-        );
+    fn supervised_run_rejects_retries_on_a_multi_endpoint_transport() {
+        let mut transport = Flaky {
+            inner: InMemoryTransport::new(2),
+            exchanges_before_failure: u32::MAX,
+            endpoints: 2,
+        };
+        let err = supervised_ring(&mut transport, RecoveryPolicy::retries(1), None);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

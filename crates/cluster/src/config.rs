@@ -1,10 +1,4 @@
 //! Cluster configuration.
-//!
-//! How BSP supersteps manage machine threads is *not* configured here: the
-//! [`ExecutionBackend`](crate::pool::ExecutionBackend) knob lives on the
-//! per-phase configs that actually drive BSP runs (`WalkEngineConfig` and
-//! `TrainerConfig` downstream), mirroring how the other
-//! optimized-vs-reference backends are selected.
 
 use crate::comm::NetworkModel;
 

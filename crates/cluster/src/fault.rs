@@ -10,8 +10,7 @@
 //! * [`FaultPlan`] / [`FaultInjector`] — a seeded, deterministic schedule of
 //!   worker panics and artificial delays, keyed by
 //!   `(machine, round, superstep)`. The injector is threaded through
-//!   [`run_rounds_with`](crate::pool::run_rounds_with) and
-//!   [`run_bsp_round_loop_with`](crate::bsp::run_bsp_round_loop_with) as an
+//!   [`run_bsp_round_loop`](crate::bsp::run_bsp_round_loop) as an
 //!   `Option<&FaultInjector>`: `None` costs nothing on the hot path.
 //! * [`RecoveryPolicy`] — how many times a supervisor
 //!   ([`run_bsp_supervised`](crate::bsp::run_bsp_supervised)) retries a

@@ -8,20 +8,19 @@
 //!   by a `distger-partition` [`Partitioning`](distger_partition::Partitioning);
 //! * **Bulk Synchronous Parallel** supersteps ([`bsp`]) in which machines do
 //!   local work concurrently (real OS threads) and exchange messages at the
-//!   superstep boundary, exactly like KnightKing's walker engine (§2.2) —
-//!   executed by default on a persistent, barrier-coordinated worker
-//!   [`pool`] so a superstep boundary costs two barrier crossings instead
-//!   of `N` thread spawns and joins — and, for multi-round callers,
-//!   [`run_bsp_round_loop`] keeps that one pool alive across *every* round
-//!   of a run, executing round boundaries (harvesting, convergence checks,
-//!   next-round seeding) as coordinator-exclusive control phases;
+//!   superstep boundary, exactly like KnightKing's walker engine (§2.2):
+//!   [`run_bsp_round_loop`] hosts the machines of one [`Transport`] endpoint
+//!   on a persistent, barrier-coordinated worker [`pool`] that lives across
+//!   *every* round of a run, executing round boundaries (harvesting,
+//!   convergence checks, next-round seeding) as coordinator-exclusive
+//!   control phases;
 //! * per-machine **communication accounting** ([`comm`]): every cross-machine
 //!   message is counted with an explicit byte size, and an analytic
 //!   [`NetworkModel`] converts the traffic into modelled communication time;
 //! * **memory accounting** ([`memory`]) for the Table 3 / Table 8 footprints;
 //! * **fault tolerance** ([`fault`]): deterministic fault injection
-//!   ([`FaultPlan`] / [`FaultInjector`]) threaded through the execution
-//!   backends as a zero-cost-when-disabled hook, and supervised recovery
+//!   ([`FaultPlan`] / [`FaultInjector`]) threaded through the BSP driver as
+//!   a zero-cost-when-disabled hook, and supervised recovery
 //!   ([`run_bsp_supervised`]) that restores a caller checkpoint and retries
 //!   a poisoned run under a bounded [`RecoveryPolicy`].
 
@@ -34,10 +33,7 @@ pub mod pool;
 pub mod transport;
 pub mod wire;
 
-pub use bsp::{
-    run_bsp, run_bsp_round_loop, run_bsp_round_loop_with, run_bsp_supervised, run_bsp_with,
-    BspOutcome, Mailbox, Outbox,
-};
+pub use bsp::{run_bsp_round_loop, run_bsp_supervised, BspOutcome, Mailbox, Outbox};
 pub use comm::{CommStats, MessageSize, NetworkModel, WireStats};
 pub use config::ClusterConfig;
 pub use fault::{
@@ -45,9 +41,7 @@ pub use fault::{
     RecoveryPolicy,
 };
 pub use memory::MemoryEstimate;
-pub use pool::{
-    run_rounds, run_rounds_with, BarrierPoisoned, EpochBarrier, ExecutionBackend, PoolStats,
-};
+pub use pool::{run_rounds, BarrierPoisoned, EpochBarrier, PoolStats};
 pub use transport::{
     gather_trace_events, machine_split, ControlChannel, InMemoryTransport, SocketTransport,
     Transport, TransportKind,

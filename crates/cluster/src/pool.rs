@@ -1,22 +1,12 @@
 //! Persistent BSP worker pool.
 //!
-//! [`run_bsp`](crate::run_bsp) originally spawned one fresh OS thread per
-//! machine per superstep. That is correct but expensive exactly where DistGER
-//! lives: information-centrality early termination produces *many small
-//! rounds*, so the per-superstep thread-spawn/join cost (tens of microseconds
-//! each) dominates the handful of walker steps a machine actually executes in
-//! a superstep. This module provides the alternative: a pool of worker
-//! threads created **once per BSP invocation** — each worker permanently
-//! pinned to one machine index — coordinated by a reusable two-phase
-//! [`EpochBarrier`], so a superstep boundary costs two barrier crossings
-//! instead of `N` spawns and `N` joins.
-//!
-//! Which strategy runs is selected by [`ExecutionBackend`], mirroring the
-//! `FreqBackend` / `SamplingBackend` pattern of the walks crate: the pool is
-//! the optimized default, spawn-per-step is retained as the reference
-//! implementation for equivalence tests and benchmarks. Both strategies
-//! execute the same round structure, so the message schedule — and therefore
-//! every sampled walk — is bit-identical between them.
+//! DistGER's information-centrality early termination produces *many small
+//! rounds*: a machine executes a handful of walker steps per superstep, so
+//! spawning and joining a thread per machine per superstep (tens of
+//! microseconds each) would dominate the work. [`run_rounds`] therefore
+//! creates its worker threads **once per run** — each worker permanently
+//! pinned to one index — and coordinates them with a reusable two-phase
+//! [`EpochBarrier`], so a superstep boundary costs two barrier crossings.
 //!
 //! # Panic safety
 //! A barrier is only as good as its worst participant: if a worker panics
@@ -27,43 +17,9 @@
 //! original panic propagates through `std::thread::scope` instead of
 //! deadlocking the run.
 
-use crate::fault::FaultInjector;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Which thread-management strategy executes the supersteps of a BSP run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionBackend {
-    /// Run-scoped persistent worker pool: one thread per machine created
-    /// once per *run* and kept alive across every round — round boundaries
-    /// (corpus harvesting, convergence checks, next-round seeding) execute
-    /// as coordinator-exclusive control phases between barrier generations
-    /// (the optimized default; see
-    /// [`run_bsp_round_loop`](crate::run_bsp_round_loop)).
-    #[default]
-    RoundLoop,
-    /// Per-round persistent worker pool: one thread per machine created once
-    /// per BSP invocation, supersteps separated by a reusable two-phase
-    /// barrier. A multi-round driver spawns `machines × rounds` threads
-    /// (kept selectable as the per-round reference for equivalence tests
-    /// and benchmarks).
-    Pool,
-    /// One fresh OS thread per machine per superstep (the original reference
-    /// implementation, kept selectable for equivalence tests and benchmarks).
-    SpawnPerStep,
-}
-
-impl ExecutionBackend {
-    /// Display name used by the experiment harness.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionBackend::RoundLoop => "round_loop",
-            ExecutionBackend::Pool => "pool",
-            ExecutionBackend::SpawnPerStep => "spawn_per_step",
-        }
-    }
-}
 
 /// Error returned by [`EpochBarrier::wait`] when a participant panicked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,20 +146,8 @@ pub struct PoolStats {
     /// slowest worker to arrive) plus the *minimum* worker's total wait at
     /// round-end barriers (every worker's end wait includes the barrier
     /// release cost; the minimum isolates it from straggler slack, which is
-    /// compute imbalance rather than coordination). For spawn-per-step,
-    /// which has no barrier, this equals
-    /// [`wall_sync_secs`](PoolStats::wall_sync_secs).
+    /// compute imbalance rather than coordination).
     pub sync_secs: f64,
-    /// The historical accounting of the same overhead: per round, the
-    /// wall-clock round time minus the slowest worker's compute time,
-    /// summed over rounds. Kept alongside [`sync_secs`](PoolStats::sync_secs)
-    /// because it is an *inference* (anything-that-isn't-compute) rather
-    /// than a measurement; the two agree within scheduling noise, which the
-    /// regression test pins down.
-    pub wall_sync_secs: f64,
-    /// OS threads spawned by this invocation — always exactly the worker
-    /// count: the whole point of the pool is that no round spawns anything.
-    pub spawn_count: u64,
 }
 
 /// Runs coordinated rounds on `workers` persistent worker threads.
@@ -222,33 +166,18 @@ pub struct PoolStats {
 /// `control` may freely mutate state that `work` reads — callers typically
 /// share per-worker slots through `Mutex`es that are never contended.
 ///
+/// Workers record a `superstep` span around `work` and a `barrier_wait` span
+/// around the round-end wait. The control phase is *not* wrapped in a span
+/// here: a caller whose spans outlive one control phase (the BSP driver's
+/// `round`) could not nest properly inside it, so callers open their own.
+///
 /// Returns the executed round count and the accumulated coordination
 /// overhead (see [`PoolStats`]).
 ///
 /// # Panics
 /// A panic in `work` or `control` poisons the barrier (so no participant
 /// deadlocks) and then propagates to the caller.
-pub fn run_rounds<C, W>(workers: usize, control: C, work: W) -> PoolStats
-where
-    C: FnMut(u64) -> bool,
-    W: Fn(usize, u64) + Sync,
-{
-    run_rounds_with(workers, control, work, None)
-}
-
-/// [`run_rounds`] with an optional [`FaultInjector`] hook.
-///
-/// When `faults` is `Some`, every worker calls
-/// [`trip(worker, round, 0)`](FaultInjector::trip) at the top of its compute
-/// phase, so a plan can panic or delay machine `m` at the start of round `r`.
-/// `None` (the [`run_rounds`] path) skips the hook entirely — the disabled
-/// case costs nothing.
-pub fn run_rounds_with<C, W>(
-    workers: usize,
-    mut control: C,
-    work: W,
-    faults: Option<&FaultInjector>,
-) -> PoolStats
+pub fn run_rounds<C, W>(workers: usize, mut control: C, work: W) -> PoolStats
 where
     C: FnMut(u64) -> bool,
     W: Fn(usize, u64) + Sync,
@@ -256,19 +185,14 @@ where
     assert!(workers > 0, "need at least one worker");
     let barrier = EpochBarrier::new(workers + 1);
     let stop = AtomicBool::new(false);
-    // Per-worker compute time of the latest round, in nanoseconds. Workers
-    // write before the round-end barrier and the coordinator reads after it,
-    // so Relaxed ordering suffices (the barrier provides the happens-before).
-    let compute_nanos: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    // Per-worker *cumulative* round-end barrier wait, read only after the
-    // scope joins every worker (a per-round slot would race: the coordinator
-    // leaves the end barrier before the workers finish timing their waits).
-    let end_wait_nanos: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    // The smallest per-worker *cumulative* round-end barrier wait: each
+    // worker sums its own waits and folds the total in as it exits, so the
+    // value is read only after the scope joined every worker (a per-round
+    // slot would race: the coordinator leaves the end barrier before the
+    // workers finish timing their waits).
+    let min_end_wait_nanos = AtomicU64::new(u64::MAX);
     let mut coordinator_start_wait_nanos: u64 = 0;
-    let mut stats = PoolStats {
-        spawn_count: workers as u64,
-        ..PoolStats::default()
-    };
+    let mut stats = PoolStats::default();
 
     std::thread::scope(|scope| {
         // If `control` panics below, this guard poisons the barrier during
@@ -280,29 +204,21 @@ where
                 let barrier = &barrier;
                 let stop = &stop;
                 let work = &work;
-                let slot = &compute_nanos[worker];
-                let wait_slot = &end_wait_nanos[worker];
+                let min_end_wait_nanos = &min_end_wait_nanos;
                 scope.spawn(move || {
                     let _guard = PoisonOnPanic(barrier);
                     let mut round: u64 = 0;
+                    let mut end_wait_nanos: u64 = 0;
                     loop {
                         // Round start: wait for the coordinator's control.
-                        if barrier.wait().is_err() {
-                            return;
+                        if barrier.wait().is_err() || stop.load(Ordering::Acquire) {
+                            break;
                         }
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        if let Some(injector) = faults {
-                            injector.trip(worker, round, 0);
-                        }
-                        let started = Instant::now();
                         {
                             let _span =
                                 distger_obs::span!("superstep", machine = worker, round = round);
                             work(worker, round);
                         }
-                        slot.store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                         // Round end: hand exclusivity back to the coordinator.
                         let wait_started = Instant::now();
                         let waited = {
@@ -310,23 +226,19 @@ where
                                 distger_obs::span!("barrier_wait", machine = worker, round = round);
                             barrier.wait()
                         };
-                        wait_slot
-                            .fetch_add(wait_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        end_wait_nanos += wait_started.elapsed().as_nanos() as u64;
                         if waited.is_err() {
-                            return;
+                            break;
                         }
                         round += 1;
                     }
+                    min_end_wait_nanos.fetch_min(end_wait_nanos, Ordering::Relaxed);
                 })
             })
             .collect();
 
         loop {
-            let go_on = {
-                let _span = distger_obs::span!("control", round = stats.rounds);
-                control(stats.rounds)
-            };
-            if !go_on {
+            if !control(stats.rounds) {
                 stop.store(true, Ordering::Release);
                 // Release the workers so they observe the stop flag.
                 let _ = barrier.wait();
@@ -340,14 +252,6 @@ where
             if barrier.wait().is_err() {
                 break;
             }
-            let wall = round_started.elapsed().as_secs_f64();
-            let slowest = compute_nanos
-                .iter()
-                .map(|nanos| nanos.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0) as f64
-                / 1e9;
-            stats.wall_sync_secs += (wall - slowest).max(0.0);
             stats.rounds += 1;
         }
 
@@ -360,11 +264,7 @@ where
             }
         }
     });
-    let min_end_wait = end_wait_nanos
-        .iter()
-        .map(|nanos| nanos.load(Ordering::Relaxed))
-        .min()
-        .unwrap_or(0);
+    let min_end_wait = min_end_wait_nanos.load(Ordering::Relaxed);
     stats.sync_secs = (coordinator_start_wait_nanos + min_end_wait) as f64 / 1e9;
     stats
 }
@@ -387,7 +287,6 @@ mod tests {
             },
         );
         assert_eq!(stats.rounds, 5);
-        assert_eq!(stats.spawn_count, 3, "one spawn per worker, ever");
         assert!(stats.sync_secs >= 0.0);
         for counter in &counters {
             assert_eq!(counter.load(Ordering::SeqCst), 5);
@@ -508,12 +407,10 @@ mod tests {
     }
 
     #[test]
-    fn barrier_wait_sync_agrees_with_wall_accounting() {
-        // Regression for the sync_secs redesign: the coordinator's control
-        // phase (here: a deliberate 4ms sleep per round, ~120ms total) runs
-        // *before* the measured window of either accounting, so neither may
-        // attribute it to synchronization — and the two accountings must
-        // agree within scheduling noise on uniform 1ms workers.
+    fn barrier_wait_sync_excludes_control_time() {
+        // The coordinator's control phase (here: a deliberate 4ms sleep per
+        // round, ~120ms total) runs *before* the measured window, so it must
+        // not be attributed to synchronization on uniform 1ms workers.
         let stats = run_rounds(
             4,
             |round| {
@@ -530,42 +427,5 @@ mod tests {
             "barrier-wait sync {} must exclude the ~120ms of control time",
             stats.sync_secs
         );
-        assert!(
-            stats.wall_sync_secs < 0.060,
-            "wall-minus-slowest sync {} must exclude the ~120ms of control time",
-            stats.wall_sync_secs
-        );
-        assert!(
-            (stats.sync_secs - stats.wall_sync_secs).abs() < 0.050,
-            "accountings diverged: barrier-wait {} vs wall {}",
-            stats.sync_secs,
-            stats.wall_sync_secs
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "injected fault: machine 2 round 3 superstep 0")]
-    fn injected_worker_panic_propagates_cleanly() {
-        let injector = crate::fault::FaultPlan::new().panic_at(2, 3, 0).build();
-        run_rounds_with(4, |round| round < 100, |_, _| {}, Some(&injector));
-    }
-
-    #[test]
-    fn injected_delay_leaves_results_unchanged() {
-        let counters: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        let injector = crate::fault::FaultPlan::new().delay_at(1, 2, 0, 1).build();
-        let stats = run_rounds_with(
-            3,
-            |round| round < 5,
-            |worker, _| {
-                counters[worker].fetch_add(1, Ordering::SeqCst);
-            },
-            Some(&injector),
-        );
-        assert_eq!(stats.rounds, 5);
-        assert_eq!(injector.injected_delays(), 1);
-        for counter in &counters {
-            assert_eq!(counter.load(Ordering::SeqCst), 5);
-        }
     }
 }

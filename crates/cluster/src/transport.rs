@@ -1,9 +1,11 @@
 //! The transport layer: how machines exchange superstep message batches.
 //!
 //! Every "distributed" code path in this reproduction drives its machines
-//! through a [`Transport`]: the BSP engine's superstep exchange, the walk
-//! engine's round loop and the trainer's replica sync all speak this trait
-//! instead of touching memory directly. Two implementations exist:
+//! through a [`Transport`]: the BSP driver
+//! ([`run_bsp_round_loop`](crate::run_bsp_round_loop)) hosts an endpoint's
+//! machines and speaks this trait at every superstep and round boundary, and
+//! the trainer's replica sync speaks its [`ControlChannel`] half. Two
+//! implementations exist:
 //!
 //! * [`InMemoryTransport`] — the reference. All machines live in one address
 //!   space (one process, one thread pool) and the exchange moves queues with
@@ -135,8 +137,9 @@ pub trait ControlChannel {
 /// and each batch is stamped with the endpoint id as its `pid`.
 ///
 /// A **synchronous collective**: when tracing is enabled every endpoint of
-/// the job must call it at the same point in the protocol (the drivers call
-/// it at round boundaries, right after the continue/stop broadcast). When
+/// the job must call it at the same point in the protocol (the walk driver
+/// calls it at round boundaries, right after the continue/stop broadcast,
+/// the trainer once at the end). When
 /// tracing is disabled it is a pure no-op — no drain, no traffic — which
 /// keeps the disabled-path wire protocol bit-identical; the tracing flag is
 /// propagated through the job spec, so all endpoints agree on it.
@@ -259,12 +262,9 @@ impl<M: MessageSize> Transport<M> for InMemoryTransport {
         debug_assert_eq!(inboxes.len(), self.num_machines);
         // Ascending source outer, so every destination inbox receives its
         // messages in ascending source order — the reference order the whole
-        // bit-identity story rests on. `append` moves elements and keeps
-        // both allocations alive (steady state is allocation-free).
+        // bit-identity story rests on.
         for outbox in outboxes.iter_mut() {
-            for (dest, inbox) in inboxes.iter_mut().enumerate() {
-                inbox.append(&mut outbox.queues[dest]);
-            }
+            outbox.drain_into(inboxes.iter_mut().map(|inbox| &mut **inbox));
         }
         Ok(())
     }

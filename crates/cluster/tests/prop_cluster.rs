@@ -1,7 +1,6 @@
 //! Property-based tests for the cluster runtime: the poison-aware
-//! [`EpochBarrier`] that coordinates the worker pool, and the run-scoped
-//! [`run_bsp_round_loop`] driver against the per-round [`run_bsp`]
-//! reference.
+//! [`EpochBarrier`] that coordinates the worker pool, and the
+//! [`run_bsp_round_loop`] driver against a single-threaded sequential fold.
 //!
 //! The barrier properties are the safety contract every pooled run leans on:
 //! a panicking participant must *unblock* everyone (no deadlock) and the
@@ -10,17 +9,19 @@
 //! participant counts, not just the fixed shapes of the unit tests.
 
 use distger_cluster::{
-    panic_message, run_bsp, run_bsp_round_loop, run_bsp_supervised, run_rounds, run_rounds_with,
-    BarrierPoisoned, CommStats, EpochBarrier, FaultPlan, Mailbox, MessageSize, Outbox,
-    RecoveryPolicy,
+    run_bsp_round_loop, run_bsp_supervised, run_rounds, BarrierPoisoned, BspOutcome, CommStats,
+    EpochBarrier, FaultInjector, FaultPlan, InMemoryTransport, Mailbox, MessageSize, Outbox,
+    RecoveryExhausted, RecoveryPolicy,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// A token that fans out to other machines while `remaining > 0`.
+/// A token that fans out to other machines while `remaining > 0`, tagged
+/// with the machine that sent it.
 struct Token {
     remaining: u32,
+    sender: u32,
 }
 
 impl MessageSize for Token {
@@ -30,27 +31,106 @@ impl MessageSize for Token {
 }
 
 /// A BSP step with a concrete higher-ranked signature (returning the closure
-/// from a function pins the `for<'a>` bound the drivers expect): count each
-/// token's value, then fan `fan` successors one hop down the ring.
+/// from a function pins the `for<'a>` bound the drivers expect): fold each
+/// token into the state **order-sensitively** (so a different delivery order
+/// is a different state), then fan `fan` successors down the ring.
 fn fan_step(
     machines: usize,
     fan: u32,
 ) -> impl for<'a> Fn(usize, &mut u64, Mailbox<'a, Token>, &mut Outbox<Token>) + Sync {
     move |machine, state, mailbox, outbox| {
         for token in mailbox.messages {
-            *state += token.remaining as u64 + 1;
+            *state = state
+                .wrapping_mul(31)
+                .wrapping_add(u64::from(token.sender) * 7 + u64::from(token.remaining) + 1);
             if token.remaining > 0 {
                 for offset in 0..fan {
                     outbox.send(
                         (machine + 1 + offset as usize) % machines,
                         Token {
                             remaining: token.remaining - 1,
+                            sender: machine as u32,
                         },
                     );
                 }
             }
         }
     }
+}
+
+/// Round `round`'s seeds: one token per machine.
+fn seeds(machines: usize, round: u64) -> Vec<Vec<Token>> {
+    (0..machines)
+        .map(|m| {
+            vec![Token {
+                remaining: ((m as u64 + round) % 3) as u32,
+                sender: m as u32,
+            }]
+        })
+        .collect()
+}
+
+/// `rounds` rounds of [`fan_step`] through the pooled driver, all machines in
+/// this process.
+fn pooled_rounds(
+    machines: usize,
+    rounds: u64,
+    fan: u32,
+    faults: Option<&FaultInjector>,
+) -> BspOutcome<u64> {
+    let mut next_round = 0u64;
+    run_bsp_round_loop(
+        &mut InMemoryTransport::new(machines),
+        vec![0u64; machines],
+        10_000,
+        fan_step(machines, fan),
+        |_transport, _states, _comm| {
+            next_round += 1;
+            Ok((next_round <= rounds).then(|| seeds(machines, next_round - 1)))
+        },
+        faults,
+    )
+    .expect("the in-memory transport is infallible")
+}
+
+/// The reference: the same rounds as a single-threaded fold, machines
+/// stepped in ascending order and outboxes drained in ascending owner order.
+/// Returns `(states, comm, total supersteps)`.
+fn sequential_rounds(machines: usize, rounds: u64, fan: u32) -> (Vec<u64>, CommStats, u64) {
+    let step = fan_step(machines, fan);
+    let mut states = vec![0u64; machines];
+    let mut outboxes: Vec<Outbox<Token>> =
+        (0..machines).map(|m| Outbox::new(m, machines)).collect();
+    let (mut total_supersteps, mut max_round_supersteps) = (0u64, 0u64);
+    for round in 0..rounds {
+        let mut inboxes = seeds(machines, round);
+        let mut supersteps = 0u64;
+        while inboxes.iter().any(|inbox| !inbox.is_empty()) {
+            supersteps += 1;
+            for (machine, inbox) in inboxes.iter_mut().enumerate() {
+                let mailbox = Mailbox {
+                    messages: inbox.drain(..),
+                };
+                step(
+                    machine,
+                    &mut states[machine],
+                    mailbox,
+                    &mut outboxes[machine],
+                );
+            }
+            for outbox in &mut outboxes {
+                outbox.drain_into(&mut inboxes);
+            }
+        }
+        total_supersteps += supersteps;
+        max_round_supersteps = max_round_supersteps.max(supersteps);
+    }
+    let mut comm = CommStats::new();
+    for outbox in &outboxes {
+        comm.merge(outbox.stats());
+    }
+    comm.supersteps = max_round_supersteps;
+    (states, comm, total_supersteps)
 }
 
 proptest! {
@@ -120,7 +200,7 @@ proptest! {
     }
 
     /// One barrier instance must serve arbitrarily many generations (the
-    /// run-scoped loop crosses it twice per superstep for the whole run):
+    /// round loop crosses it twice per superstep for the whole run):
     /// all `parties` participants complete `generations >= 3` crossings and
     /// the barrier stays healthy.
     #[test]
@@ -170,81 +250,26 @@ proptest! {
         prop_assert!(barrier.is_poisoned());
     }
 
-    /// The run-scoped round loop is observably identical to one `run_bsp`
-    /// invocation per round — final states, summed traffic, max-per-round
-    /// superstep statistics and superstep totals — while spawning `machines`
-    /// threads instead of `machines × rounds`.
+    /// The pooled round loop is observably identical to the sequential fold
+    /// — final states (an order-sensitive fold of every delivered token),
+    /// summed traffic, max-per-round superstep statistics and superstep
+    /// totals.
     #[test]
-    fn round_loop_equals_per_round_bsp(
+    fn round_loop_equals_sequential_fold(
         machines in 1usize..6,
         rounds in 1u64..6,
         fan in 1u32..4,
     ) {
-        let step = fan_step(machines, fan);
-        let seeds = |round: u64| -> Vec<Vec<Token>> {
-            (0..machines)
-                .map(|m| {
-                    vec![Token {
-                        remaining: ((m as u64 + round) % 3) as u32,
-                    }]
-                })
-                .collect()
-        };
-
-        let mut per_round_states = vec![0u64; machines];
-        let mut per_round_comm = CommStats::new();
-        let mut per_round_supersteps = 0u64;
-        let mut per_round_spawns = 0u64;
-        for round in 0..rounds {
-            let outcome = run_bsp(per_round_states, seeds(round), 10_000, &step);
-            per_round_states = outcome.states;
-            per_round_comm.merge(&outcome.comm);
-            per_round_supersteps += outcome.supersteps;
-            per_round_spawns += outcome.spawn_count;
-        }
-
-        let mut next_round = 0u64;
-        let outcome = run_bsp_round_loop(vec![0u64; machines], 10_000, &step, |_states| {
-            if next_round == rounds {
-                None
-            } else {
-                next_round += 1;
-                Some(seeds(next_round - 1))
-            }
-        });
-
-        prop_assert_eq!(&outcome.states, &per_round_states);
-        prop_assert_eq!(&outcome.comm, &per_round_comm);
-        prop_assert_eq!(outcome.supersteps, per_round_supersteps);
-        prop_assert_eq!(outcome.spawn_count, machines as u64);
-        prop_assert_eq!(per_round_spawns, machines as u64 * rounds);
+        let outcome = pooled_rounds(machines, rounds, fan, None);
+        let (states, comm, supersteps) = sequential_rounds(machines, rounds, fan);
+        prop_assert_eq!(&outcome.states, &states);
+        prop_assert_eq!(&outcome.comm, &comm);
+        prop_assert_eq!(outcome.supersteps, supersteps);
     }
 
-    /// An injected worker panic via `run_rounds_with` — any worker, any
-    /// round, any pool size — propagates cleanly (no deadlock) with the
-    /// injector's coordinate-naming message, and fires exactly once.
-    #[test]
-    fn injected_pool_fault_propagates_cleanly(
-        workers in 1usize..7,
-        villain_pick in 0usize..7,
-        fault_round in 0u64..4,
-    ) {
-        let villain = villain_pick % workers;
-        let faults = FaultPlan::new().panic_at(villain, fault_round, 0).build();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_rounds_with(workers, |round| round < 8, |_, _| {}, Some(&faults))
-        }));
-        let payload = result.expect_err("the injected panic must propagate");
-        prop_assert_eq!(
-            panic_message(payload.as_ref()),
-            format!("injected fault: machine {villain} round {fault_round} superstep 0")
-        );
-        prop_assert_eq!(faults.injected_faults(), 1);
-    }
-
-    /// Delay faults are outcome-neutral by construction: a token-ring round
-    /// loop with an injected straggler produces states, traffic and
-    /// superstep counts identical to the undelayed run.
+    /// Delay faults are outcome-neutral by construction: a round loop with
+    /// an injected straggler produces states, traffic and superstep counts
+    /// identical to the undelayed run.
     #[test]
     fn delay_faults_are_outcome_neutral(
         machines in 1usize..5,
@@ -253,45 +278,11 @@ proptest! {
         delay_machine in 0usize..5,
         delay_round in 0u64..5,
     ) {
-        let step = fan_step(machines, fan);
-        let seeds = |round: u64| -> Vec<Vec<Token>> {
-            (0..machines)
-                .map(|m| {
-                    vec![Token {
-                        remaining: ((m as u64 + round) % 3) as u32,
-                    }]
-                })
-                .collect()
-        };
-
-        let mut next_round = 0u64;
-        let reference = run_bsp_round_loop(vec![0u64; machines], 10_000, &step, |_states| {
-            if next_round == rounds {
-                None
-            } else {
-                next_round += 1;
-                Some(seeds(next_round - 1))
-            }
-        });
-
+        let reference = pooled_rounds(machines, rounds, fan, None);
         let faults = FaultPlan::new()
             .delay_at(delay_machine % machines, delay_round % rounds, 0, 1)
             .build();
-        let mut next_round = 0u64;
-        let delayed = distger_cluster::run_bsp_round_loop_with(
-            vec![0u64; machines],
-            10_000,
-            &step,
-            |_states, _comm| {
-                if next_round == rounds {
-                    None
-                } else {
-                    next_round += 1;
-                    Some(seeds(next_round - 1))
-                }
-            },
-            Some(&faults),
-        );
+        let delayed = pooled_rounds(machines, rounds, fan, Some(&faults));
 
         prop_assert_eq!(&delayed.states, &reference.states);
         prop_assert_eq!(&delayed.comm, &reference.comm);
@@ -300,7 +291,7 @@ proptest! {
         prop_assert_eq!(faults.injected_faults(), 0);
     }
 
-    /// Supervised recovery of the token-ring loop: a panic anywhere in
+    /// Supervised recovery of the round loop: a panic anywhere in
     /// (machine, round) space, restored by full replay from round 0 (this
     /// toy keeps no checkpoint — `restore` just resets the seeding cursor),
     /// converges to the fault-free outcome exactly, because the one-shot
@@ -313,32 +304,13 @@ proptest! {
         villain_pick in 0usize..5,
         fault_round_pick in 0u64..5,
     ) {
-        let step = fan_step(machines, fan);
-        let seeds = |round: u64| -> Vec<Vec<Token>> {
-            (0..machines)
-                .map(|m| {
-                    vec![Token {
-                        remaining: ((m as u64 + round) % 3) as u32,
-                    }]
-                })
-                .collect()
-        };
-
-        let mut next_round = 0u64;
-        let reference = run_bsp_round_loop(vec![0u64; machines], 10_000, &step, |_states| {
-            if next_round == rounds {
-                None
-            } else {
-                next_round += 1;
-                Some(seeds(next_round - 1))
-            }
-        });
-
+        let reference = pooled_rounds(machines, rounds, fan, None);
         let faults = FaultPlan::new()
             .panic_at(villain_pick % machines, fault_round_pick % rounds, 0)
             .build();
         let mut cursor = 0u64;
         let outcome = run_bsp_supervised(
+            &mut InMemoryTransport::new(machines),
             RecoveryPolicy::retries(2),
             &mut cursor,
             |cursor, _attempt| {
@@ -346,14 +318,10 @@ proptest! {
                 vec![0u64; machines]
             },
             10_000,
-            &step,
-            |cursor, _states, _comm| {
-                if *cursor == rounds {
-                    None
-                } else {
-                    *cursor += 1;
-                    Some(seeds(*cursor - 1))
-                }
+            fan_step(machines, fan),
+            |cursor, _transport, _states, _comm| {
+                *cursor += 1;
+                Ok((*cursor <= rounds).then(|| seeds(machines, *cursor - 1)))
             },
             Some(&faults),
         )
@@ -374,22 +342,13 @@ proptest! {
         rounds in 2u64..5,
         fan in 1u32..4,
     ) {
-        let step = fan_step(machines, fan);
-        let seeds = |round: u64| -> Vec<Vec<Token>> {
-            (0..machines)
-                .map(|m| {
-                    vec![Token {
-                        remaining: ((m as u64 + round) % 3) as u32,
-                    }]
-                })
-                .collect()
-        };
         // Two panics in *distinct* rounds (same-round panics race on the
         // barrier), one retry: attempt 1 dies in round 0, attempt 2 dies in
         // round 1, budget spent.
         let faults = FaultPlan::new().panic_at(0, 0, 0).panic_at(1, 1, 0).build();
         let mut cursor = 0u64;
         let err = run_bsp_supervised(
+            &mut InMemoryTransport::new(machines),
             RecoveryPolicy::retries(1),
             &mut cursor,
             |cursor, _attempt| {
@@ -397,18 +356,16 @@ proptest! {
                 vec![0u64; machines]
             },
             10_000,
-            &step,
-            |cursor, _states, _comm| {
-                if *cursor == rounds {
-                    None
-                } else {
-                    *cursor += 1;
-                    Some(seeds(*cursor - 1))
-                }
+            fan_step(machines, fan),
+            |cursor, _transport, _states, _comm| {
+                *cursor += 1;
+                Ok((*cursor <= rounds).then(|| seeds(machines, *cursor - 1)))
             },
             Some(&faults),
         )
-        .expect_err("two panics must exhaust a one-retry budget");
+        .expect_err("two panics must exhaust a one-retry budget")
+        .downcast::<RecoveryExhausted>()
+        .expect("exhaustion is a typed error");
         prop_assert_eq!(err.attempts, 2);
         prop_assert!(
             err.last_panic.contains("injected fault: machine 1 round 1"),

@@ -266,7 +266,7 @@ pub fn run_coordinator(
     let graph = spec.build_graph();
     let config = spec.build_config();
     let partitioning = spec.build_partitioning(&graph, &config);
-    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks)?
+    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks, None)?
         .expect("coordinator returns the walk result");
     let (embeddings, train_stats) =
         train_distributed_over(&mut transport, Some(&walk.corpus), &config.training)?
@@ -354,7 +354,7 @@ pub fn run_worker(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
     let graph = spec.build_graph();
     let config = spec.build_config();
     let partitioning = spec.build_partitioning(&graph, &config);
-    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks)?;
+    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks, None)?;
     debug_assert!(walk.is_none(), "workers return no walk result");
     let trained = train_distributed_over(&mut transport, None, &config.training)?;
     debug_assert!(trained.is_none(), "workers return no training result");

@@ -1,8 +1,6 @@
 //! The end-to-end DistGER pipeline: partition → sample → learn.
 
-use distger_cluster::{
-    ClusterConfig, CommStats, ExecutionBackend, MemoryEstimate, RecoveryPolicy, TransportKind,
-};
+use distger_cluster::{ClusterConfig, CommStats, MemoryEstimate, RecoveryPolicy, TransportKind};
 use distger_embed::{train_distributed, Embeddings, TrainStats, TrainerConfig, TrainerKind};
 use distger_graph::CsrGraph;
 use distger_obs::{PhaseTimes, Stopwatch};
@@ -184,8 +182,8 @@ impl DistGerConfig {
     }
 
     /// Builder-style transport override, applied to both BSP phases — like
-    /// [`with_execution_backend`](DistGerConfig::with_execution_backend),
-    /// one call keeps the phases consistent. [`run_pipeline`] executes in
+    /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
+    /// consistent. [`run_pipeline`] executes in
     /// one process and therefore requires the default
     /// [`TransportKind::InMemory`]; the socket transport is served by the
     /// multi-process drivers ([`distger_walks::run_walks_over`] /
@@ -204,23 +202,8 @@ impl DistGerConfig {
         self
     }
 
-    /// Builder-style superstep-execution backend override, applied to both
-    /// BSP phases (walk engine and trainer) — like
-    /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
-    /// consistent, while a directly assigned `walks.execution` /
-    /// `training.execution` field is honored per phase (mirroring how
-    /// `freq_backend` / `sampling_backend` behave). The default everywhere
-    /// is the run-scoped [`ExecutionBackend::RoundLoop`]; the per-round
-    /// [`ExecutionBackend::Pool`] and [`ExecutionBackend::SpawnPerStep`]
-    /// references are retained for A/B comparisons.
-    pub fn with_execution_backend(mut self, execution: ExecutionBackend) -> Self {
-        self.walks.execution = execution;
-        self.training.execution = execution;
-        self
-    }
-
     /// Builder-style checkpoint-policy override for the walk phase: the
-    /// supervised round loop snapshots its coordinator state every `n`-th
+    /// round loop snapshots its coordinator state every `n`-th
     /// round so a crashed run resumes from the latest completed round. The
     /// training phase needs no checkpoint policy — its live replicas plus
     /// the completed-chunk counter are the recovery state (see
@@ -232,8 +215,8 @@ impl DistGerConfig {
 
     /// Builder-style recovery-policy override, applied to both BSP phases
     /// (walk engine and trainer) — like
-    /// [`with_execution_backend`](DistGerConfig::with_execution_backend),
-    /// one call keeps the phases consistent, while directly assigned
+    /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
+    /// consistent, while directly assigned
     /// `walks.recovery` / `training.recovery` fields are honored per phase.
     pub fn with_recovery_policy(mut self, recovery: RecoveryPolicy) -> Self {
         self.walks.recovery = recovery;
@@ -260,11 +243,6 @@ pub struct PipelineResult {
     /// phase's equivalent lives in
     /// [`TrainStats::superstep_sync_secs`](distger_embed::TrainStats).
     pub walk_superstep_sync_secs: f64,
-    /// OS threads the walk phase spawned (see
-    /// [`distger_walks::WalkResult::pool_spawn_count`]): `machines` under
-    /// the default run-scoped [`ExecutionBackend::RoundLoop`],
-    /// `machines × rounds` under the per-round pool.
-    pub walk_pool_spawn_count: u64,
     /// Number of walks per node actually executed.
     pub walk_rounds: usize,
     /// Walk rounds re-executed by supervised recovery (0 on a fault-free
@@ -387,7 +365,6 @@ pub fn run_pipeline(graph: &CsrGraph, config: &DistGerConfig) -> PipelineResult 
         partitioning,
         walk_comm: walk_result.comm.clone(),
         walk_superstep_sync_secs: walk_result.superstep_sync_secs,
-        walk_pool_spawn_count: walk_result.pool_spawn_count,
         walk_rounds: walk_result.rounds,
         walk_recovered_rounds: walk_result.recovered_rounds,
         walk_checkpoint_secs: walk_result.checkpoint_secs,
@@ -437,32 +414,6 @@ mod tests {
             auc > 0.75,
             "DistGER embeddings should predict links well, got AUC {auc}"
         );
-    }
-
-    #[test]
-    fn execution_backends_sample_identical_corpora_end_to_end() {
-        let g = barabasi_albert(300, 4, 13);
-        let base = DistGerConfig::distger(4).small().with_seed(7);
-        let round_loop = run_pipeline(&g, &base); // RoundLoop is the default
-        let pool = run_pipeline(&g, &base.with_execution_backend(ExecutionBackend::Pool));
-        let spawn = run_pipeline(
-            &g,
-            &base.with_execution_backend(ExecutionBackend::SpawnPerStep),
-        );
-        // The sampler is deterministic across backends; training adds
-        // Hogwild races, so the corpus and walk traffic are the equality
-        // surface here.
-        for other in [&pool, &spawn] {
-            assert_eq!(round_loop.corpus_tokens, other.corpus_tokens);
-            assert_eq!(round_loop.walk_comm, other.walk_comm);
-            assert_eq!(round_loop.walk_rounds, other.walk_rounds);
-        }
-        // The run-scoped loop spawns `machines` walk threads for the whole
-        // run; the per-round pool pays that per round.
-        assert_eq!(round_loop.walk_pool_spawn_count, 4);
-        assert_eq!(pool.walk_pool_spawn_count, 4 * pool.walk_rounds as u64);
-        assert!(round_loop.walk_superstep_sync_secs >= 0.0);
-        assert!(spawn.walk_superstep_sync_secs > 0.0);
     }
 
     #[test]
@@ -584,7 +535,6 @@ mod tests {
             .with_walk_model(WalkModel::DeepWalk)
             .with_freq_backend(FreqBackend::NestedReference)
             .with_sampling_backend(SamplingBackend::LinearScan)
-            .with_execution_backend(ExecutionBackend::Pool)
             .with_transport(TransportKind::Socket)
             .with_seed(9);
         assert_eq!(config.partitioner, PartitionerChoice::Hash);
@@ -593,8 +543,6 @@ mod tests {
         assert_eq!(config.walks.model, WalkModel::DeepWalk);
         assert_eq!(config.walks.freq_backend, FreqBackend::NestedReference);
         assert_eq!(config.walks.sampling_backend, SamplingBackend::LinearScan);
-        assert_eq!(config.walks.execution, ExecutionBackend::Pool);
-        assert_eq!(config.training.execution, ExecutionBackend::Pool);
         assert_eq!(config.walks.transport, TransportKind::Socket);
         assert_eq!(config.training.transport, TransportKind::Socket);
         assert_eq!(config.seed, 9);

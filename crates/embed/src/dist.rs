@@ -53,17 +53,36 @@ fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Encodes one endpoint's rank-space corpus shard.
-fn encode_shard(shard: &[Vec<u32>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, shard.len() as u64);
-    for walk in shard {
-        put_u32(&mut out, walk.len() as u32);
-        for &rank in walk {
-            put_u32(&mut out, rank);
+/// Encodes the `m` rank-space training shards of `corpus` — the walks of
+/// [`Corpus::split`], in the same order — one exactly sized payload per
+/// endpoint, plus the token bytes of the largest shard. Straight from the
+/// corpus, never through owned shards: a copy of every walk and a rank-space
+/// copy are two more corpora of short-lived small allocations, and whether
+/// the allocator returns that much afterwards is a coin flip per run.
+fn encode_shards(corpus: &Corpus, vocab: &Vocab, m: usize) -> (Vec<Vec<u8>>, usize) {
+    let assignment = corpus.split_assignment(m);
+    let mut walks = vec![0usize; m];
+    let mut tokens = vec![0usize; m];
+    for (walk, &part) in corpus.walks().iter().zip(&assignment) {
+        walks[part] += 1;
+        tokens[part] += walk.len();
+    }
+    let mut payloads: Vec<Vec<u8>> = (0..m)
+        .map(|part| {
+            let mut out = Vec::with_capacity(8 + 4 * (walks[part] + tokens[part]));
+            put_u64(&mut out, walks[part] as u64);
+            out
+        })
+        .collect();
+    for (walk, &part) in corpus.walks().iter().zip(&assignment) {
+        let out = &mut payloads[part];
+        put_u32(out, walk.len() as u32);
+        for &node in walk {
+            put_u32(out, vocab.rank_of(node));
         }
     }
-    out
+    let largest_shard_bytes = tokens.iter().max().map_or(0, |&t| t * 4);
+    (payloads, largest_shard_bytes)
 }
 
 fn decode_shard(payload: &[u8]) -> io::Result<Vec<Vec<u32>>> {
@@ -160,18 +179,24 @@ fn store_rows(replica: &ModelReplica, ranks: &[u32], dim: usize, payload: &[u8])
 /// `Ok(Some((embeddings, stats)))` on the coordinator and `Ok(None)` on
 /// workers.
 ///
-/// Checkpoint/recovery policies are an in-process facility and must be
-/// disabled; `config.transport` is ignored because the transport in hand
-/// decides how messages move.
+/// `config.transport` is ignored because the transport in hand decides how
+/// messages move.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] if `config.recovery` is enabled (chunk
+/// retry is a facility of the in-process trainer); transport failures and
+/// malformed peer payloads are returned as they are.
 pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     channel: &mut C,
     corpus: Option<&Corpus>,
     config: &TrainerConfig,
 ) -> io::Result<Option<(Embeddings, TrainStats)>> {
-    assert!(
-        !config.recovery.is_enabled(),
-        "recovery is not supported by the multi-process trainer"
-    );
+    if config.recovery.is_enabled() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "recovery is not supported by the multi-process trainer",
+        ));
+    }
     let m = channel.endpoints();
     let coordinator = channel.is_coordinator();
     let endpoint = channel.endpoint();
@@ -219,27 +244,14 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     let mut coordinator_shard_bytes = 0usize;
     let shard_payload = if coordinator {
         let corpus = corpus.expect("coordinator must provide the corpus");
-        let shards: Vec<Vec<Vec<u32>>> = corpus
-            .split(m)
-            .iter()
-            .map(|shard| {
-                shard
-                    .walks()
-                    .iter()
-                    .map(|walk| walk.iter().map(|&v| vocab.rank_of(v)).collect())
-                    .collect()
-            })
-            .collect();
-        coordinator_shard_bytes = shards
-            .iter()
-            .map(|s| s.iter().map(|w| w.len() * 4).sum::<usize>())
-            .max()
-            .unwrap_or(0);
-        channel.scatter(&shards.iter().map(|s| encode_shard(s)).collect::<Vec<_>>())?
+        let (payloads, largest_shard_bytes) = encode_shards(corpus, &vocab, m);
+        coordinator_shard_bytes = largest_shard_bytes;
+        channel.scatter(&payloads)?
     } else {
         channel.scatter(&[])?
     };
     let shard = decode_shard(&shard_payload)?;
+    drop(shard_payload);
 
     // Deterministic local setup — identical on every endpoint.
     let table = NegativeTable::from_vocab(&vocab);
@@ -316,7 +328,12 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     }
     put_u64(&mut payload, pairs_processed);
     put_u64(&mut payload, peak_buffer_bytes as u64);
+    // The model is encoded: free replica, negative table and shard before
+    // the gather, so the averaging buffers do not come on top of them.
+    let model_bytes = replica.memory_bytes() + table.memory_bytes();
+    drop((replica, table, shard));
     let gathered = channel.gather(&payload)?;
+    drop(payload);
     // Cross-process trace merge: every endpoint ships its training spans to
     // the coordinator at the end of the run (a no-op collective when tracing
     // is disabled).
@@ -329,8 +346,8 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     let mut rank_major = vec![0.0f32; floats];
     let mut total_pairs = 0u64;
     let mut max_buffer_bytes = 0usize;
-    for endpoint_payload in &gathered {
-        let mut r = WireReader::new(endpoint_payload);
+    for endpoint_payload in gathered {
+        let mut r = WireReader::new(&endpoint_payload);
         let rows = read_f32s(&mut r, floats)?;
         for (o, b) in rank_major.iter_mut().zip(&rows) {
             *o += b;
@@ -360,10 +377,7 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
         },
         sync_comm,
         superstep_sync_secs: 0.0,
-        avg_machine_memory_bytes: replica.memory_bytes()
-            + table.memory_bytes()
-            + coordinator_shard_bytes
-            + max_buffer_bytes,
+        avg_machine_memory_bytes: model_bytes + coordinator_shard_bytes + max_buffer_bytes,
         recovered_chunks: 0,
     };
     Ok(Some((
@@ -468,13 +482,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recovery is not supported")]
     fn rejects_recovery_policies() {
         let corpus = corpus(3);
         let config = deterministic_config()
             .with_recovery_policy(distger_cluster::RecoveryPolicy::retries(1));
         let mut transport = InMemoryTransport::new(1);
-        let _ = train_distributed_over(&mut transport, Some(&corpus), &config);
+        let err = train_distributed_over(&mut transport, Some(&corpus), &config)
+            .expect_err("recovery is rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

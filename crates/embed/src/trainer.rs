@@ -4,19 +4,17 @@
 //! a full model replica, trains on its shard with the configured trainer kind
 //! and thread count, and periodically synchronizes parameters with the other
 //! machines (full or hotness-block). The machines of the simulated cluster
-//! run as real concurrent threads — by default on the persistent
-//! barrier-coordinated worker pool of `distger-cluster` (one thread per
-//! machine for the whole run, [`ExecutionBackend::Pool`]); the original
-//! spawn-per-chunk scheme is retained as
-//! [`ExecutionBackend::SpawnPerStep`]. The synchronization traffic is
-//! accounted through [`CommStats`] and the thread-coordination overhead
-//! through [`TrainStats::superstep_sync_secs`].
+//! run as real concurrent threads on the persistent barrier-coordinated
+//! worker pool of `distger-cluster` (one thread per machine for the whole
+//! run). The synchronization traffic is accounted through [`CommStats`] and
+//! the thread-coordination overhead through
+//! [`TrainStats::superstep_sync_secs`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use distger_cluster::{
-    panic_message, run_rounds, CommStats, ExecutionBackend, FaultInjector, RecoveryExhausted,
-    RecoveryPolicy, TransportKind,
+    panic_message, run_rounds, CommStats, FaultInjector, RecoveryExhausted, RecoveryPolicy,
+    TransportKind,
 };
 use distger_walks::rng::SplitMix64;
 use distger_walks::Corpus;
@@ -81,14 +79,6 @@ pub struct TrainerConfig {
     pub sync_rounds_per_epoch: usize,
     /// Worker threads per machine.
     pub threads: usize,
-    /// How machine threads are managed across training chunks:
-    /// [`ExecutionBackend::RoundLoop`] / [`ExecutionBackend::Pool`] (one
-    /// persistent thread per machine for the whole run — the trainer's chunk
-    /// loop is already run-scoped, so the two pooled backends are identical
-    /// here; `RoundLoop` is the optimized default) or
-    /// [`ExecutionBackend::SpawnPerStep`] (fresh threads per chunk, the
-    /// reference).
-    pub execution: ExecutionBackend,
     /// How many times a crashed training chunk is retried before the failure
     /// propagates. The trainer needs no explicit checkpoint: the live
     /// replica set plus the completed-chunk counter *is* the recovery state
@@ -120,7 +110,6 @@ impl Default for TrainerConfig {
             sync: SyncStrategy::HotnessBlock,
             sync_rounds_per_epoch: 4,
             threads: 2,
-            execution: ExecutionBackend::RoundLoop,
             recovery: RecoveryPolicy::default(),
             transport: TransportKind::InMemory,
             seed: 0,
@@ -202,19 +191,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Builder-style execution-backend override.
-    pub fn with_execution_backend(mut self, execution: ExecutionBackend) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Deprecated spelling of [`Self::with_execution_backend`], kept for one
-    /// release so existing callers migrate at their own pace.
-    #[deprecated(since = "0.6.0", note = "renamed to `with_execution_backend`")]
-    pub fn with_execution(self, execution: ExecutionBackend) -> Self {
-        self.with_execution_backend(execution)
-    }
-
     /// Builder-style recovery-policy override.
     pub fn with_recovery_policy(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
@@ -242,14 +218,9 @@ pub struct TrainStats {
     /// Synchronization traffic.
     pub sync_comm: CommStats,
     /// Wall-clock thread-coordination overhead summed over training chunks:
-    /// per chunk, the wall time of the concurrent compute phase minus the
-    /// slowest machine's compute time. Under the pooled backends
-    /// ([`ExecutionBackend::RoundLoop`] / [`ExecutionBackend::Pool`]) this
-    /// is the barrier-crossing cost; under
-    /// [`ExecutionBackend::SpawnPerStep`] it is the per-chunk thread
-    /// spawn/join cost. The coordinator-side parameter synchronization
-    /// between chunks is excluded (identical work under all backends;
-    /// its traffic is `sync_comm`).
+    /// the barrier-crossing cost of the worker pool, measured from barrier
+    /// waits. The coordinator-side parameter synchronization between chunks
+    /// is excluded (its traffic is `sync_comm`).
     pub superstep_sync_secs: f64,
     /// Average per-machine training-phase memory footprint in bytes (model
     /// replica + negative table + corpus shard + local buffers).
@@ -271,7 +242,7 @@ pub fn train_distributed(
     num_machines: usize,
     config: &TrainerConfig,
 ) -> (Embeddings, TrainStats) {
-    match train_distributed_inner(corpus, num_machines, config, None) {
+    match train_distributed_supervised(corpus, num_machines, config, None) {
         Ok(result) => result,
         Err(err) => panic!("supervised training failed permanently: {err}"),
     }
@@ -282,15 +253,6 @@ pub fn train_distributed(
 /// *absolute* chunk indices, stable across retries) and returns a clean
 /// error instead of panicking when the retry budget is exhausted.
 pub fn train_distributed_supervised(
-    corpus: &Corpus,
-    num_machines: usize,
-    config: &TrainerConfig,
-    faults: Option<&FaultInjector>,
-) -> Result<(Embeddings, TrainStats), RecoveryExhausted> {
-    train_distributed_inner(corpus, num_machines, config, faults)
-}
-
-fn train_distributed_inner(
     corpus: &Corpus,
     num_machines: usize,
     config: &TrainerConfig,
@@ -350,197 +312,90 @@ fn train_distributed_inner(
     let mut recovered_chunks = 0u64;
 
     let start = std::time::Instant::now();
-    let superstep_sync_secs = match config.execution {
-        ExecutionBackend::RoundLoop | ExecutionBackend::Pool => {
-            // One persistent worker per machine for the whole run. Workers
-            // hold `&replicas[machine]` (Hogwild matrices are
-            // interior-mutable); the coordinator synchronizes parameters
-            // between chunks while the workers are parked at the barrier.
-            //
-            // Recovery: the live replicas plus `completed_chunks` are the
-            // checkpoint. A crashed attempt loses only the chunk that died —
-            // every earlier chunk was harvested and synchronized at its
-            // boundary — so the retry rebuilds the pool and resumes at
-            // `base_chunk = completed_chunks`. Workers train absolute chunk
-            // `base_chunk + generation`, which keeps the learning-rate
-            // schedule and fault coordinates stable across attempts.
-            let mut sync_secs = 0.0f64;
-            let mut completed_chunks = 0usize;
-            let mut attempt = 0u32;
-            loop {
-                let base_chunk = completed_chunks;
-                // Fresh result slots per attempt: a crashed attempt's
-                // partially written slots are never harvested.
-                let chunk_results: Vec<std::sync::Mutex<(u64, usize)>> = (0..num_machines)
-                    .map(|_| std::sync::Mutex::new((0, 0)))
-                    .collect();
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    run_rounds(
-                        num_machines,
-                        |generation| {
-                            if generation > 0 {
-                                for slot in &chunk_results {
-                                    let (pairs, buffer_bytes) = *slot.lock().unwrap();
-                                    pairs_processed += pairs;
-                                    peak_buffer_bytes = peak_buffer_bytes.max(buffer_bytes);
-                                }
-                                // Synchronize parameters across machines.
-                                let _sync_span =
-                                    distger_obs::span!("replica_sync", round = completed_chunks);
-                                let ranks = select_sync_ranks(config.sync, &vocab, &mut sync_rng);
-                                synchronize_replicas(&replicas, &ranks, &mut sync_comm);
-                                completed_chunks += 1;
-                            }
-                            completed_chunks < total_chunks
-                        },
-                        |machine, generation| {
-                            let chunk = base_chunk + generation as usize;
-                            if let Some(injector) = faults {
-                                injector.trip(machine, chunk as u64, 0);
-                            }
-                            let _chunk_span =
-                                distger_obs::span!("train_chunk", machine = machine, round = chunk);
-                            let slice_idx = chunk % config.sync_rounds_per_epoch.max(1);
-                            let slice = epoch_slice(
-                                &shards[machine],
-                                slice_idx,
-                                config.sync_rounds_per_epoch,
-                            );
-                            let result = train_machine_chunk(
-                                &replicas[machine],
-                                slice,
-                                &table,
-                                &sigmoid,
-                                config,
-                                lr_for(chunk),
-                                machine as u64,
-                            );
-                            *chunk_results[machine].lock().unwrap() = result;
-                        },
-                    )
-                }));
-                match run {
-                    Ok(pool_stats) => {
-                        sync_secs += pool_stats.sync_secs;
-                        break;
-                    }
-                    Err(payload) => {
-                        if !supervised {
-                            resume_unwind(payload);
+    // One persistent worker per machine for the whole run. Workers hold
+    // `&replicas[machine]` (Hogwild matrices are interior-mutable); the
+    // coordinator synchronizes parameters between chunks while the workers
+    // are parked at the barrier.
+    //
+    // Recovery: the live replicas plus `completed_chunks` are the
+    // checkpoint. A crashed attempt loses only the chunk that died — every
+    // earlier chunk was harvested and synchronized at its boundary — so the
+    // retry rebuilds the pool and resumes at `base_chunk = completed_chunks`.
+    // Workers train absolute chunk `base_chunk + generation`, which keeps the
+    // learning-rate schedule and fault coordinates stable across attempts.
+    let mut superstep_sync_secs = 0.0f64;
+    let mut completed_chunks = 0usize;
+    let mut attempt = 0u32;
+    loop {
+        let base_chunk = completed_chunks;
+        // Fresh result slots per attempt: a crashed attempt's partially
+        // written slots are never harvested.
+        let chunk_results: Vec<std::sync::Mutex<(u64, usize)>> = (0..num_machines)
+            .map(|_| std::sync::Mutex::new((0, 0)))
+            .collect();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_rounds(
+                num_machines,
+                |generation| {
+                    if generation > 0 {
+                        for slot in &chunk_results {
+                            let (pairs, buffer_bytes) = *slot.lock().unwrap();
+                            pairs_processed += pairs;
+                            peak_buffer_bytes = peak_buffer_bytes.max(buffer_bytes);
                         }
-                        attempt += 1;
-                        recovered_chunks += 1;
-                        if attempt > config.recovery.max_retries {
-                            return Err(RecoveryExhausted {
-                                attempts: attempt,
-                                last_panic: panic_message(payload.as_ref()),
-                            });
-                        }
-                        std::thread::sleep(config.recovery.backoff_for(attempt));
+                        // Synchronize parameters across machines.
+                        let _sync_span =
+                            distger_obs::span!("replica_sync", round = completed_chunks);
+                        let ranks = select_sync_ranks(config.sync, &vocab, &mut sync_rng);
+                        synchronize_replicas(&replicas, &ranks, &mut sync_comm);
+                        completed_chunks += 1;
                     }
-                }
+                    completed_chunks < total_chunks
+                },
+                |machine, generation| {
+                    let chunk = base_chunk + generation as usize;
+                    if let Some(injector) = faults {
+                        injector.trip(machine, chunk as u64, 0);
+                    }
+                    let _chunk_span =
+                        distger_obs::span!("train_chunk", machine = machine, round = chunk);
+                    let slice_idx = chunk % config.sync_rounds_per_epoch.max(1);
+                    let slice =
+                        epoch_slice(&shards[machine], slice_idx, config.sync_rounds_per_epoch);
+                    let result = train_machine_chunk(
+                        &replicas[machine],
+                        slice,
+                        &table,
+                        &sigmoid,
+                        config,
+                        lr_for(chunk),
+                        machine as u64,
+                    );
+                    *chunk_results[machine].lock().unwrap() = result;
+                },
+            )
+        }));
+        match run {
+            Ok(pool_stats) => {
+                superstep_sync_secs += pool_stats.sync_secs;
+                break;
             }
-            sync_secs
-        }
-        ExecutionBackend::SpawnPerStep => {
-            let mut sync_secs = 0.0f64;
-            for chunk in 0..total_chunks {
-                let lr = lr_for(chunk);
-                let slice_idx = chunk % config.sync_rounds_per_epoch.max(1);
-
-                // Machines run concurrently on freshly spawned threads, each
-                // training its shard slice. Spawn-per-step recovery is
-                // per-chunk: the chunk that died simply re-runs (the same
-                // at-least-once contract as the pooled path).
-                let mut attempt = 0u32;
-                let (chunk_results, wall): (Vec<(u64, usize, f64)>, f64) = loop {
-                    let chunk_started = std::time::Instant::now();
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = replicas
-                                .iter()
-                                .zip(shards.iter())
-                                .enumerate()
-                                .map(|(machine, (replica, shard))| {
-                                    let vocab_ref = &table;
-                                    let sigmoid_ref = &sigmoid;
-                                    scope.spawn(move || {
-                                        if let Some(injector) = faults {
-                                            injector.trip(machine, chunk as u64, 0);
-                                        }
-                                        let _chunk_span = distger_obs::span!(
-                                            "train_chunk",
-                                            machine = machine,
-                                            round = chunk
-                                        );
-                                        let compute_started = std::time::Instant::now();
-                                        let slice = epoch_slice(
-                                            shard,
-                                            slice_idx,
-                                            config.sync_rounds_per_epoch,
-                                        );
-                                        let (pairs, buffer_bytes) = train_machine_chunk(
-                                            replica,
-                                            slice,
-                                            vocab_ref,
-                                            sigmoid_ref,
-                                            config,
-                                            lr,
-                                            machine as u64,
-                                        );
-                                        (
-                                            pairs,
-                                            buffer_bytes,
-                                            compute_started.elapsed().as_secs_f64(),
-                                        )
-                                    })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| {
-                                    // Re-raise the worker's own payload so a
-                                    // caught panic keeps its message.
-                                    h.join().unwrap_or_else(|payload| resume_unwind(payload))
-                                })
-                                .collect()
-                        })
-                    }));
-                    match run {
-                        Ok(results) => break (results, chunk_started.elapsed().as_secs_f64()),
-                        Err(payload) => {
-                            if !supervised {
-                                resume_unwind(payload);
-                            }
-                            attempt += 1;
-                            recovered_chunks += 1;
-                            if attempt > config.recovery.max_retries {
-                                return Err(RecoveryExhausted {
-                                    attempts: attempt,
-                                    last_panic: panic_message(payload.as_ref()),
-                                });
-                            }
-                            std::thread::sleep(config.recovery.backoff_for(attempt));
-                        }
-                    }
-                };
-
-                let mut slowest = 0.0f64;
-                for (pairs, buffer_bytes, compute_secs) in chunk_results {
-                    pairs_processed += pairs;
-                    peak_buffer_bytes = peak_buffer_bytes.max(buffer_bytes);
-                    slowest = slowest.max(compute_secs);
+            Err(payload) => {
+                if !supervised {
+                    resume_unwind(payload);
                 }
-                sync_secs += (wall - slowest).max(0.0);
-
-                // Synchronize parameters across machines.
-                let _sync_span = distger_obs::span!("replica_sync", round = chunk);
-                let ranks = select_sync_ranks(config.sync, &vocab, &mut sync_rng);
-                synchronize_replicas(&replicas, &ranks, &mut sync_comm);
+                attempt += 1;
+                recovered_chunks += 1;
+                if attempt > config.recovery.max_retries {
+                    return Err(RecoveryExhausted {
+                        attempts: attempt,
+                        last_panic: panic_message(payload.as_ref()),
+                    });
+                }
+                std::thread::sleep(config.recovery.backoff_for(attempt));
             }
-            sync_secs
         }
-    };
+    }
     let training_secs = start.elapsed().as_secs_f64();
 
     // Memory accounting (Table 8): replica + table + shard + local buffers.
@@ -734,31 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn execution_backends_produce_identical_models() {
-        // Single-threaded machines: within-machine Hogwild races are off, so
-        // the pooled and spawn-per-chunk schedules must be bit-identical.
-        let corpus = community_corpus();
-        let config = TrainerConfig {
-            threads: 1,
-            ..TrainerConfig::small().with_dim(16)
-        };
-        let (pool, pool_stats) = train_distributed(&corpus, 4, &config);
-        let (spawn, spawn_stats) = train_distributed(
-            &corpus,
-            4,
-            &config.with_execution_backend(ExecutionBackend::SpawnPerStep),
-        );
-        assert_eq!(pool.num_nodes(), spawn.num_nodes());
-        for v in 0..10u32 {
-            assert_eq!(pool.vector(v), spawn.vector(v), "node {v} diverged");
-        }
-        assert_eq!(pool_stats.pairs_processed, spawn_stats.pairs_processed);
-        assert_eq!(pool_stats.sync_comm, spawn_stats.sync_comm);
-        assert!(pool_stats.superstep_sync_secs >= 0.0);
-        assert!(spawn_stats.superstep_sync_secs >= 0.0);
-    }
-
-    #[test]
     fn empty_corpus_returns_zero_embeddings() {
         let corpus = Corpus::new(5);
         let (embeddings, stats) = train(&corpus, &TrainerConfig::small());
@@ -790,22 +620,6 @@ mod tests {
         let (_, clean) = train_distributed(&corpus, 4, &TrainerConfig::small().with_dim(16));
         assert_eq!(stats.pairs_processed, clean.pairs_processed);
         assert_eq!(stats.sync_comm, clean.sync_comm);
-        check_community_structure(&embeddings);
-    }
-
-    #[test]
-    fn spawn_per_step_training_recovers_per_chunk() {
-        use distger_cluster::FaultPlan;
-        let corpus = community_corpus();
-        let config = TrainerConfig::small()
-            .with_dim(16)
-            .with_execution_backend(ExecutionBackend::SpawnPerStep)
-            .with_recovery_policy(RecoveryPolicy::retries(1));
-        let faults = FaultPlan::default().panic_at(0, 1, 0).build();
-        let (embeddings, stats) = train_distributed_supervised(&corpus, 4, &config, Some(&faults))
-            .expect("recovery within budget");
-        assert_eq!(faults.injected_faults(), 1);
-        assert_eq!(stats.recovered_chunks, 1);
         check_community_structure(&embeddings);
     }
 

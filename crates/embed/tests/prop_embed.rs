@@ -1,6 +1,5 @@
 //! Property-based tests for the embedding learner's supporting structures.
 
-use distger_cluster::ExecutionBackend;
 use distger_embed::negative::NegativeTable;
 use distger_embed::sync::select_sync_ranks;
 use distger_embed::{
@@ -204,7 +203,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Trainer-path fault tolerance: an injected worker panic in any chunk,
-    /// on any machine, under either execution backend, recovers — the live
+    /// on any machine, recovers — the live
     /// replicas plus the completed-chunk counter are the checkpoint — and
     /// the work accounting stays deterministic: crashed chunks are discarded
     /// and re-executed exactly once, so pair and sync totals match the
@@ -213,15 +212,9 @@ proptest! {
     fn injected_trainer_fault_recovers_with_deterministic_accounting(
         fault_machine in 0usize..4,
         fault_chunk in 0u64..4, // `small()` runs epochs × sync_rounds = 4 chunks
-        spawn_per_step in any::<bool>(),
     ) {
         let corpus = training_corpus();
-        let backend = if spawn_per_step {
-            ExecutionBackend::SpawnPerStep
-        } else {
-            ExecutionBackend::RoundLoop
-        };
-        let config = TrainerConfig::small().with_dim(8).with_execution_backend(backend);
+        let config = TrainerConfig::small().with_dim(8);
         let (_, clean) = train_distributed(&corpus, 4, &config);
 
         let faults = FaultPlan::new().panic_at(fault_machine, fault_chunk, 0).build();
@@ -246,15 +239,9 @@ proptest! {
     fn trainer_fault_without_retries_is_a_clean_error(
         fault_machine in 0usize..4,
         fault_chunk in 0u64..4,
-        spawn_per_step in any::<bool>(),
     ) {
         let corpus = training_corpus();
-        let backend = if spawn_per_step {
-            ExecutionBackend::SpawnPerStep
-        } else {
-            ExecutionBackend::RoundLoop
-        };
-        let config = TrainerConfig::small().with_dim(8).with_execution_backend(backend);
+        let config = TrainerConfig::small().with_dim(8);
         let faults = FaultPlan::new().panic_at(fault_machine, fault_chunk, 0).build();
         let err = train_distributed_supervised(&corpus, 4, &config, Some(&faults))
             .expect_err("zero retries cannot absorb a panic");

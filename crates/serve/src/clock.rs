@@ -252,18 +252,17 @@ mod tests {
         let clock = SystemClock::default();
         let state = Mutex::new(());
         std::thread::scope(|scope| {
-            scope.spawn(|| {
+            let parker = scope.spawn(|| {
                 // Parked with no deadline; only the wake below can end this.
                 clock.wait_until(state.lock().unwrap(), IDLE);
             });
-            // Not sleep-based: wake() blocks on the clock lock until the
-            // parker holds it, so repeated wakes eventually land after the
-            // park — and the scope join proves the park ended.
-            loop {
+            // Not sleep-based: repeated wakes eventually land after the park
+            // — and the parker finishing proves the park ended. (Stopping at
+            // the first free `state` lock instead would also stop before the
+            // parker ever started, and then nothing wakes it.)
+            while !parker.is_finished() {
                 clock.wake();
-                if state.try_lock().is_ok() {
-                    break;
-                }
+                std::thread::yield_now();
             }
         });
     }

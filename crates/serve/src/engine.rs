@@ -2,10 +2,9 @@
 //!
 //! [`QueryEngine`] answers batches of cosine top-k queries over an
 //! [`EmbeddingIndex`] with one of two [`QueryBackend`]s — mirroring the
-//! `FreqBackend` / `SamplingBackend` / `ExecutionBackend` pattern of the
-//! sampler crates: the approximate LSH path is the optimized default, the
-//! exact brute-force scan is the ground-truth reference (and what `recall@k`
-//! is measured against).
+//! `FreqBackend` / `SamplingBackend` pattern of the sampler crate: the
+//! approximate LSH path is the optimized default, the exact brute-force scan
+//! is the ground-truth reference (and what `recall@k` is measured against).
 //!
 //! A batch is fanned out across threads with the same
 //! [`run_rounds`] worker pool the walk engine

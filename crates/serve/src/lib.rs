@@ -14,7 +14,7 @@
 //!   [`Embeddings::save_binary`](distger_embed::Embeddings::save_binary).
 //! * [`QueryEngine`] — batched top-k with two [`QueryBackend`]s mirroring
 //!   the workspace's optimized-default / reference pattern
-//!   (`FreqBackend` / `SamplingBackend` / `ExecutionBackend`):
+//!   (`FreqBackend` / `SamplingBackend`):
 //!   [`QueryBackend::Exact`] is a chunked brute-force scan with a bounded
 //!   heap ([`exact`]); [`QueryBackend::Lsh`] is seeded random-hyperplane
 //!   signatures with multi-probe buckets and an exact re-rank ([`lsh`]).

@@ -13,7 +13,7 @@
 //!   panic at a random endpoint fails that batch loudly while leaving the
 //!   protocol aligned for the next one.
 
-use distger_cluster::{panic_message, FaultPlan, SocketTransport};
+use distger_cluster::{panic_message, ControlChannel, FaultPlan, SocketTransport};
 use distger_embed::Embeddings;
 use distger_serve::{
     gaussian_clusters, merge_topk, receive_shard, serve_shard, BoundedTopK, EmbeddingIndex,
@@ -55,11 +55,13 @@ fn sharded<R>(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("loopback addr");
     std::thread::scope(|scope| {
-        for endpoint in 1..shards {
+        for _ in 1..shards {
             scope.spawn(move || {
                 let mut channel =
                     SocketTransport::worker(addr, Duration::from_secs(30)).expect("connect");
                 let shard = receive_shard(&mut channel).expect("receive shard");
+                // Endpoint ids follow accept order, not spawn order.
+                let endpoint = channel.endpoint();
                 let faults = (faulted_endpoint == Some(endpoint))
                     .then(|| FaultPlan::new().panic_at(endpoint, 0, 0).build());
                 serve_shard(&mut channel, &shard, faults.as_ref()).expect("serve loop");

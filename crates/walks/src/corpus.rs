@@ -161,7 +161,6 @@ impl Corpus {
     /// scan's `min_by_key` picked, so shard contents are **bit-identical**
     /// to the old splitter's (property-tested against the reference scan).
     pub fn split(&self, parts: usize) -> Vec<CorpusShard> {
-        assert!(parts > 0);
         let mut shards: Vec<CorpusShard> = (0..parts)
             .map(|_| CorpusShard {
                 walks: Vec::new(),
@@ -169,16 +168,29 @@ impl Corpus {
                 total_tokens: 0,
             })
             .collect();
-        // Min-heap (via `Reverse`) of (tokens assigned so far, part index).
-        let mut loads: BinaryHeap<Reverse<(usize, usize)>> =
-            (0..parts).map(|part| Reverse((0, part))).collect();
-        for walk in &self.walks {
-            let Reverse((load, target)) = loads.pop().expect("parts > 0");
-            loads.push(Reverse((load + walk.len(), target)));
+        for (walk, target) in self.walks.iter().zip(self.split_assignment(parts)) {
             shards[target].total_tokens += walk.len() as u64;
             shards[target].walks.push(walk.clone());
         }
         shards
+    }
+
+    /// The part [`split`](Corpus::split) puts each walk in, in walk order —
+    /// for a consumer with no use for a second copy of every walk (the
+    /// multi-process trainer encodes its shards straight onto the wire).
+    pub fn split_assignment(&self, parts: usize) -> Vec<usize> {
+        assert!(parts > 0);
+        // Min-heap (via `Reverse`) of (tokens assigned so far, part index).
+        let mut loads: BinaryHeap<Reverse<(usize, usize)>> =
+            (0..parts).map(|part| Reverse((0, part))).collect();
+        self.walks
+            .iter()
+            .map(|walk| {
+                let Reverse((load, target)) = loads.pop().expect("parts > 0");
+                loads.push(Reverse((load + walk.len(), target)));
+                target
+            })
+            .collect()
     }
 }
 

@@ -19,18 +19,20 @@
 //! [`WalkEngineConfig`]: per-node alias tables (built once per run, `O(1)`
 //! per draw — the default) or the reference `O(deg)` linear scan.
 
-use std::time::Instant;
+use std::io;
+use std::ops::Range;
 
 use distger_cluster::{
-    run_bsp_round_loop, run_bsp_supervised, run_bsp_with, CommStats, ExecutionBackend,
-    FaultInjector, Mailbox, Outbox, RecoveryExhausted, RecoveryPolicy, TransportKind,
+    CommStats, FaultInjector, InMemoryTransport, Mailbox, Outbox, RecoveryExhausted,
+    RecoveryPolicy, TransportKind,
 };
-use distger_graph::{stats::degree_distribution, CsrGraph, NodeId};
+use distger_graph::{CsrGraph, NodeId};
 use distger_partition::Partitioning;
 
-use crate::alias::{NeighborSampler, SamplingBackend, TransitionTables};
-use crate::checkpoint::{CheckpointEncoder, CheckpointPolicy, WalkCheckpoint};
+use crate::alias::{NeighborSampler, SamplingBackend};
+use crate::checkpoint::CheckpointPolicy;
 use crate::corpus::Corpus;
+use crate::dist::{invalid_data, run_walks_over};
 use crate::freq::{FreqBackend, FreqStore};
 use crate::info::{relative_entropy, FullPathInfo, IncrementalInfo, WalkCountController};
 use crate::message::{InfoPayload, WalkerMessage};
@@ -67,30 +69,21 @@ pub struct WalkEngineConfig {
     /// is the optimized default; [`SamplingBackend::LinearScan`] retains the
     /// original `O(deg)` scan for equivalence tests and benchmarks.
     pub sampling_backend: SamplingBackend,
-    /// How BSP supersteps manage machine threads.
-    /// [`ExecutionBackend::RoundLoop`] (one run-scoped worker pool spanning
-    /// every round — `machines` thread spawns per run, round boundaries as
-    /// coordinator control phases) is the optimized default;
-    /// [`ExecutionBackend::Pool`] retains the per-round pool
-    /// (`machines × rounds` spawns) and [`ExecutionBackend::SpawnPerStep`]
-    /// the original thread-per-machine-per-superstep path, both for
-    /// equivalence tests and benchmarks. All three produce bit-identical
-    /// corpora, message traces and entropy traces.
-    pub execution: ExecutionBackend,
-    /// When the supervised round loop snapshots its coordinator state
-    /// (cumulative corpus, entropy trace, comm totals) so a crashed run can
-    /// resume from the latest completed round instead of round 0. Disabled
-    /// by default; requires [`ExecutionBackend::RoundLoop`].
+    /// When the round loop snapshots its coordinator state (cumulative
+    /// corpus, entropy trace, comm totals) so a crashed run can resume from
+    /// the latest completed round instead of round 0. Disabled by default;
+    /// needs a transport that hosts every machine in this process.
     pub checkpoint: CheckpointPolicy,
     /// How many times a crashed run is retried (restoring the latest
     /// checkpoint) before the failure propagates. Disabled by default;
-    /// requires [`ExecutionBackend::RoundLoop`].
+    /// needs a transport that hosts every machine in this process.
     pub recovery: RecoveryPolicy,
     /// How machines talk to each other. [`TransportKind::InMemory`] (the
     /// default) runs every machine in this process;
-    /// [`TransportKind::Socket`] is served by the multi-process driver
-    /// ([`crate::dist::run_walks_over`]) — [`run_distributed_walks`] rejects
-    /// it, since a single in-process call cannot span process boundaries.
+    /// [`TransportKind::Socket`] means the caller drives
+    /// [`crate::dist::run_walks_over`] with a socket transport per process —
+    /// [`run_distributed_walks`] rejects it, since a single in-process call
+    /// cannot span process boundaries.
     pub transport: TransportKind,
     /// Seed for all stochastic choices.
     pub seed: u64,
@@ -109,7 +102,6 @@ impl WalkEngineConfig {
             info_mode: InfoMode::Incremental,
             freq_backend: FreqBackend::Flat,
             sampling_backend: SamplingBackend::Alias,
-            execution: ExecutionBackend::RoundLoop,
             checkpoint: CheckpointPolicy::Disabled,
             recovery: RecoveryPolicy::default(),
             transport: TransportKind::InMemory,
@@ -128,7 +120,6 @@ impl WalkEngineConfig {
             info_mode: InfoMode::FullPath,
             freq_backend: FreqBackend::Flat,
             sampling_backend: SamplingBackend::Alias,
-            execution: ExecutionBackend::RoundLoop,
             checkpoint: CheckpointPolicy::Disabled,
             recovery: RecoveryPolicy::default(),
             transport: TransportKind::InMemory,
@@ -196,19 +187,6 @@ impl WalkEngineConfig {
         self
     }
 
-    /// Builder-style superstep-execution backend override.
-    pub fn with_execution_backend(mut self, execution: ExecutionBackend) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Deprecated spelling of [`Self::with_execution_backend`], kept for one
-    /// release so existing callers migrate at their own pace.
-    #[deprecated(since = "0.6.0", note = "renamed to `with_execution_backend`")]
-    pub fn with_execution(self, execution: ExecutionBackend) -> Self {
-        self.with_execution_backend(execution)
-    }
-
     /// Builder-style checkpoint-policy override.
     pub fn with_checkpoint_policy(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
@@ -250,14 +228,10 @@ pub struct WalkResult {
     /// Relative entropy `D_r(p‖q)` after each round (Eq. 6), cumulative corpus.
     pub relative_entropy_trace: Vec<f64>,
     /// Peak transient walker state (segment arenas plus frequency lists),
-    /// averaged over machines. Under the per-round backends this is the
-    /// worst single round's machine-summed watermark (walker state is torn
-    /// down and released at every round boundary); under the default
-    /// [`ExecutionBackend::RoundLoop`] walker allocations live for the whole
-    /// run — round boundaries clear contents but keep capacity — so each
-    /// machine contributes its peak over *all* rounds, the honest residency
-    /// of run-lived state. The two can differ when machines peak in
-    /// different rounds (the run-scoped number is never smaller).
+    /// averaged over machines. Walker allocations live for the whole run —
+    /// round boundaries clear contents but keep capacity — so each machine
+    /// contributes its peak over *all* rounds, the honest residency of
+    /// run-lived state.
     pub walker_peak_bytes: usize,
     /// End-of-run corpus residency per machine (the accumulated corpus,
     /// divided evenly over machines).
@@ -272,31 +246,21 @@ pub struct WalkResult {
     /// slice covering its own nodes — divide by the machine count for the
     /// per-machine share.
     pub alias_table_bytes: usize,
-    /// Wall-clock seconds of BSP superstep thread-coordination overhead
-    /// summed over all rounds: per superstep, the wall time of the concurrent
-    /// compute phase minus the slowest machine's compute time. Under the
-    /// pooled backends ([`ExecutionBackend::RoundLoop`],
-    /// [`ExecutionBackend::Pool`]) this is the barrier-crossing cost; under
-    /// [`ExecutionBackend::SpawnPerStep`] it is the per-superstep thread
-    /// spawn/join cost the pool eliminates. The coordinator-side message
-    /// exchange between supersteps — and the round-boundary control work
-    /// (corpus assembly, entropy check, next-round seeding) — is excluded
-    /// (identical under all backends).
+    /// Wall-clock seconds of BSP superstep thread-coordination overhead on
+    /// the coordinator endpoint, summed over all rounds: the barrier-crossing
+    /// cost of its worker pool, measured from barrier waits (see
+    /// [`BspOutcome::sync_secs`](distger_cluster::BspOutcome::sync_secs)).
+    /// The message exchange between supersteps — and the round-boundary
+    /// control work (corpus assembly, entropy check, next-round seeding) —
+    /// is excluded.
     pub superstep_sync_secs: f64,
-    /// OS threads spawned by the execution backend over the whole run:
-    /// exactly `machines` under [`ExecutionBackend::RoundLoop`] (one pool
-    /// spans every round), `machines × rounds` under the per-round
-    /// [`ExecutionBackend::Pool`], and `machines × supersteps` under
-    /// [`ExecutionBackend::SpawnPerStep`].
-    pub pool_spawn_count: u64,
     /// Estimated per-machine sampling-phase memory in bytes: transient
     /// walker state, the resident corpus shard, plus this machine's share of
     /// the alias tables.
     pub avg_machine_memory_bytes: usize,
     /// Rounds re-executed by supervised recovery: for each crash, the rounds
     /// completed since the restored checkpoint plus the partial round that
-    /// died. 0 on a fault-free run (and always under the per-round backends,
-    /// which do not support recovery).
+    /// died. 0 on a fault-free run.
     pub recovered_rounds: u64,
     /// Wall-clock seconds spent encoding round-boundary checkpoints
     /// (coordinator-exclusive, so this is exactly the overhead the
@@ -328,26 +292,32 @@ pub(crate) struct SegRun {
     pub(crate) offset: usize,
 }
 
-/// Per-machine mutable state during a round.
-pub(crate) struct MachineState {
+/// What one machine hands the coordinator at a round boundary — the part of
+/// its state that travels (see `dist::encode_harvest`).
+#[derive(Default)]
+pub(crate) struct RoundHarvest {
     /// Arena of accepted node ids, in acceptance order.
     pub(crate) seg_nodes: Vec<NodeId>,
-    /// One entry per local run, indexing into `seg_nodes`.
+    /// One entry per local run, indexing into `seg_nodes`; the runs tile the
+    /// arena in order.
     pub(crate) seg_runs: Vec<SegRun>,
+    /// Peak memory estimate for this machine over the run so far.
+    pub(crate) peak_memory_bytes: usize,
+}
+
+/// Per-machine mutable state during a round.
+pub(crate) struct MachineState {
+    pub(crate) harvest: RoundHarvest,
     /// InCoM local frequency lists: per ongoing walk, the occurrence counts of
     /// nodes local to this machine.
     freq: FreqStore,
-    /// Peak memory estimate for this machine during the round.
-    pub(crate) peak_memory_bytes: usize,
 }
 
 impl MachineState {
     pub(crate) fn new(backend: FreqBackend) -> Self {
         Self {
-            seg_nodes: Vec::new(),
-            seg_runs: Vec::new(),
+            harvest: RoundHarvest::default(),
             freq: FreqStore::new(backend),
-            peak_memory_bytes: 0,
         }
     }
 
@@ -355,9 +325,9 @@ impl MachineState {
     /// recorded no node, which cannot happen in practice: a walker always
     /// accepts its arrival node first).
     fn finish_run(&mut self, walk_id: u64, start_step: u32, offset: usize) {
-        let len = (self.seg_nodes.len() - offset) as u32;
+        let len = (self.harvest.seg_nodes.len() - offset) as u32;
         if len > 0 {
-            self.seg_runs.push(SegRun {
+            self.harvest.seg_runs.push(SegRun {
                 walk_id,
                 start_step,
                 len,
@@ -367,31 +337,30 @@ impl MachineState {
     }
 
     fn update_memory_estimate(&mut self) {
-        let freq_bytes = self.freq.memory_bytes();
-        let seg_bytes = self.seg_nodes.len() * std::mem::size_of::<NodeId>()
-            + self.seg_runs.len() * std::mem::size_of::<SegRun>();
-        self.peak_memory_bytes = self.peak_memory_bytes.max(freq_bytes + seg_bytes);
+        let harvest = &mut self.harvest;
+        let seg_bytes = harvest.seg_nodes.len() * std::mem::size_of::<NodeId>()
+            + harvest.seg_runs.len() * std::mem::size_of::<SegRun>();
+        harvest.peak_memory_bytes = harvest
+            .peak_memory_bytes
+            .max(self.freq.memory_bytes() + seg_bytes);
     }
 
-    /// Round-boundary reset for the run-scoped engine: forget this round's
-    /// segments and frequency lists but keep every allocation (arena, run
-    /// headers, directory, list pool) for the next round — workers outliving
-    /// rounds is what makes the steady state allocation-free. The
-    /// peak-memory watermark deliberately survives: capacity is recycled,
-    /// not released, so this machine's true residency is its peak over the
-    /// whole run (see [`WalkResult::walker_peak_bytes`] for how this differs
-    /// from the per-round backends' accounting).
+    /// Round-boundary reset: forget this round's segments and frequency
+    /// lists but keep every allocation (arena, run headers, directory, list
+    /// pool) for the next round — workers outliving rounds is what makes the
+    /// steady state allocation-free. The peak-memory watermark deliberately
+    /// survives: capacity is recycled, not released, so this machine's true
+    /// residency is its peak over the whole run (see
+    /// [`WalkResult::walker_peak_bytes`]).
     pub(crate) fn reset_round(&mut self) {
-        self.seg_nodes.clear();
-        self.seg_runs.clear();
+        self.harvest.seg_nodes.clear();
+        self.harvest.seg_runs.clear();
         self.freq.clear();
     }
 }
 
 /// The round schedule: a fixed number of rounds or the relative-entropy
-/// convergence controller of Eq. 7. Shared by every execution backend so the
-/// continue/stop decision lives in exactly one piece of code — which is what
-/// makes the backends' round counts (and entropy traces) bit-identical.
+/// convergence controller of Eq. 7.
 pub(crate) struct RoundSchedule {
     fixed_rounds: Option<usize>,
     controller: Option<WalkCountController>,
@@ -443,7 +412,7 @@ impl RoundSchedule {
     /// only taken after `continue_after` returns `true`), so the replay never
     /// hits the stop condition early. Fixed-round schedules carry no state —
     /// `continue_after` reads the completed-round count directly.
-    fn replay(&mut self, trace: &[f64]) {
+    pub(crate) fn replay(&mut self, trace: &[f64]) {
         if let Some(ctrl) = &mut self.controller {
             for &d in trace {
                 ctrl.record_round(d);
@@ -452,54 +421,37 @@ impl RoundSchedule {
     }
 }
 
-/// What a backend-specific driver hands back to the shared
-/// [`run_distributed_walks`] epilogue.
-struct EngineRun {
-    corpus: Corpus,
-    comm: CommStats,
-    rounds: usize,
-    trace: Vec<f64>,
-    peak_round_memory: usize,
-    sync_secs: f64,
-    spawn_count: u64,
-    recovered_rounds: u64,
-    checkpoint_secs: f64,
-    checkpoint_bytes: u64,
-}
-
-/// Runs distributed random walks over `graph` partitioned by `partitioning`.
+/// Runs distributed random walks over `graph` partitioned by `partitioning`,
+/// every machine in this process: [`run_walks_over`] on an
+/// [`InMemoryTransport`].
 ///
-/// When the config enables checkpointing or recovery (and the execution
-/// backend is [`ExecutionBackend::RoundLoop`]), the run goes through the
-/// supervised driver; a run whose recovery budget is exhausted panics with
-/// the last worker panic's message. Use
-/// [`run_distributed_walks_supervised`] to handle that case as an error —
-/// and to inject deterministic faults for testing.
+/// When `config.recovery` is enabled, a worker panic restores the latest
+/// checkpoint and retries; a run that fails permanently panics with the last
+/// worker panic's message. Use [`run_distributed_walks_supervised`] to
+/// handle that case as an error — and to inject deterministic faults for
+/// testing.
 ///
 /// # Panics
-/// Panics if the partitioning does not cover the graph, or if checkpointing
-/// or recovery is enabled on a per-round backend (they need the run-scoped
-/// round loop's coordinator to own cumulative state across rounds).
+/// Panics if the partitioning does not cover the graph or if
+/// `config.transport` is not [`TransportKind::InMemory`].
 pub fn run_distributed_walks(
     graph: &CsrGraph,
     partitioning: &Partitioning,
     config: &WalkEngineConfig,
 ) -> WalkResult {
-    match run_walks_inner(graph, partitioning, config, None) {
+    match run_distributed_walks_supervised(graph, partitioning, config, None) {
         Ok(result) => result,
         Err(err) => panic!("supervised walk run failed permanently: {err}"),
     }
 }
 
-/// [`run_distributed_walks`] with explicit fault handling: runs the
-/// supervised round loop (restoring the latest checkpoint and retrying under
-/// `config.recovery` when a worker panics), optionally injecting the faults
-/// of a [`FaultInjector`], and returns a clean error instead of panicking
-/// when the retry budget is exhausted.
+/// [`run_distributed_walks`] with explicit fault handling: optionally injects
+/// the faults of a [`FaultInjector`], and returns a clean error instead of
+/// panicking when the retry budget of `config.recovery` is exhausted.
 ///
 /// # Panics
 /// Panics if the partitioning does not cover the graph or if
-/// `config.execution` is not [`ExecutionBackend::RoundLoop`].
+/// `config.transport` is not [`TransportKind::InMemory`].
 pub fn run_distributed_walks_supervised(
     graph: &CsrGraph,
     partitioning: &Partitioning,
@@ -507,423 +459,22 @@ pub fn run_distributed_walks_supervised(
     faults: Option<&FaultInjector>,
 ) -> Result<WalkResult, RecoveryExhausted> {
     assert_eq!(
-        config.execution,
-        ExecutionBackend::RoundLoop,
-        "supervised walks require ExecutionBackend::RoundLoop"
-    );
-    run_walks_inner(graph, partitioning, config, faults)
-}
-
-fn run_walks_inner(
-    graph: &CsrGraph,
-    partitioning: &Partitioning,
-    config: &WalkEngineConfig,
-    faults: Option<&FaultInjector>,
-) -> Result<WalkResult, RecoveryExhausted> {
-    assert_eq!(
-        partitioning.num_nodes(),
-        graph.num_nodes(),
-        "partitioning must cover every node"
-    );
-    assert_eq!(
         config.transport,
         TransportKind::InMemory,
         "run_distributed_walks executes every machine in this process; \
          socket transports are served by walks::dist::run_walks_over"
     );
-    let num_machines = partitioning.num_machines();
-    let degree_dist = degree_distribution(graph);
-
-    // Build the transition tables once per run; every round reuses them.
-    let tables = match config.sampling_backend {
-        SamplingBackend::Alias => Some(TransitionTables::build(graph)),
-        SamplingBackend::LinearScan => None,
-    };
-    let sampler = match &tables {
-        Some(t) => NeighborSampler::Alias(t),
-        None => NeighborSampler::LinearScan,
-    };
-    let schedule = RoundSchedule::new(config.walks_per_node);
-
-    let supervised =
-        config.checkpoint.is_enabled() || config.recovery.is_enabled() || faults.is_some();
-    let run = match config.execution {
-        ExecutionBackend::RoundLoop if supervised => run_round_loop_supervised(
-            graph,
-            partitioning,
-            config,
-            sampler,
-            schedule,
-            &degree_dist,
-            faults,
-        )?,
-        ExecutionBackend::RoundLoop => {
-            run_round_loop(graph, partitioning, config, sampler, schedule, &degree_dist)
-        }
-        ExecutionBackend::Pool | ExecutionBackend::SpawnPerStep => {
-            assert!(
-                !supervised,
-                "checkpointing and recovery require ExecutionBackend::RoundLoop"
-            );
-            run_per_round(graph, partitioning, config, sampler, schedule, &degree_dist)
-        }
-    };
-
-    // `peak_round_memory` is a machine-summed transient-walker watermark
-    // (worst round for the per-round backends, per-machine all-run peaks
-    // for the run-scoped loop whose state persists — see
-    // `WalkResult::walker_peak_bytes`), so a genuine peak only needs
-    // averaging over machines; the corpus is *resident* at end of run and
-    // must likewise only be divided across machines (the seed divided
-    // corpus residency by the round count too, understating per-machine
-    // memory by a factor of `rounds`).
-    let walker_peak_bytes = run.peak_round_memory / num_machines.max(1);
-    let corpus_shard_bytes = run.corpus.memory_bytes() / num_machines.max(1);
-    let (alias_build_secs, alias_table_bytes) = tables
-        .as_ref()
-        .map_or((0.0, 0), |t| (t.build_secs(), t.memory_bytes()));
-    let alias_shard_bytes = alias_table_bytes / num_machines.max(1);
-
-    Ok(WalkResult {
-        corpus: run.corpus,
-        comm: run.comm,
-        rounds: run.rounds,
-        relative_entropy_trace: run.trace,
-        walker_peak_bytes,
-        corpus_shard_bytes,
-        alias_build_secs,
-        alias_table_bytes,
-        superstep_sync_secs: run.sync_secs,
-        pool_spawn_count: run.spawn_count,
-        avg_machine_memory_bytes: walker_peak_bytes + corpus_shard_bytes + alias_shard_bytes,
-        recovered_rounds: run.recovered_rounds,
-        checkpoint_secs: run.checkpoint_secs,
-        checkpoint_bytes: run.checkpoint_bytes,
-    })
-}
-
-/// The run-scoped driver ([`ExecutionBackend::RoundLoop`], the default): the
-/// whole round loop executes inside one
-/// [`run_bsp_round_loop`](distger_cluster::run_bsp_round_loop) invocation —
-/// `machines` worker threads live for the entire run, and every round
-/// boundary (corpus assembly, the relative-entropy convergence check of
-/// Eq. 6, next-round seeding) runs as a coordinator-exclusive control phase
-/// between barrier generations while the workers stay parked. Early
-/// termination is the boundary callback returning `None`: the coordinator
-/// can stop the run at any round and the pool releases the parked workers to
-/// exit — no participant is ever left blocked on the barrier.
-fn run_round_loop(
-    graph: &CsrGraph,
-    partitioning: &Partitioning,
-    config: &WalkEngineConfig,
-    sampler: NeighborSampler<'_>,
-    mut schedule: RoundSchedule,
-    degree_dist: &[f64],
-) -> EngineRun {
-    let n = graph.num_nodes();
-    let num_machines = partitioning.num_machines();
-    let mut corpus = Corpus::new(n);
-    let mut trace = Vec::new();
-    let mut rounds = 0usize;
-    let mut peak_round_memory = 0usize;
-    let mut started = false;
-    let states: Vec<MachineState> = (0..num_machines)
-        .map(|_| MachineState::new(config.freq_backend))
-        .collect();
-    let outcome = run_bsp_round_loop(
-        states,
-        config.max_supersteps,
-        walker_step(graph, partitioning, config, sampler),
-        |states| {
-            if started {
-                // Control phase: harvest the round that just drained, then
-                // decide whether the run converged (ΔD ≤ δ) or another
-                // round starts.
-                let refs: Vec<&MachineState> = states.iter().map(|state| &**state).collect();
-                let (round_corpus, peak_memory_sum) =
-                    assemble_round_corpus(&refs, n, rounds as u64);
-                peak_round_memory = peak_round_memory.max(peak_memory_sum);
-                corpus.extend(round_corpus);
-                for state in states.iter_mut() {
-                    state.reset_round();
-                }
-                rounds += 1;
-                if !schedule.continue_after(rounds, &corpus, degree_dist, &mut trace) {
-                    return None;
-                }
-            }
-            started = true;
-            Some(seed_round_inboxes(
-                graph,
-                partitioning,
-                config,
-                rounds as u64,
-            ))
-        },
-    );
-    EngineRun {
-        corpus,
-        comm: outcome.comm,
-        rounds,
-        trace,
-        peak_round_memory,
-        sync_secs: outcome.sync_secs,
-        spawn_count: outcome.spawn_count,
-        recovered_rounds: 0,
-        checkpoint_secs: 0.0,
-        checkpoint_bytes: 0,
+    let mut transport = InMemoryTransport::new(partitioning.num_machines());
+    match run_walks_over(&mut transport, graph, partitioning, config, faults) {
+        Ok(result) => Ok(result.expect("the only endpoint is the coordinator")),
+        Err(err) => Err(err
+            .downcast::<RecoveryExhausted>()
+            .unwrap_or_else(|err| panic!("{err}"))),
     }
 }
 
-/// Coordinator-visible state the supervised driver owns across attempts. A
-/// walk-engine round boundary is a quiescent point: every in-flight walker
-/// either finished (harvested into `corpus`) or has not been seeded yet, and
-/// next-round seeding is a pure function of `(graph, config, round)` — so
-/// this struct (plus the machine-state allocations, which are rebuilt fresh)
-/// is the *entire* recovery surface.
-struct SupervisedCtx {
-    corpus: Corpus,
-    trace: Vec<f64>,
-    rounds: usize,
-    peak_round_memory: usize,
-    /// Comm totals of rounds completed by *previous* attempts (restored from
-    /// the checkpoint). The round loop reports per-attempt comm; stitching
-    /// happens here and at the end of the run via [`CommStats::merge`].
-    base_comm: CommStats,
-    started: bool,
-    schedule: RoundSchedule,
-    /// Incremental snapshot encoder: caches the append-only walk section's
-    /// wire bytes and checksum state across snapshots, so an every-round
-    /// policy pays O(new walks) per snapshot instead of re-encoding the
-    /// whole corpus. Snapshots are kept encoded (not as a live
-    /// [`WalkCheckpoint`]) so recovery exercises the same decode path a
-    /// process restart would, checksum included.
-    encoder: CheckpointEncoder,
-    recovered_rounds: u64,
-    checkpoint_secs: f64,
-    checkpoint_bytes: u64,
-}
-
-/// The fault-tolerant variant of [`run_round_loop`]: the same round loop run
-/// under [`run_bsp_supervised`], snapshotting coordinator state at round
-/// boundaries per `config.checkpoint` and, when a worker panics, restoring
-/// the latest snapshot and retrying under `config.recovery`.
-///
-/// Determinism: walk ids (and thus walker RNG streams) depend only on
-/// `(round, source)`, and the restore path replays the entropy trace through
-/// a fresh [`RoundSchedule`], so a recovered run re-derives exactly the
-/// per-round corpora a fault-free run produces — bit-identical corpus, comm
-/// totals and entropy trace. The only quantity that is *not* exact is the
-/// peak-memory watermark: machine states restart at zero on retry, so if
-/// machines peaked in a round before the checkpoint the recovered watermark
-/// can be lower (never higher) than the fault-free one.
-fn run_round_loop_supervised(
-    graph: &CsrGraph,
-    partitioning: &Partitioning,
-    config: &WalkEngineConfig,
-    sampler: NeighborSampler<'_>,
-    schedule: RoundSchedule,
-    degree_dist: &[f64],
-    faults: Option<&FaultInjector>,
-) -> Result<EngineRun, RecoveryExhausted> {
-    let n = graph.num_nodes();
-    let num_machines = partitioning.num_machines();
-    let mut ctx = SupervisedCtx {
-        corpus: Corpus::new(n),
-        trace: Vec::new(),
-        rounds: 0,
-        peak_round_memory: 0,
-        base_comm: CommStats::new(),
-        started: false,
-        schedule,
-        encoder: CheckpointEncoder::new(n as u64),
-        recovered_rounds: 0,
-        checkpoint_secs: 0.0,
-        checkpoint_bytes: 0,
-    };
-    let mut spawn_count = 0u64;
-    let outcome = run_bsp_supervised(
-        config.recovery,
-        &mut ctx,
-        |ctx, attempt| {
-            if attempt > 0 {
-                // Roll back to the latest checkpoint — or to the initial
-                // state if no snapshot was taken before the crash.
-                let crashed_at = ctx.rounds as u64;
-                match ctx
-                    .encoder
-                    .assemble_latest()
-                    .as_deref()
-                    .map(WalkCheckpoint::decode)
-                {
-                    Some(Ok(ckpt)) => {
-                        distger_obs::instant("checkpoint_restore", -1, ckpt.rounds as i64);
-                        ctx.recovered_rounds += crashed_at - ckpt.rounds + 1;
-                        ctx.corpus = ckpt.corpus;
-                        ctx.trace = ckpt.trace;
-                        ctx.rounds = ckpt.rounds as usize;
-                        ctx.peak_round_memory = ckpt.peak_round_memory as usize;
-                        ctx.base_comm = ckpt.comm;
-                        // The encoder's walk cache stays valid: it is only
-                        // updated at snapshot time, so it covers exactly the
-                        // walks of the snapshot just restored.
-                        debug_assert_eq!(ctx.encoder.encoded_walks(), ctx.corpus.num_walks());
-                    }
-                    Some(Err(err)) => {
-                        // The snapshot lives in memory and was produced by
-                        // the encoder; a decode failure here is a bug, not
-                        // an I/O hazard.
-                        unreachable!("in-memory checkpoint failed to decode: {err}")
-                    }
-                    None => {
-                        distger_obs::instant("checkpoint_restore", -1, 0);
-                        ctx.recovered_rounds += crashed_at + 1;
-                        ctx.corpus = Corpus::new(n);
-                        ctx.trace = Vec::new();
-                        ctx.rounds = 0;
-                        ctx.peak_round_memory = 0;
-                        ctx.base_comm = CommStats::new();
-                        ctx.encoder.reset();
-                    }
-                }
-                // `started = false` makes the new attempt's first boundary
-                // seed round `ctx.rounds` instead of harvesting the fresh
-                // (empty) machine states as a completed round.
-                ctx.started = false;
-                ctx.schedule = RoundSchedule::new(config.walks_per_node);
-                let trace = std::mem::take(&mut ctx.trace);
-                ctx.schedule.replay(&trace);
-                ctx.trace = trace;
-            }
-            spawn_count += num_machines as u64;
-            (0..num_machines)
-                .map(|_| MachineState::new(config.freq_backend))
-                .collect()
-        },
-        config.max_supersteps,
-        walker_step(graph, partitioning, config, sampler),
-        |ctx, states, comm_so_far| {
-            if ctx.started {
-                let refs: Vec<&MachineState> = states.iter().map(|state| &**state).collect();
-                let (round_corpus, peak_memory_sum) =
-                    assemble_round_corpus(&refs, n, ctx.rounds as u64);
-                ctx.peak_round_memory = ctx.peak_round_memory.max(peak_memory_sum);
-                ctx.corpus.extend(round_corpus);
-                for state in states.iter_mut() {
-                    state.reset_round();
-                }
-                ctx.rounds += 1;
-                if !ctx.schedule.continue_after(
-                    ctx.rounds,
-                    &ctx.corpus,
-                    degree_dist,
-                    &mut ctx.trace,
-                ) {
-                    return None;
-                }
-                if config.checkpoint.due(ctx.rounds as u64) {
-                    let _checkpoint_span = distger_obs::span!("checkpoint", round = ctx.rounds);
-                    let timer = Instant::now();
-                    let mut comm = ctx.base_comm.clone();
-                    comm.merge(comm_so_far);
-                    let encoded = ctx.encoder.snapshot(
-                        config.seed,
-                        ctx.rounds as u64,
-                        &comm,
-                        ctx.peak_round_memory as u64,
-                        &ctx.trace,
-                        ctx.corpus.walks(),
-                    );
-                    ctx.checkpoint_secs += timer.elapsed().as_secs_f64();
-                    ctx.checkpoint_bytes += encoded as u64;
-                }
-            }
-            ctx.started = true;
-            Some(seed_round_inboxes(
-                graph,
-                partitioning,
-                config,
-                ctx.rounds as u64,
-            ))
-        },
-        faults,
-    )?;
-    let mut comm = ctx.base_comm;
-    comm.merge(&outcome.comm);
-    Ok(EngineRun {
-        corpus: ctx.corpus,
-        comm,
-        rounds: ctx.rounds,
-        trace: ctx.trace,
-        peak_round_memory: ctx.peak_round_memory,
-        // Sync overhead of the attempt that completed; crashed attempts'
-        // timings unwound with their panics.
-        sync_secs: outcome.sync_secs,
-        spawn_count,
-        recovered_rounds: ctx.recovered_rounds,
-        checkpoint_secs: ctx.checkpoint_secs,
-        checkpoint_bytes: ctx.checkpoint_bytes,
-    })
-}
-
-/// The per-round drivers ([`ExecutionBackend::Pool`] /
-/// [`ExecutionBackend::SpawnPerStep`]): one `run_bsp_with` invocation per
-/// round, fresh machine states and thread resources every time — retained as
-/// the references the run-scoped loop is property-tested against (all three
-/// backends produce bit-identical corpora, message traces and entropy
-/// traces).
-fn run_per_round(
-    graph: &CsrGraph,
-    partitioning: &Partitioning,
-    config: &WalkEngineConfig,
-    sampler: NeighborSampler<'_>,
-    mut schedule: RoundSchedule,
-    degree_dist: &[f64],
-) -> EngineRun {
-    let n = graph.num_nodes();
-    let step = walker_step(graph, partitioning, config, sampler);
-    let mut run = EngineRun {
-        corpus: Corpus::new(n),
-        comm: CommStats::new(),
-        rounds: 0,
-        trace: Vec::new(),
-        peak_round_memory: 0,
-        sync_secs: 0.0,
-        spawn_count: 0,
-        recovered_rounds: 0,
-        checkpoint_secs: 0.0,
-        checkpoint_bytes: 0,
-    };
-    loop {
-        let round = run.rounds as u64;
-        let states: Vec<MachineState> = (0..partitioning.num_machines())
-            .map(|_| MachineState::new(config.freq_backend))
-            .collect();
-        let outcome = run_bsp_with(
-            config.execution,
-            states,
-            seed_round_inboxes(graph, partitioning, config, round),
-            config.max_supersteps,
-            &step,
-        );
-        let refs: Vec<&MachineState> = outcome.states.iter().collect();
-        let (round_corpus, peak_memory_sum) = assemble_round_corpus(&refs, n, round);
-        run.comm.merge(&outcome.comm);
-        run.peak_round_memory = run.peak_round_memory.max(peak_memory_sum);
-        run.sync_secs += outcome.sync_secs;
-        run.spawn_count += outcome.spawn_count;
-        run.corpus.extend(round_corpus);
-        run.rounds += 1;
-        if !schedule.continue_after(run.rounds, &run.corpus, degree_dist, &mut run.trace) {
-            return run;
-        }
-    }
-}
-
-/// The per-superstep worker body shared by every execution driver: process
-/// the machine's delivered walkers, then refresh its memory watermark. One
-/// copy of this closure is what keeps the backends' superstep semantics
-/// identical by construction.
+/// The per-superstep worker body: process the machine's delivered walkers,
+/// then refresh its memory watermark.
 pub(crate) fn walker_step<'g>(
     graph: &'g CsrGraph,
     partitioning: &'g Partitioning,
@@ -949,22 +500,29 @@ pub(crate) fn walker_step<'g>(
     }
 }
 
-/// Seeds one round: one fresh walker per source node, delivered to the
-/// machine owning it. Inboxes are pre-sized from the partition's node counts
-/// so the seeding loop never reallocates.
+/// Seeds one round for the machines in `local`: one fresh walker per source
+/// node they own, delivered to the owning machine's inbox (`inboxes[i]`
+/// belongs to machine `local.start + i`). Walk ids and RNG streams depend
+/// only on `(round, source)`, so every endpoint of a job seeds its own
+/// machines without traffic. Inboxes are pre-sized from the partition's
+/// node counts so the seeding loop never reallocates.
 pub(crate) fn seed_round_inboxes(
     graph: &CsrGraph,
     partitioning: &Partitioning,
     config: &WalkEngineConfig,
     round: u64,
+    local: Range<usize>,
 ) -> Vec<Vec<WalkerMessage>> {
     let n = graph.num_nodes();
-    let mut inboxes: Vec<Vec<WalkerMessage>> = partitioning
-        .node_counts()
-        .into_iter()
-        .map(Vec::with_capacity)
+    let mut inboxes: Vec<Vec<WalkerMessage>> = partitioning.node_counts()[local.clone()]
+        .iter()
+        .map(|&count| Vec::with_capacity(count))
         .collect();
     for u in 0..n as NodeId {
+        let machine = partitioning.machine_of(u);
+        if !local.contains(&machine) {
+            continue;
+        }
         let walk_id = round * n as u64 + u as u64;
         let info = if config.needs_info() {
             match config.info_mode {
@@ -974,7 +532,7 @@ pub(crate) fn seed_round_inboxes(
         } else {
             InfoPayload::None
         };
-        inboxes[partitioning.machine_of(u)].push(WalkerMessage {
+        inboxes[machine - local.start].push(WalkerMessage {
             walk_id,
             step: 0,
             cur: u,
@@ -986,24 +544,34 @@ pub(crate) fn seed_round_inboxes(
     inboxes
 }
 
-/// Assembles one round's corpus from the per-machine local runs with a
-/// counting sort over walk ids: count tokens and runs per walk, prefix-sum
-/// into bucket offsets, scatter run references, then concatenate each walk's
-/// few runs ordered by start step. No per-step tuples, no per-token sort.
-/// Also returns the machine-summed peak transient-memory watermark.
+/// Assembles one round's corpus from the per-machine harvests (machines
+/// `0..m` in order) with a counting sort over walk ids: count tokens and
+/// runs per walk, prefix-sum into bucket offsets, scatter run references,
+/// then concatenate each walk's few runs ordered by start step. No per-step
+/// tuples, no per-token sort. Also returns the machine-summed peak
+/// transient-memory watermark.
+///
+/// The harvests come from `dist::decode_harvest`, which guarantees every
+/// run lies inside its arena and names a walk of this round; that the
+/// runs of each walk tile it from step 0 without gap or overlap is checked
+/// here, so a peer that lies about `start_step` is an
+/// [`io::ErrorKind::InvalidData`] error, not a scrambled corpus.
 pub(crate) fn assemble_round_corpus(
-    states: &[&MachineState],
+    harvests: &[&RoundHarvest],
     n: usize,
     round: u64,
-) -> (Corpus, usize) {
+) -> io::Result<(Corpus, usize)> {
     let mut peak_memory_sum = 0usize;
     let mut token_counts = vec![0u32; n];
     let mut run_counts = vec![0u32; n];
-    for state in states {
-        peak_memory_sum += state.peak_memory_bytes;
+    for state in harvests {
+        peak_memory_sum = peak_memory_sum.saturating_add(state.peak_memory_bytes);
         for run in &state.seg_runs {
             let local_id = (run.walk_id - round * n as u64) as usize;
-            token_counts[local_id] += run.len;
+            token_counts[local_id] =
+                token_counts[local_id].checked_add(run.len).ok_or_else(|| {
+                    invalid_data(format!("walk {} is longer than u32::MAX", run.walk_id))
+                })?;
             run_counts[local_id] += 1;
         }
     }
@@ -1014,7 +582,7 @@ pub(crate) fn assemble_round_corpus(
     // (start_step, machine, run index) per run, bucketed by walk.
     let mut buckets = vec![(0u32, 0u32, 0u32); run_offsets[n] as usize];
     let mut cursors = run_offsets.clone();
-    for (machine, state) in states.iter().enumerate() {
+    for (machine, state) in harvests.iter().enumerate() {
         for (run_idx, run) in state.seg_runs.iter().enumerate() {
             let local_id = (run.walk_id - round * n as u64) as usize;
             let slot = cursors[local_id];
@@ -1031,16 +599,27 @@ pub(crate) fn assemble_round_corpus(
         bucket.sort_unstable_by_key(|run| run.0);
         let mut walk = Vec::with_capacity(token_counts[w] as usize);
         for &(start_step, machine, run_idx) in bucket.iter() {
-            let run = &states[machine as usize].seg_runs[run_idx as usize];
-            debug_assert_eq!(start_step as usize, walk.len(), "runs must tile the walk");
-            walk.extend_from_slice(
-                &states[machine as usize].seg_nodes[run.offset..run.offset + run.len as usize],
-            );
+            let state = harvests[machine as usize];
+            let run = &state.seg_runs[run_idx as usize];
+            if start_step as usize != walk.len() {
+                return Err(invalid_data(format!(
+                    "runs of walk {} do not tile it: run at step {start_step} follows {} nodes",
+                    run.walk_id,
+                    walk.len()
+                )));
+            }
+            walk.extend_from_slice(&state.seg_nodes[run.offset..run.offset + run.len as usize]);
+        }
+        if walk.is_empty() {
+            return Err(invalid_data(format!(
+                "no machine harvested walk {}",
+                round * n as u64 + w as u64
+            )));
         }
         corpus.push_walk(walk);
     }
 
-    (corpus, peak_memory_sum)
+    Ok((corpus, peak_memory_sum))
 }
 
 /// Processes one walker on `machine` until it terminates or hops away.
@@ -1064,11 +643,11 @@ fn process_walker(
     let mut rng = SplitMix64::from_state(msg.rng_state);
     let walk_id = msg.walk_id;
     let start_step = msg.step;
-    let run_offset = state.seg_nodes.len();
+    let run_offset = state.harvest.seg_nodes.len();
     loop {
         // Accept `msg.cur` on this machine.
         debug_assert_eq!(partitioning.machine_of(msg.cur), machine);
-        state.seg_nodes.push(msg.cur);
+        state.harvest.seg_nodes.push(msg.cur);
         let length = msg.step as u64 + 1;
 
         let r_squared = match &mut msg.info {
@@ -1167,6 +746,7 @@ mod tests {
             "information-driven walks should be shorter than the routine 80, got {avg}"
         );
         assert!(!result.relative_entropy_trace.is_empty());
+        assert!(result.superstep_sync_secs > 0.0, "barrier waits are timed");
     }
 
     #[test]
@@ -1258,73 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn execution_backends_are_bit_identical_and_report_sync_overhead() {
-        let g = test_graph();
-        let p = workload_balanced_partition(&g, 4);
-        let cfg = WalkEngineConfig::distger().with_seed(9);
-        let round_loop = run_distributed_walks(&g, &p, &cfg);
-        let pool =
-            run_distributed_walks(&g, &p, &cfg.with_execution_backend(ExecutionBackend::Pool));
-        let spawn = run_distributed_walks(
-            &g,
-            &p,
-            &cfg.with_execution_backend(ExecutionBackend::SpawnPerStep),
-        );
-        for other in [&pool, &spawn] {
-            assert_eq!(round_loop.corpus, other.corpus);
-            assert_eq!(round_loop.comm, other.comm);
-            assert_eq!(round_loop.rounds, other.rounds);
-            assert_eq!(
-                round_loop.relative_entropy_trace,
-                other.relative_entropy_trace
-            );
-        }
-        // All backends account their coordination overhead; many supersteps
-        // ran, so at least the spawning reference must have spent some.
-        assert!(round_loop.superstep_sync_secs >= 0.0);
-        assert!(pool.superstep_sync_secs >= 0.0);
-        assert!(spawn.superstep_sync_secs > 0.0);
-    }
-
-    #[test]
-    fn round_loop_spawns_machines_threads_for_the_whole_run() {
-        // The headline claim of the run-scoped pool: thread spawns per run
-        // drop from `machines × rounds` (per-round pool) to `machines`.
-        let g = test_graph();
-        let p = workload_balanced_partition(&g, 4);
-        let cfg = WalkEngineConfig::distger().with_seed(21);
-        let round_loop = run_distributed_walks(&g, &p, &cfg);
-        let pool =
-            run_distributed_walks(&g, &p, &cfg.with_execution_backend(ExecutionBackend::Pool));
-        let spawn = run_distributed_walks(
-            &g,
-            &p,
-            &cfg.with_execution_backend(ExecutionBackend::SpawnPerStep),
-        );
-        assert!(round_loop.rounds >= 2, "need a multi-round run to compare");
-        assert_eq!(round_loop.pool_spawn_count, 4);
-        assert_eq!(pool.pool_spawn_count, 4 * pool.rounds as u64);
-        // Spawn-per-step pays `machines` spawns per superstep; even the
-        // longest single round already costs it more than the whole
-        // run-scoped loop.
-        assert!(spawn.pool_spawn_count >= 4 * spawn.comm.supersteps);
-        assert!(
-            spawn.pool_spawn_count > pool.pool_spawn_count,
-            "spawn-per-step spawns per superstep, the pool per round"
-        );
-    }
-
-    #[test]
-    fn default_execution_backend_is_the_run_scoped_round_loop() {
-        assert_eq!(
-            WalkEngineConfig::distger().execution,
-            ExecutionBackend::RoundLoop
-        );
-        assert_eq!(ExecutionBackend::default(), ExecutionBackend::RoundLoop);
-        assert_eq!(ExecutionBackend::RoundLoop.name(), "round_loop");
-    }
-
-    #[test]
     fn walks_are_deterministic_given_seed() {
         let g = test_graph();
         let p = workload_balanced_partition(&g, 3);
@@ -1391,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn supervised_fault_free_run_matches_plain_round_loop() {
+    fn checkpointing_a_fault_free_run_changes_nothing() {
         let g = test_graph();
         let p = workload_balanced_partition(&g, 4);
         let plain_cfg = WalkEngineConfig::distger().with_seed(31);
@@ -1441,8 +954,6 @@ mod tests {
         // Crash in round 2 with a round-2 checkpoint: exactly the partial
         // round is re-executed.
         assert_eq!(recovered.recovered_rounds, 1);
-        // Two attempts → two pool spawns of 4 machines each.
-        assert_eq!(recovered.pool_spawn_count, 8);
     }
 
     #[test]
@@ -1491,25 +1002,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "require ExecutionBackend::RoundLoop")]
-    fn per_round_backends_reject_checkpointing() {
-        let g = test_graph();
-        let p = workload_balanced_partition(&g, 2);
-        let cfg = WalkEngineConfig::distger()
-            .with_execution_backend(ExecutionBackend::Pool)
-            .with_checkpoint_policy(CheckpointPolicy::every(1));
-        run_distributed_walks(&g, &p, &cfg);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_execution_shim_matches_renamed_builder() {
-        let old = WalkEngineConfig::distger().with_execution(ExecutionBackend::Pool);
-        let new = WalkEngineConfig::distger().with_execution_backend(ExecutionBackend::Pool);
-        assert_eq!(old, new);
-    }
-
-    #[test]
     #[should_panic(expected = "walks::dist::run_walks_over")]
     fn in_process_entry_point_rejects_socket_transport() {
         let g = test_graph();
@@ -1527,7 +1019,6 @@ mod tests {
             .with_info_mode(InfoMode::FullPath)
             .with_freq_backend(FreqBackend::NestedReference)
             .with_sampling_backend(SamplingBackend::LinearScan)
-            .with_execution_backend(ExecutionBackend::Pool)
             .with_transport(TransportKind::Socket)
             .with_seed(11)
             .with_max_supersteps(77);
@@ -1537,7 +1028,6 @@ mod tests {
         assert_eq!(cfg.info_mode, InfoMode::FullPath);
         assert_eq!(cfg.freq_backend, FreqBackend::NestedReference);
         assert_eq!(cfg.sampling_backend, SamplingBackend::LinearScan);
-        assert_eq!(cfg.execution, ExecutionBackend::Pool);
         assert_eq!(cfg.transport, TransportKind::Socket);
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.max_supersteps, 77);

@@ -28,13 +28,14 @@
 //!   degree. Both keep the original implementation selectable as a reference
 //!   backend ([`FreqBackend`] / [`SamplingBackend`]).
 //!
-//! All engines run on the simulated cluster of `distger-cluster` — by
-//! default through one **run-scoped** worker pool spanning every walk round
-//! ([`ExecutionBackend::RoundLoop`]): round boundaries (corpus assembly,
-//! relative-entropy convergence, next-round seeding) execute as
-//! coordinator-exclusive control phases between barrier generations, so a
-//! run spawns `machines` threads instead of `machines × rounds`. They
-//! report [`CommStats`](distger_cluster::CommStats) alongside the sampled
+//! All engines run on the BSP driver of `distger-cluster` through **one**
+//! round loop, [`run_walks_over`]: each endpoint's machines live on one
+//! worker pool spanning every walk round, and round boundaries (harvest
+//! gather, corpus assembly, relative-entropy convergence, next-round
+//! seeding) execute as coordinator-exclusive control phases between barrier
+//! generations. [`run_distributed_walks`] is that loop with every machine
+//! in this process. They report
+//! [`CommStats`](distger_cluster::CommStats) alongside the sampled
 //! [`Corpus`].
 
 pub mod alias;
@@ -58,11 +59,10 @@ pub use engine::{
 pub use freq::{FlatFreqStore, FreqBackend, NestedFreqStore};
 pub use models::{LengthPolicy, WalkCountPolicy, WalkModel};
 
-/// Re-exports of the BSP execution / fault-tolerance knobs — and the
-/// transport layer — so walk-engine callers can configure
-/// [`WalkEngineConfig`] and drive [`dist::run_walks_over`] without depending
-/// on `distger-cluster` directly.
+/// Re-exports of the fault-tolerance knobs — and the transport layer — so
+/// walk-engine callers can configure [`WalkEngineConfig`] and drive
+/// [`dist::run_walks_over`] without depending on `distger-cluster` directly.
 pub use distger_cluster::{
-    ExecutionBackend, FaultInjector, FaultPlan, InMemoryTransport, RecoveryExhausted,
-    RecoveryPolicy, SocketTransport, Transport, TransportKind,
+    FaultInjector, FaultPlan, InMemoryTransport, RecoveryExhausted, RecoveryPolicy,
+    SocketTransport, Transport, TransportKind,
 };

@@ -1,6 +1,6 @@
 //! Property-based tests for the transport layer (ISSUE 8).
 //!
-//! Three layers are pinned down:
+//! Four layers are pinned down:
 //!
 //! * **Wire codec** — random walker-message batches round-trip bit-exactly
 //!   through the hand-rolled wire format (the encoding, not just the value,
@@ -13,13 +13,21 @@
 //!   seed × machine count × process count × engine configuration, the
 //!   loopback [`SocketTransport`] run produces a corpus, communication
 //!   trace, and entropy trace bit-identical to the in-process engine.
+//! * **Lying peers** — a round harvest that reaches the coordinator
+//!   truncated or with any bit flipped makes the run return `Err` or finish
+//!   on the (valid but different) data; it never panics the coordinator.
 
 use distger_cluster::wire::{encode_frame, kind};
-use distger_cluster::{read_frame, Wire, WireReader};
+use distger_cluster::{
+    read_frame, ControlChannel, InMemoryTransport, Outbox, RecoveryExhausted, Transport, Wire,
+    WireReader, WireStats,
+};
 use distger_partition::{mpgp_partition, MpgpConfig};
 use distger_walks::info::{FullPathInfo, IncrementalInfo};
 use distger_walks::message::{InfoPayload, WalkerMessage};
-use distger_walks::{run_distributed_walks, run_walks_over_loopback, WalkEngineConfig, WalkModel};
+use distger_walks::{
+    run_distributed_walks, run_walks_over, run_walks_over_loopback, WalkEngineConfig, WalkModel,
+};
 use proptest::prelude::*;
 
 /// A random walker message covering all three info-payload modes.
@@ -215,6 +223,105 @@ proptest! {
         if endpoints > 1 {
             prop_assert!(socket.comm.wire.frames_sent > 0);
             prop_assert!(socket.comm.wire.batch_bytes_sent > 0);
+        }
+    }
+}
+
+/// Every machine in this process, but the harvest of round `lie_round`
+/// reaches the coordinator the way a lying peer would send it: tampered.
+struct LyingPeer<F> {
+    inner: InMemoryTransport,
+    lie_round: u32,
+    lie: F,
+}
+
+impl<F: Fn(&mut Vec<u8>)> ControlChannel for LyingPeer<F> {
+    fn endpoint(&self) -> usize {
+        0
+    }
+    fn endpoints(&self) -> usize {
+        1
+    }
+    fn broadcast(&mut self, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+        self.inner.broadcast(payload)
+    }
+    fn gather(&mut self, payload: &[u8]) -> std::io::Result<Vec<Vec<u8>>> {
+        let mut gathered = self.inner.gather(payload)?;
+        if self.lie_round == 0 {
+            (self.lie)(&mut gathered[0]);
+        }
+        self.lie_round = self.lie_round.wrapping_sub(1);
+        Ok(gathered)
+    }
+    fn scatter(&mut self, payloads: &[Vec<u8>]) -> std::io::Result<Vec<u8>> {
+        self.inner.scatter(payloads)
+    }
+    fn wire_stats(&self) -> WireStats {
+        WireStats::default()
+    }
+}
+
+impl<F: Fn(&mut Vec<u8>)> Transport<WalkerMessage> for LyingPeer<F> {
+    fn num_machines(&self) -> usize {
+        Transport::<WalkerMessage>::num_machines(&self.inner)
+    }
+    fn local_machines(&self) -> std::ops::Range<usize> {
+        Transport::<WalkerMessage>::local_machines(&self.inner)
+    }
+    fn exchange(
+        &mut self,
+        superstep: u64,
+        outboxes: &mut [&mut Outbox<WalkerMessage>],
+        inboxes: &mut [&mut Vec<WalkerMessage>],
+    ) -> std::io::Result<()> {
+        self.inner.exchange(superstep, outboxes, inboxes)
+    }
+    fn sync_pending(&mut self, local_pending: bool) -> std::io::Result<bool> {
+        Transport::<WalkerMessage>::sync_pending(&mut self.inner, local_pending)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any prefix and any single-bit-pattern flip of a round harvest: the
+    /// coordinator returns an error, or completes on data that happens to
+    /// still be valid — but no peer-supplied walk id, offset, length or node
+    /// id is ever trusted into a panic. (The driver turns a caught panic into
+    /// a `RecoveryExhausted` error, so that is what must not come back.)
+    #[test]
+    fn tampered_harvests_never_panic_the_coordinator(
+        seed in 0u64..6,
+        lie_round in 0u32..2,
+        truncate in any::<bool>(),
+        pos in 0usize..1_000_000,
+        flip_mask in 1usize..256,
+    ) {
+        let g = distger_graph::barabasi_albert(60, 3, seed);
+        let p = mpgp_partition(&g, 3, MpgpConfig::default());
+        let config = WalkEngineConfig::distger().with_seed(seed);
+        let mut transport = LyingPeer {
+            inner: InMemoryTransport::new(3),
+            lie_round,
+            lie: |payload: &mut Vec<u8>| {
+                let at = pos % payload.len();
+                if truncate {
+                    payload.truncate(at);
+                } else {
+                    payload[at] ^= flip_mask as u8;
+                }
+            },
+        };
+        let result = run_walks_over(&mut transport, &g, &p, &config, None);
+        if let Err(err) = &result {
+            prop_assert!(
+                !err.get_ref().is_some_and(|inner| inner.is::<RecoveryExhausted>()),
+                "the tampered harvest panicked the coordinator: {}",
+                err
+            );
+        }
+        if truncate {
+            prop_assert!(result.is_err(), "a truncated harvest must be detected");
         }
     }
 }

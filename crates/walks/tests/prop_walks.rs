@@ -4,8 +4,8 @@ use distger_graph::{GraphBuilder, NodeId};
 use distger_partition::{mpgp_partition, MpgpConfig, Partitioning};
 use distger_walks::info::{walk_entropy, FullPathInfo, IncrementalInfo};
 use distger_walks::{
-    run_distributed_walks, ExecutionBackend, FreqBackend, LengthPolicy, SamplingBackend,
-    WalkCountPolicy, WalkEngineConfig, WalkModel,
+    run_distributed_walks, FreqBackend, LengthPolicy, SamplingBackend, WalkCountPolicy,
+    WalkEngineConfig, WalkModel,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -148,69 +148,6 @@ proptest! {
             prop_assert_eq!(&runs[0].comm, &other.comm);
             prop_assert_eq!(runs[0].rounds, other.rounds);
         }
-    }
-
-    /// The three-way execution-backend equivalence: the run-scoped
-    /// `RoundLoop` (one worker pool spanning every round, round boundaries
-    /// as coordinator control phases), the per-round `Pool` and the
-    /// spawn-per-superstep reference are pure scheduling changes — for any
-    /// seed, machine count and info mode (so both the full-path and the
-    /// incremental message schedules are covered) all three must produce
-    /// byte-identical corpora, communication traces (counts, bytes,
-    /// local/remote steps, supersteps), round counts and relative-entropy
-    /// traces. These are info-driven runs, so the equivalence includes the
-    /// early-termination path: the controller stops the round loop from the
-    /// coordinator before the `max_rounds` budget, and the run-scoped
-    /// backend must stop at exactly the same round as the references.
-    /// Spawn accounting is the tentpole claim: `machines` threads for the
-    /// whole run under `RoundLoop` vs `machines × rounds` under `Pool`.
-    #[test]
-    fn round_loop_pool_and_spawn_per_step_are_bit_identical(
-        seed in 0u64..12,
-        machines in 1usize..5,
-        incremental in any::<bool>(),
-    ) {
-        let g = distger_graph::barabasi_albert(160, 3, seed);
-        let p = mpgp_partition(&g, machines, MpgpConfig::default());
-        let base = if incremental {
-            WalkEngineConfig::distger()
-        } else {
-            WalkEngineConfig::huge_d()
-        }
-        .with_seed(seed);
-        let round_loop = run_distributed_walks(&g, &p, &base); // the default
-        prop_assert_eq!(base.execution, ExecutionBackend::RoundLoop);
-        let pool =
-            run_distributed_walks(&g, &p, &base.with_execution_backend(ExecutionBackend::Pool));
-        let spawn = run_distributed_walks(
-            &g,
-            &p,
-            &base.with_execution_backend(ExecutionBackend::SpawnPerStep),
-        );
-        for other in [&pool, &spawn] {
-            prop_assert_eq!(&round_loop.corpus, &other.corpus);
-            prop_assert_eq!(&round_loop.comm, &other.comm);
-            prop_assert_eq!(round_loop.rounds, other.rounds);
-            prop_assert_eq!(
-                &round_loop.relative_entropy_trace,
-                &other.relative_entropy_trace
-            );
-        }
-        // Early termination happened on the coordinator (ΔD ≤ δ), within
-        // the configured budget.
-        let max_rounds = match base.walks_per_node {
-            distger_walks::WalkCountPolicy::InfoDriven { max_rounds, .. } => max_rounds,
-            _ => unreachable!("info-driven configs drive this property"),
-        };
-        prop_assert!(round_loop.rounds >= 2 && round_loop.rounds <= max_rounds);
-        // The tentpole: thread spawns per run drop from machines × rounds
-        // to machines.
-        prop_assert_eq!(round_loop.pool_spawn_count, machines as u64);
-        prop_assert_eq!(
-            pool.pool_spawn_count,
-            machines as u64 * pool.rounds as u64
-        );
-        prop_assert!(spawn.pool_spawn_count >= pool.pool_spawn_count);
     }
 
     /// On weighted graphs the alias backend consumes randomness differently,

@@ -59,8 +59,8 @@ pub use distger_walks as walks;
 /// the bundled `examples/` compile against this module alone.
 pub mod prelude {
     pub use distger_cluster::{
-        ClusterConfig, CommStats, ControlChannel, ExecutionBackend, InMemoryTransport,
-        NetworkModel, RecoveryPolicy, SocketTransport, Transport, TransportKind, WireStats,
+        ClusterConfig, CommStats, ControlChannel, InMemoryTransport, NetworkModel, RecoveryPolicy,
+        SocketTransport, Transport, TransportKind, WireStats,
     };
     pub use distger_core::{
         launch_over_loopback, run_coordinator, run_pipeline, run_system, run_worker, DistGerConfig,
