@@ -16,8 +16,9 @@
 //!   accepts one connection per worker endpoint, routes cross-endpoint
 //!   batches, and drives the control channel (pending flags, broadcast /
 //!   gather / scatter). Frames use the hand-rolled [`wire`](crate::wire)
-//!   format — versioned, length-prefixed, FNV-1a64-checksummed — and every
-//!   malformed frame is an [`io::Error`], never a panic.
+//!   format — versioned, length-prefixed, checksummed
+//!   ([`wire::Checksum`](crate::wire::Checksum)) — and every malformed frame
+//!   is an [`io::Error`], never a panic.
 //!
 //! ## Bit-identity contract
 //!
@@ -49,8 +50,10 @@ use std::time::{Duration, Instant};
 use crate::bsp::Outbox;
 use crate::comm::{MessageSize, WireStats};
 use crate::wire::{
-    invalid, kind, put_bytes, put_u32, read_frame, write_frame, Frame, Wire, WireReader,
+    invalid_data, kind, put_bytes, put_u16, put_u32, put_u64, put_u8, read_frame, write_frame,
+    Frame, Wire, WireReader,
 };
+use distger_obs::{Phase, TraceEvent};
 
 /// Which transport a run should use; carried by the engine/trainer configs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,7 +155,7 @@ pub fn gather_trace_events<C: ControlChannel + ?Sized>(channel: &mut C) -> io::R
         return Ok(());
     }
     let events = distger_obs::drain_thread();
-    let payload = distger_obs::encode_events(
+    let payload = encode_events(
         &events,
         channel.endpoint() as u32,
         channel.clock_offset_micros(),
@@ -160,12 +163,91 @@ pub fn gather_trace_events<C: ControlChannel + ?Sized>(channel: &mut C) -> io::R
     let gathered = channel.gather(&payload)?;
     if channel.is_coordinator() {
         for payload in &gathered {
-            let events = distger_obs::decode_events(payload)
-                .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
-            distger_obs::absorb(events);
+            distger_obs::absorb(decode_events(payload)?);
         }
     }
     Ok(())
+}
+
+const EVENT_WIRE_VERSION: u16 = 1;
+
+/// Serializes an event buffer for [`gather_trace_events`], stamping every
+/// event with the sender's endpoint id (`pid`) and shifting timestamps by
+/// `offset_micros` (the sender's clock offset relative to the coordinator,
+/// from the transport handshake) so the decoded timeline is already aligned
+/// to the coordinator's clock.
+pub fn encode_events(events: &[TraceEvent], pid: u32, offset_micros: i64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + events.len() * 40);
+    put_u16(&mut buf, EVENT_WIRE_VERSION);
+    put_u32(&mut buf, pid);
+    put_u32(&mut buf, events.len() as u32);
+    for event in events {
+        let name = event.name.as_bytes();
+        let name = &name[..name.len().min(u16::MAX as usize)];
+        put_u16(&mut buf, name.len() as u16);
+        buf.extend_from_slice(name);
+        put_u8(
+            &mut buf,
+            match event.phase {
+                Phase::Begin => 0,
+                Phase::End => 1,
+                Phase::Instant => 2,
+            },
+        );
+        // Signed fields travel as their two's-complement bit patterns.
+        put_u64(
+            &mut buf,
+            event.ts_micros.saturating_add(offset_micros) as u64,
+        );
+        put_u32(&mut buf, event.tid);
+        put_u64(&mut buf, event.machine as u64);
+        put_u64(&mut buf, event.round as u64);
+    }
+    buf
+}
+
+/// Decodes a buffer produced by [`encode_events`]. The embedded endpoint id
+/// becomes every event's `pid`; timestamps were already offset-aligned by
+/// the sender.
+pub fn decode_events(payload: &[u8]) -> io::Result<Vec<TraceEvent>> {
+    let mut r = WireReader::new(payload);
+    let version = r.u16()?;
+    if version != EVENT_WIRE_VERSION {
+        return Err(invalid_data(format!(
+            "unsupported trace event wire version {version} (expected {EVENT_WIRE_VERSION})"
+        )));
+    }
+    let pid = r.u32()?;
+    // An event is at least its fixed fields: name length, phase, ts, tid,
+    // machine, round.
+    let count = r.count_u32(2 + 1 + 8 + 4 + 8 + 8)?;
+    let mut events = Vec::with_capacity(count);
+    for _ in 0..count {
+        let name_len = usize::from(r.u16()?);
+        let name = String::from_utf8(r.take(name_len)?.to_vec())
+            .map_err(|_| invalid_data("trace event name is not UTF-8"))?;
+        let phase = match r.u8()? {
+            0 => Phase::Begin,
+            1 => Phase::End,
+            2 => Phase::Instant,
+            other => {
+                return Err(invalid_data(format!(
+                    "unknown trace event phase tag {other}"
+                )))
+            }
+        };
+        events.push(TraceEvent {
+            name: name.into(),
+            phase,
+            ts_micros: r.u64()? as i64,
+            pid,
+            tid: r.u32()?,
+            machine: r.u64()? as i64,
+            round: r.u64()? as i64,
+        });
+    }
+    r.finish()?;
+    Ok(events)
 }
 
 /// A transport moves superstep message batches between machines and answers
@@ -234,7 +316,7 @@ impl ControlChannel for InMemoryTransport {
     fn scatter(&mut self, payloads: &[Vec<u8>]) -> io::Result<Vec<u8>> {
         match payloads.first() {
             Some(first) => Ok(first.clone()),
-            None => Err(invalid("scatter needs one payload per endpoint")),
+            None => Err(invalid_data("scatter needs one payload per endpoint")),
         }
     }
 
@@ -341,19 +423,19 @@ impl FrameConn {
         self.obs_bytes_received
             .add((crate::wire::FRAME_HEADER_BYTES + frame.payload.len()) as u64);
         if frame.kind != expect {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "expected frame kind {expect}, got {} (protocol desync?)",
                 frame.kind
             )));
         }
         if frame.sender != self.peer {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "frame from endpoint {}, expected {}",
                 frame.sender, self.peer
             )));
         }
         if frame.seq != self.recv_seq {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "out-of-sequence frame: got seq {}, expected {}",
                 frame.seq, self.recv_seq
             )));
@@ -388,8 +470,9 @@ fn encode_entries(entries: &[RawEntry]) -> Vec<u8> {
 
 fn decode_entries(payload: &[u8]) -> io::Result<Vec<RawEntry>> {
     let mut r = WireReader::new(payload);
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
+    // An entry is at least its three ids and the byte-length prefix.
+    let n = r.count_u32(16)?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let src = r.u32()?;
         let dest = r.u32()?;
@@ -434,10 +517,10 @@ impl SocketTransport {
         num_machines: usize,
     ) -> io::Result<Self> {
         if endpoints == 0 {
-            return Err(invalid("need at least one endpoint"));
+            return Err(invalid_data("need at least one endpoint"));
         }
         if num_machines < endpoints {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "{num_machines} machines cannot be split over {endpoints} endpoints"
             )));
         }
@@ -458,7 +541,7 @@ impl SocketTransport {
             // Coordinator trace-clock reading, taken as late as possible
             // before the send: the worker brackets the round trip around it
             // to estimate its clock offset for the cross-process trace merge.
-            crate::wire::put_u64(&mut ack, distger_obs::now_micros() as u64);
+            put_u64(&mut ack, distger_obs::now_micros() as u64);
             conn.send(0, kind::HELLO_ACK, &ack, &mut stats)?;
             conns.push(conn);
         }
@@ -503,7 +586,7 @@ impl SocketTransport {
         let coordinator_micros = r.u64()? as i64;
         r.finish()?;
         if endpoint == 0 || endpoint >= endpoints || num_machines < endpoints {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "nonsensical HelloAck: endpoint {endpoint} of {endpoints}, {num_machines} machines"
             )));
         }
@@ -575,13 +658,13 @@ impl SocketTransport {
         let mut remote: HashMap<(u32, u32), RawEntry> = HashMap::with_capacity(delivered.len());
         for entry in delivered {
             if self.local_index(entry.dest as usize).is_none() {
-                return Err(invalid(format!(
+                return Err(invalid_data(format!(
                     "entry for machine {} delivered to endpoint {} (owns {:?})",
                     entry.dest, self.endpoint, self.local
                 )));
             }
             if remote.insert((entry.src, entry.dest), entry).is_some() {
-                return Err(invalid("duplicate (src, dest) entry in delivery"));
+                return Err(invalid_data("duplicate (src, dest) entry in delivery"));
             }
         }
         for (di, inbox) in inboxes.iter_mut().enumerate() {
@@ -590,8 +673,9 @@ impl SocketTransport {
                 if let Some(si) = self.local_index(src) {
                     inbox.append(&mut outboxes[si].queues[dest as usize]);
                 } else if let Some(entry) = remote.remove(&(src as u32, dest)) {
+                    // `count` is the peer's word: nothing is reserved for
+                    // it, and a lie runs into the end of `bytes`.
                     let mut r = WireReader::new(&entry.bytes);
-                    inbox.reserve(entry.count as usize);
                     for _ in 0..entry.count {
                         inbox.push(M::decode(&mut r)?);
                     }
@@ -600,7 +684,9 @@ impl SocketTransport {
             }
         }
         if !remote.is_empty() {
-            return Err(invalid("delivery contained entries for no local machine"));
+            return Err(invalid_data(
+                "delivery contained entries for no local machine",
+            ));
         }
         Ok(())
     }
@@ -647,7 +733,7 @@ impl ControlChannel for SocketTransport {
     fn scatter(&mut self, payloads: &[Vec<u8>]) -> io::Result<Vec<u8>> {
         if self.endpoint == 0 {
             if payloads.len() != self.endpoints {
-                return Err(invalid(format!(
+                return Err(invalid_data(format!(
                     "scatter got {} payloads for {} endpoints",
                     payloads.len(),
                     self.endpoints
@@ -690,7 +776,7 @@ impl<M: Wire + MessageSize> Transport<M> for SocketTransport {
     ) -> io::Result<()> {
         let _ = superstep;
         if outboxes.len() != self.local.len() || inboxes.len() != self.local.len() {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "exchange expects {} local outboxes/inboxes, got {}/{}",
                 self.local.len(),
                 outboxes.len(),
@@ -709,7 +795,10 @@ impl<M: Wire + MessageSize> Transport<M> for SocketTransport {
             let endpoints = self.endpoints;
             let mut route = |entry: RawEntry| -> io::Result<()> {
                 if entry.dest as usize >= num_machines {
-                    return Err(invalid(format!("entry for unknown machine {}", entry.dest)));
+                    return Err(invalid_data(format!(
+                        "entry for unknown machine {}",
+                        entry.dest
+                    )));
                 }
                 let mut owner = 0;
                 while !machine_split(num_machines, endpoints, owner)
@@ -775,6 +864,7 @@ impl<M: Wire + MessageSize> Transport<M> for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::testing::assert_total;
     use std::io::Write as _;
 
     /// A minimal wire-capable message for transport tests.
@@ -975,6 +1065,93 @@ mod tests {
         let err = SocketTransport::coordinator(&listener, 2, 4).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         garbler.join().unwrap();
+    }
+
+    fn sample_events() -> Vec<TraceEvent> {
+        let event = |name: &'static str, phase, ts_micros, machine, round| TraceEvent {
+            name: name.into(),
+            phase,
+            ts_micros,
+            pid: 0,
+            tid: 1,
+            machine,
+            round,
+        };
+        vec![
+            event("superstep", Phase::Begin, 100, 2, 7),
+            event("fault \"x\"\n", Phase::Instant, 150, -1, -1),
+            event("superstep", Phase::End, 200, 2, 7),
+        ]
+    }
+
+    #[test]
+    fn trace_events_round_trip_stamped_with_pid_and_clock_offset() {
+        let events = sample_events();
+        let payload = encode_events(&events, 3, 1000);
+        let decoded = decode_events(&payload).unwrap();
+        assert_eq!(decoded.len(), events.len());
+        for (orig, dec) in events.iter().zip(&decoded) {
+            let expected = TraceEvent {
+                ts_micros: orig.ts_micros + 1000,
+                pid: 3,
+                ..orig.clone()
+            };
+            assert_eq!(*dec, expected);
+        }
+        let shifted_back = decode_events(&encode_events(&events, 1, -90)).unwrap();
+        assert_eq!(shifted_back[0].ts_micros, 10);
+        assert_eq!(decode_events(&encode_events(&[], 5, 123)).unwrap(), []);
+        let mut trailing = payload;
+        trailing.push(0);
+        assert!(decode_events(&trailing).is_err(), "trailing bytes");
+    }
+
+    fn sample_entries() -> Vec<RawEntry> {
+        let entry = |src, dest, msgs: &[u64]| RawEntry {
+            src,
+            dest,
+            count: msgs.len() as u32,
+            bytes: msgs.iter().flat_map(|&m| TestMsg(m).encode()).collect(),
+        };
+        vec![entry(1, 0, &[7, 8, 9]), entry(2, 0, &[]), entry(2, 1, &[5])]
+    }
+
+    #[test]
+    fn hostile_deliveries_never_panic() {
+        assert_total(&encode_entries(&sample_entries()), decode_entries);
+    }
+
+    /// A delivered entry whose message count is a lie must be an error once
+    /// its bytes run out — not a reservation of `count` inbox slots.
+    #[test]
+    fn lying_message_count_in_a_delivery_is_an_error() {
+        let transport = SocketTransport {
+            endpoint: 0,
+            endpoints: 2,
+            num_machines: 3,
+            local: 0..2,
+            conns: Vec::new(),
+            stats: WireStats::default(),
+            clock_offset_micros: 0,
+        };
+        let deliver = |entries: Vec<RawEntry>| {
+            let mut outboxes: Vec<Outbox<TestMsg>> = (0..2).map(|s| Outbox::new(s, 3)).collect();
+            let mut inboxes: Vec<Vec<TestMsg>> = vec![Vec::new(); 2];
+            transport
+                .merge_local(
+                    entries,
+                    &mut outboxes.iter_mut().collect::<Vec<_>>(),
+                    &mut inboxes.iter_mut().collect::<Vec<_>>(),
+                )
+                .map(|()| inboxes)
+        };
+        let honest = || sample_entries().into_iter().filter(|e| e.src == 2);
+        let inboxes = deliver(honest().collect()).expect("honest delivery");
+        assert_eq!(inboxes, [vec![], vec![TestMsg(5)]]);
+        for count in [0, 2, u32::MAX] {
+            let lie = honest().map(|entry| RawEntry { count, ..entry });
+            assert!(deliver(lie.collect()).is_err(), "count {count}");
+        }
     }
 
     #[test]

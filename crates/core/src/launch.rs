@@ -21,7 +21,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use distger_cluster::wire::{put_u16, put_u32, put_u64};
+use distger_cluster::wire::{invalid_data, put_u16, put_u32, put_u64, put_u8};
 use distger_cluster::{ControlChannel, SocketTransport, TransportKind, WireReader, WireStats};
 use distger_embed::{train_distributed_over, Embeddings, TrainStats};
 use distger_graph::{barabasi_albert, CsrGraph};
@@ -102,22 +102,22 @@ impl JobSpec {
         put_u64(&mut out, self.seed);
         put_u32(&mut out, self.epochs);
         put_u32(&mut out, self.dim);
-        out.push(u8::from(self.trace));
+        put_u8(&mut out, u8::from(self.trace));
         put_u32(&mut out, self.serve_queries);
         put_u32(&mut out, self.serve_k);
         out
     }
 
-    /// Decodes a spec received from the coordinator; truncated or
-    /// version-mismatched payloads error, never panic.
+    /// Decodes a spec received from the coordinator; truncated,
+    /// version-mismatched or [invalid](JobSpec::validate) payloads error,
+    /// never panic.
     pub fn decode(payload: &[u8]) -> io::Result<Self> {
         let mut r = WireReader::new(payload);
         let version = r.u16()?;
         if version != JOB_SPEC_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("job spec version {version} (expected {JOB_SPEC_VERSION})"),
-            ));
+            return Err(invalid_data(format!(
+                "job spec version {version} (expected {JOB_SPEC_VERSION})"
+            )));
         }
         let spec = Self {
             graph_nodes: r.u32()?,
@@ -130,24 +130,40 @@ impl JobSpec {
             trace: match r.u8()? {
                 0 => false,
                 1 => true,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad trace flag byte {other}"),
-                    ))
-                }
+                other => return Err(invalid_data(format!("bad trace flag byte {other}"))),
             },
             serve_queries: r.u32()?,
             serve_k: r.u32()?,
         };
         r.finish()?;
-        if spec.serve_queries > 0 && spec.serve_k == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "serve phase enabled with k = 0",
-            ));
-        }
+        spec.validate()
+            .map_err(|err| invalid_data(err.to_string()))?;
         Ok(spec)
+    }
+
+    /// Checks the rules the graph generator, the partitioner and the
+    /// embedding matrix would otherwise assert — in every process of the
+    /// job: at least one machine, a positive dimension, a positive attachment
+    /// count below the node count, and a positive `k` when the serve phase
+    /// is on. [`io::ErrorKind::InvalidInput`] otherwise.
+    pub fn validate(&self) -> io::Result<()> {
+        let broken = if self.machines == 0 {
+            "a job needs at least one machine"
+        } else if self.dim == 0 {
+            "the embedding dimension must be positive"
+        } else if self.graph_attachment == 0 {
+            "the graph attachment count must be at least 1"
+        } else if self.graph_nodes <= self.graph_attachment {
+            "the graph must have more nodes than the attachment count"
+        } else if self.serve_queries > 0 && self.serve_k == 0 {
+            "serve phase enabled with k = 0"
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{broken}: {self:?}"),
+        ))
     }
 
     /// Regenerates the job's graph — a pure function of the spec.
@@ -244,20 +260,19 @@ pub struct LaunchReport {
 }
 
 /// Runs the coordinator endpoint: accepts `workers` connections on
-/// `listener`, broadcasts `spec`, and drives walks then training.
+/// `listener`, broadcasts `spec`, and drives walks then training. A spec
+/// that fails [`JobSpec::validate`] is [`io::ErrorKind::InvalidInput`]
+/// before any worker is contacted.
 pub fn run_coordinator(
     listener: &TcpListener,
     workers: usize,
     spec: &JobSpec,
 ) -> io::Result<LaunchReport> {
-    let endpoints = workers + 1;
-    assert!(
-        spec.machines as usize >= endpoints,
-        "need at least one walk machine per process ({} machines, {} processes)",
-        spec.machines,
-        endpoints
-    );
-    let mut transport = SocketTransport::coordinator(listener, endpoints, spec.machines as usize)?;
+    spec.validate()?;
+    // Fewer machines than processes is the handshake's error, raised before
+    // it accepts anyone.
+    let mut transport =
+        SocketTransport::coordinator(listener, workers + 1, spec.machines as usize)?;
     if spec.trace {
         distger_obs::set_tracing(true);
     }
@@ -416,12 +431,28 @@ mod tests {
         let mut bad_trace = bytes.clone();
         bad_trace[trace_at] = 7;
         assert!(JobSpec::decode(&bad_trace).is_err(), "bad trace flag byte");
-        let mut zero_k = bytes.clone();
-        zero_k[bytes.len() - 4..].fill(0);
-        assert!(
-            JobSpec::decode(&zero_k).is_err(),
-            "serve phase with k = 0 accepted"
-        );
+        // One case per validation rule, at decode (the worker side) and at
+        // the coordinator's front door — where no worker is ever contacted,
+        // so the listener needs no peer.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        type Break = fn(&mut JobSpec);
+        let rules: [(&str, Break); 5] = [
+            ("no machine", |s| s.machines = 0),
+            ("zero dim", |s| s.dim = 0),
+            ("zero attachment", |s| s.graph_attachment = 0),
+            ("nodes <= attachment", |s| s.graph_nodes = 3),
+            ("serve phase with k = 0", |s| s.serve_k = 0),
+        ];
+        for (rule, break_it) in rules {
+            let mut broken = spec;
+            break_it(&mut broken);
+            let err = JobSpec::decode(&broken.encode()).expect_err(rule);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{rule}: {err}");
+            let err = run_coordinator(&listener, 2, &broken).expect_err(rule);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rule}: {err}");
+        }
+        let err = run_coordinator(&listener, 5, &spec).expect_err("5 machines, 6 processes");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let disabled = JobSpec {
             serve_queries: 0,
             serve_k: 0,

@@ -35,7 +35,7 @@ use std::io;
 use std::net::TcpListener;
 use std::time::Duration;
 
-use distger_cluster::wire::{put_u32, put_u64};
+use distger_cluster::wire::{invalid_data, put_f32s, put_u32, put_u64};
 use distger_cluster::{
     gather_trace_events, CommStats, ControlChannel, SocketTransport, WireReader,
 };
@@ -48,10 +48,6 @@ use crate::sgns::SigmoidTable;
 use crate::sync::{select_sync_ranks, ModelReplica};
 use crate::trainer::{epoch_slice, train_machine_chunk, TrainStats, TrainerConfig};
 use crate::vocab::Vocab;
-
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
 
 /// Encodes the `m` rank-space training shards of `corpus` — the walks of
 /// [`Corpus::split`], in the same order — one exactly sized payload per
@@ -87,15 +83,11 @@ fn encode_shards(corpus: &Corpus, vocab: &Vocab, m: usize) -> (Vec<Vec<u8>>, usi
 
 fn decode_shard(payload: &[u8]) -> io::Result<Vec<Vec<u32>>> {
     let mut r = WireReader::new(payload);
-    let walks = r.u64()? as usize;
-    let mut shard = Vec::with_capacity(walks.min(r.remaining() / 4 + 1));
+    let walks = r.count_u64(4)?;
+    let mut shard = Vec::with_capacity(walks);
     for _ in 0..walks {
-        let len = r.u32()? as usize;
-        let mut walk = Vec::with_capacity(len.min(r.remaining() / 4 + 1));
-        for _ in 0..len {
-            walk.push(r.u32()?);
-        }
-        shard.push(walk);
+        let len = r.count_u32(4)?;
+        shard.push(r.u32s(len)?);
     }
     r.finish()?;
     Ok(shard)
@@ -105,27 +97,11 @@ fn decode_shard(payload: &[u8]) -> io::Result<Vec<Vec<u32>>> {
 fn encode_rows(replica: &ModelReplica, ranks: &[u32], dim: usize, out: &mut Vec<u8>) {
     let mut buf = vec![0.0f32; dim];
     for &rank in ranks {
-        for matrix_idx in 0..2 {
-            let matrix = if matrix_idx == 0 {
-                &replica.phi_in
-            } else {
-                &replica.phi_out
-            };
+        for matrix in [&replica.phi_in, &replica.phi_out] {
             matrix.copy_row_into(rank as usize, &mut buf);
-            for &x in &buf {
-                put_u32(out, x.to_bits());
-            }
+            put_f32s(out, &buf);
         }
     }
-}
-
-/// Reads `rows × dim` `f32`s from `r` into a flat vector.
-fn read_f32s(r: &mut WireReader<'_>, count: usize) -> io::Result<Vec<f32>> {
-    let mut out = Vec::with_capacity(count.min(r.remaining() / 4 + 1));
-    for _ in 0..count {
-        out.push(f32::from_bits(r.u32()?));
-    }
-    Ok(out)
 }
 
 /// Averages the per-endpoint row payloads in ascending endpoint order — the
@@ -138,7 +114,7 @@ fn average_row_payloads(payloads: &[Vec<u8>], rows: usize, dim: usize) -> io::Re
     let mut avg = vec![0.0f32; floats];
     for payload in payloads {
         let mut r = WireReader::new(payload);
-        let row = read_f32s(&mut r, floats)?;
+        let row = r.f32s(floats)?;
         r.finish()?;
         for (a, b) in avg.iter_mut().zip(&row) {
             *a += b;
@@ -148,27 +124,29 @@ fn average_row_payloads(payloads: &[Vec<u8>], rows: usize, dim: usize) -> io::Re
         *a /= m as f32;
     }
     let mut out = Vec::with_capacity(floats * 4);
-    for &x in &avg {
-        put_u32(&mut out, x.to_bits());
-    }
+    put_f32s(&mut out, &avg);
     Ok(out)
 }
 
 /// Stores an averaged row payload back into both matrices of `replica`.
 fn store_rows(replica: &ModelReplica, ranks: &[u32], dim: usize, payload: &[u8]) -> io::Result<()> {
     let mut r = WireReader::new(payload);
-    for &rank in ranks {
-        for matrix_idx in 0..2 {
-            let row = read_f32s(&mut r, dim)?;
-            let matrix = if matrix_idx == 0 {
-                &replica.phi_in
-            } else {
-                &replica.phi_out
-            };
-            matrix.store_row(rank as usize, &row);
-        }
+    let rows = r.f32s(ranks.len() * 2 * dim)?;
+    r.finish()?;
+    for (&rank, pair) in ranks.iter().zip(rows.chunks_exact(2 * dim)) {
+        replica.phi_in.store_row(rank as usize, &pair[..dim]);
+        replica.phi_out.store_row(rank as usize, &pair[dim..]);
     }
-    r.finish()
+    Ok(())
+}
+
+/// Decodes one endpoint's final-gather payload: its full `φ_in` (`floats`
+/// values, rank-major), then its pair count and peak buffer bytes.
+fn decode_model(payload: &[u8], floats: usize) -> io::Result<(Vec<f32>, u64, u64)> {
+    let mut r = WireReader::new(payload);
+    let model = (r.f32s(floats)?, r.u64()?, r.u64()?);
+    r.finish()?;
+    Ok(model)
 }
 
 /// Runs distributed SGNS training over `channel`, one model replica per
@@ -217,9 +195,9 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
         channel.broadcast(&[])?
     };
     let mut r = WireReader::new(&header);
-    let n = r.u64()? as usize;
+    let n = r.count_u64(8)?;
     let total_tokens = r.u64()?;
-    let mut freqs = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
+    let mut freqs = Vec::with_capacity(n);
     for _ in 0..n {
         freqs.push(r.u64()?);
     }
@@ -235,7 +213,7 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
 
     let vocab = Vocab::from_frequencies(&freqs);
     if vocab.len() != n {
-        return Err(invalid("vocabulary size disagrees with header"));
+        return Err(invalid_data("vocabulary size disagrees with header"));
     }
 
     // Shard the corpus in rank space (identical to the in-process trainer)
@@ -322,9 +300,7 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     let mut buf = vec![0.0f32; config.dim];
     for rank in 0..n {
         replica.phi_in.copy_row_into(rank, &mut buf);
-        for &x in &buf {
-            put_u32(&mut payload, x.to_bits());
-        }
+        put_f32s(&mut payload, &buf);
     }
     put_u64(&mut payload, pairs_processed);
     put_u64(&mut payload, peak_buffer_bytes as u64);
@@ -347,14 +323,12 @@ pub fn train_distributed_over<C: ControlChannel + ?Sized>(
     let mut total_pairs = 0u64;
     let mut max_buffer_bytes = 0usize;
     for endpoint_payload in gathered {
-        let mut r = WireReader::new(&endpoint_payload);
-        let rows = read_f32s(&mut r, floats)?;
+        let (rows, pairs, buffer_bytes) = decode_model(&endpoint_payload, floats)?;
         for (o, b) in rank_major.iter_mut().zip(&rows) {
             *o += b;
         }
-        total_pairs += r.u64()?;
-        max_buffer_bytes = max_buffer_bytes.max(r.u64()? as usize);
-        r.finish()?;
+        total_pairs += pairs;
+        max_buffer_bytes = max_buffer_bytes.max(buffer_bytes as usize);
     }
     for x in rank_major.iter_mut() {
         *x /= m as f32;
@@ -479,6 +453,30 @@ mod tests {
             .expect("coordinator result");
         assert_eq!(dist.num_nodes(), 0);
         assert_eq!(stats.pairs_processed, 0);
+    }
+
+    #[test]
+    fn hostile_shard_row_and_model_payloads_never_panic() {
+        use distger_cluster::wire::testing::assert_total;
+        let corpus = corpus(5);
+        let vocab = Vocab::from_frequencies(&corpus.node_frequencies());
+        let (shards, _) = encode_shards(&corpus, &vocab, 8);
+        assert_total(&shards[0], decode_shard);
+
+        let (dim, ranks) = (4, [0u32, 7, 29]);
+        let replica = ModelReplica::new(30, dim, 1);
+        let mut rows = Vec::new();
+        encode_rows(&replica, &ranks, dim, &mut rows);
+        assert_total(&rows, |bytes| store_rows(&replica, &ranks, dim, bytes));
+        assert_total(&rows, |bytes| {
+            average_row_payloads(&[rows.clone(), bytes.to_vec()], ranks.len() * 2, dim)
+        });
+        put_u64(&mut rows, 99);
+        put_u64(&mut rows, 4096);
+        let floats = ranks.len() * 2 * dim;
+        assert_total(&rows, |bytes| decode_model(bytes, floats));
+        let (_, pairs, buffer_bytes) = decode_model(&rows, floats).unwrap();
+        assert_eq!((pairs, buffer_bytes), (99, 4096));
     }
 
     #[test]

@@ -1,34 +1,22 @@
 //! The final node embeddings `φ : V → R^d`.
 
+use distger_cluster::wire::{
+    invalid_data, put_f32s, put_u32, put_u64, write_atomically, Checksum, WireReader,
+};
 use distger_graph::NodeId;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Magic bytes opening the binary embedding store format.
 const BINARY_MAGIC: [u8; 4] = *b"DGEB";
-/// Current binary store version; bumped on any layout change.
-const BINARY_VERSION: u32 = 1;
+/// Current binary store version; bumped on any layout change (v2: the
+/// checksum became the workspace-wide [`Checksum`] and covers the header).
+const BINARY_VERSION: u32 = 2;
 /// Header size: magic + version (u32) + dim (u32) + nodes (u64) +
 /// checksum (u64), all little-endian.
 const BINARY_HEADER_LEN: usize = 4 + 4 + 4 + 8 + 8;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Streams `bytes` into an FNV-1a 64-bit state (start from [`FNV_OFFSET`]).
-/// The integrity check of the binary store: not cryptographic — it guards
-/// against truncation and bit rot, not tampering.
-fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
+/// Floats per pass of the store writer's chunk buffer.
+const WRITE_CHUNK_FLOATS: usize = 16 * 1024;
 
 /// Dense node embeddings indexed by original node id.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,20 +136,20 @@ impl Embeddings {
     pub fn load_text(path: impl AsRef<Path>) -> io::Result<Self> {
         let reader = BufReader::new(std::fs::File::open(path)?);
         let mut lines = reader.lines();
-        let header = lines.next().ok_or_else(|| invalid("empty file"))??;
+        let header = lines.next().ok_or_else(|| invalid_data("empty file"))??;
         let mut parts = header.split_whitespace();
         let n: usize = parts
             .next()
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| invalid("bad header"))?;
+            .ok_or_else(|| invalid_data("bad header"))?;
         let dim: usize = parts
             .next()
             .and_then(|s| s.parse().ok())
             .filter(|&d| d > 0)
-            .ok_or_else(|| invalid("bad header"))?;
+            .ok_or_else(|| invalid_data("bad header"))?;
         let len = n
             .checked_mul(dim)
-            .ok_or_else(|| invalid("header overflows"))?;
+            .ok_or_else(|| invalid_data("header overflows"))?;
         let mut data = vec![0.0f32; len];
         for line in lines {
             let line = line?;
@@ -170,15 +158,15 @@ impl Embeddings {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .filter(|&u| u < n)
-                .ok_or_else(|| invalid("row node id missing or out of range"))?;
+                .ok_or_else(|| invalid_data("row node id missing or out of range"))?;
             let row = &mut data[node * dim..(node + 1) * dim];
             let mut count = 0;
             for (slot, tok) in row.iter_mut().zip(&mut it) {
-                *slot = tok.parse().map_err(|_| invalid("bad value"))?;
+                *slot = tok.parse().map_err(|_| invalid_data("bad value"))?;
                 count += 1;
             }
             if count != dim || it.next().is_some() {
-                return Err(invalid(format!(
+                return Err(invalid_data(format!(
                     "row for node {node} does not have exactly {dim} values"
                 )));
             }
@@ -191,108 +179,88 @@ impl Embeddings {
     /// smaller on disk, bit-exact round trip).
     ///
     /// Layout (all little-endian): magic `"DGEB"`, format version (`u32`),
-    /// `dim` (`u32`), `num_nodes` (`u64`), FNV-1a64 checksum of the payload
-    /// (`u64`), then the node-major `f32` matrix.
+    /// `dim` (`u32`), `num_nodes` (`u64`), [`Checksum`] of the payload and
+    /// the header bytes before it (`u64`), then the node-major `f32` matrix.
     ///
-    /// The write is crash-safe: bytes go to a hidden temporary sibling first
-    /// and are atomically renamed over `path`, so a crash (or error) partway
-    /// through can never leave a torn file under the final name — a
+    /// The write is crash-safe ([`write_atomically`]): a crash (or error)
+    /// partway through can never leave a torn file under the final name — a
     /// previously saved store survives intact.
     pub fn save_binary(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let tmp = temp_sibling(path);
-        self.write_binary_to(&tmp)?;
-        std::fs::rename(&tmp, path)
+        write_atomically(path.as_ref(), |w| self.write_binary(w))
     }
 
-    fn write_binary_to(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        w.write_all(&BINARY_MAGIC)?;
-        w.write_all(&BINARY_VERSION.to_le_bytes())?;
-        let dim = u32::try_from(self.dim).map_err(|_| invalid("dim exceeds u32"))?;
-        w.write_all(&dim.to_le_bytes())?;
-        w.write_all(&(self.num_nodes() as u64).to_le_bytes())?;
+    fn write_binary(&self, w: &mut dyn Write) -> io::Result<()> {
+        let dim = u32::try_from(self.dim).map_err(|_| invalid_data("dim exceeds u32"))?;
+        let mut header = Vec::with_capacity(BINARY_HEADER_LEN);
+        header.extend_from_slice(&BINARY_MAGIC);
+        put_u32(&mut header, BINARY_VERSION);
+        put_u32(&mut header, dim);
+        put_u64(&mut header, self.num_nodes() as u64);
         // One pass to checksum, one to write, both through a chunk buffer so
         // the payload never exists twice in memory.
-        let mut checksum = FNV_OFFSET;
-        let mut buf = Vec::with_capacity(4 * 16 * 1024);
-        for chunk in self.data.chunks(16 * 1024) {
+        let mut payload_sum = Checksum::new();
+        let mut buf = Vec::with_capacity(4 * WRITE_CHUNK_FLOATS);
+        for chunk in self.data.chunks(WRITE_CHUNK_FLOATS) {
             buf.clear();
-            for x in chunk {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            checksum = fnv1a64_update(checksum, &buf);
+            put_f32s(&mut buf, chunk);
+            payload_sum.update(&buf);
         }
-        w.write_all(&checksum.to_le_bytes())?;
-        for chunk in self.data.chunks(16 * 1024) {
+        let checksum = payload_sum.finish(&header);
+        put_u64(&mut header, checksum);
+        w.write_all(&header)?;
+        for chunk in self.data.chunks(WRITE_CHUNK_FLOATS) {
             buf.clear();
-            for x in chunk {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            put_f32s(&mut buf, chunk);
             w.write_all(&buf)?;
         }
-        w.flush()
+        Ok(())
     }
 
-    /// Reads embeddings written by [`Embeddings::save_binary`].
+    /// Reads embeddings written by [`Embeddings::save_binary`]; see
+    /// [`Embeddings::decode_binary`] for what is rejected.
+    pub fn load_binary(path: impl AsRef<Path>) -> io::Result<Self> {
+        Self::decode_binary(&std::fs::read(path)?)
+    }
+
+    /// Decodes the bytes of a binary store.
     ///
     /// Wrong magic, unknown version, a truncated or oversized payload, and a
-    /// checksum mismatch are all [`io::ErrorKind::InvalidData`] errors, never
-    /// panics — and a corrupt header cannot trigger a huge allocation,
-    /// because the payload is sized by what the file actually contains
-    /// before it is compared against the header.
-    pub fn load_binary(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut r = BufReader::new(std::fs::File::open(path)?);
-        let mut header = [0u8; BINARY_HEADER_LEN];
-        r.read_exact(&mut header)
-            .map_err(|_| invalid("truncated header"))?;
-        if header[..4] != BINARY_MAGIC {
-            return Err(invalid("not a DGEB embedding store (bad magic)"));
+    /// checksum mismatch are all errors ([`io::ErrorKind::InvalidData`], or
+    /// `UnexpectedEof` for bytes that end inside the header), never panics —
+    /// and a corrupt header cannot trigger a huge allocation, because the
+    /// declared shape is checked against the bytes that are actually there
+    /// before anything is allocated for it.
+    pub fn decode_binary(bytes: &[u8]) -> io::Result<Self> {
+        if !bytes.starts_with(&BINARY_MAGIC) {
+            return Err(invalid_data("not a DGEB embedding store (bad magic)"));
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let mut r = WireReader::new(&bytes[BINARY_MAGIC.len()..]);
+        let version = r.u32()?;
         if version != BINARY_VERSION {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "unsupported store version {version} (expected {BINARY_VERSION})"
             )));
         }
-        let dim = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-        let n = u64::from_le_bytes(header[12..20].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(header[20..28].try_into().unwrap());
+        let dim = r.u32()? as usize;
         if dim == 0 {
-            return Err(invalid("zero dimension"));
+            return Err(invalid_data("zero dimension"));
         }
-        let expected_bytes = n
-            .checked_mul(dim)
-            .and_then(|c| c.checked_mul(4))
-            .ok_or_else(|| invalid("header overflows"))?;
-        let mut payload = Vec::new();
-        r.read_to_end(&mut payload)?;
-        if payload.len() != expected_bytes {
-            return Err(invalid(format!(
-                "payload is {} bytes, header declares {expected_bytes}",
-                payload.len()
-            )));
+        let nodes = r.u64()?;
+        let stored_checksum = r.u64()?;
+        let mut payload_sum = Checksum::new();
+        payload_sum.update(&bytes[BINARY_HEADER_LEN..]);
+        if payload_sum.finish(&bytes[..BINARY_HEADER_LEN - 8]) != stored_checksum {
+            return Err(invalid_data("checksum mismatch — store is corrupt"));
         }
-        if fnv1a64_update(FNV_OFFSET, &payload) != checksum {
-            return Err(invalid("checksum mismatch — store is corrupt"));
-        }
-        let data = payload
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
+        // The reader now stands at the payload: exactly `nodes` rows.
+        let floats = usize::try_from(nodes)
+            .ok()
+            .and_then(|nodes| nodes.checked_mul(dim))
+            .ok_or_else(|| invalid_data("header overflows"))?;
+        let data = r.f32s(floats)?;
+        r.finish()?;
         Ok(Self { dim, data })
     }
-}
-
-/// The hidden temporary sibling used by [`Embeddings::save_binary`]'s atomic
-/// write: same directory (so the final `rename` never crosses a filesystem),
-/// name-mangled so neighbouring stores cannot collide.
-fn temp_sibling(path: &Path) -> std::path::PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "embeddings".to_string());
-    path.with_file_name(format!(".{name}.tmp"))
 }
 
 #[cfg(test)]
@@ -367,95 +335,42 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    #[test]
-    fn torn_binary_write_leaves_previous_store_intact() {
-        let old = sample();
-        let path = temp_path("emb_torn.bin");
-        old.save_binary(&path).unwrap();
-        assert!(
-            !temp_sibling(&path).exists(),
-            "temp sibling must be renamed away after a successful save"
-        );
-        // Simulate a save killed partway: the partial bytes of a *new* store
-        // only ever reach the temp sibling, never the final name.
-        let new = Embeddings::from_node_major(vec![9.0; 6], 2);
-        let mut torn = Vec::new();
-        {
-            // Reuse the real writer to produce authentic bytes, then tear.
-            let full = temp_path("emb_torn_full.bin");
-            new.save_binary(&full).unwrap();
-            torn.extend_from_slice(&std::fs::read(&full).unwrap());
-            std::fs::remove_file(&full).ok();
-        }
-        torn.truncate(torn.len() / 2);
-        std::fs::write(temp_sibling(&path), &torn).unwrap();
-        // The store under the final name still loads as the old embeddings.
-        assert_eq!(Embeddings::load_binary(&path).unwrap(), old);
-        // A later successful save replaces both the stale temp and the file.
-        new.save_binary(&path).unwrap();
-        assert_eq!(Embeddings::load_binary(&path).unwrap(), new);
-        assert!(!temp_sibling(&path).exists());
-        std::fs::remove_file(path).ok();
+    /// A store laid out by hand, sealed with a valid checksum whatever the
+    /// header claims.
+    fn store_bytes(dim: u32, nodes: u64, data: &[f32]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_f32s(&mut payload, data);
+        let mut bytes = BINARY_MAGIC.to_vec();
+        put_u32(&mut bytes, BINARY_VERSION);
+        put_u32(&mut bytes, dim);
+        put_u64(&mut bytes, nodes);
+        let mut payload_sum = Checksum::new();
+        payload_sum.update(&payload);
+        let checksum = payload_sum.finish(&bytes);
+        put_u64(&mut bytes, checksum);
+        bytes.extend_from_slice(&payload);
+        bytes
     }
 
+    /// Corruption is the checksum's job (`tests/hostile_bytes.rs` drives every
+    /// prefix, flip and lying length through `decode_binary`); here: the
+    /// layout, and shape lies behind a *valid* checksum.
     #[test]
-    fn binary_load_rejects_corruption_without_panicking() {
+    fn shape_lies_behind_a_valid_checksum_are_rejected() {
         let e = sample();
-        let path = temp_path("emb_corrupt.bin");
+        let path = temp_path("emb_hostile.bin");
         e.save_binary(&path).unwrap();
-        let original = std::fs::read(&path).unwrap();
-
-        // Flipped payload byte → checksum mismatch.
-        let mut flipped = original.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        let err = Embeddings::load_binary(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "{err}");
-
-        // Truncated payload → declared/actual size mismatch.
-        std::fs::write(&path, &original[..original.len() - 3]).unwrap();
-        assert_eq!(
-            Embeddings::load_binary(&path).unwrap_err().kind(),
-            std::io::ErrorKind::InvalidData
-        );
-
-        // Truncated header.
-        std::fs::write(&path, &original[..10]).unwrap();
-        assert_eq!(
-            Embeddings::load_binary(&path).unwrap_err().kind(),
-            std::io::ErrorKind::InvalidData
-        );
-
-        // Wrong magic.
-        let mut bad_magic = original.clone();
-        bad_magic[0] = b'X';
-        std::fs::write(&path, &bad_magic).unwrap();
-        assert!(Embeddings::load_binary(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("magic"));
-
-        // Unknown version.
-        let mut bad_version = original.clone();
-        bad_version[4] = 0xFF;
-        std::fs::write(&path, &bad_version).unwrap();
-        assert!(Embeddings::load_binary(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("version"));
-
-        // A header declaring an absurd node count must error cheaply (the
-        // payload on disk is tiny), not allocate or panic.
-        let mut huge = original.clone();
-        huge[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &huge).unwrap();
-        assert_eq!(
-            Embeddings::load_binary(&path).unwrap_err().kind(),
-            std::io::ErrorKind::InvalidData
-        );
+        let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(path).ok();
+        assert_eq!(bytes, store_bytes(2, 3, &e.data), "the documented layout");
+        for (dim, nodes) in [(2, u64::MAX), (2, 4), (2, 2), (0, 3), (u32::MAX, 3), (3, 3)] {
+            let lie = store_bytes(dim, nodes, &e.data);
+            assert!(Embeddings::decode_binary(&lie).is_err(), "{dim} x {nodes}");
+        }
+        let mut old_version = bytes;
+        old_version[4] = 1;
+        let err = Embeddings::decode_binary(&old_version).unwrap_err();
+        assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]

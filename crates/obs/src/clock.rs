@@ -6,9 +6,9 @@
 //! construction (it inherits `Instant`'s guarantee), cheap (one `OnceLock`
 //! load + one `Instant::now`), and comparable across threads of one process.
 //! Cross-*process* comparability is handled at serialization time by
-//! shifting with a per-process clock offset (see
-//! [`encode_events`](crate::export::encode_events)), which the socket
-//! transport derives from its HELLO handshake.
+//! shifting with a per-process clock offset, which the socket transport
+//! derives from its HELLO handshake and applies when it ships a trace batch
+//! (`distger_cluster::gather_trace_events`).
 //!
 //! [`Stopwatch`] and [`PhaseTimes`] moved here from `distger-cluster`'s
 //! `timer` module (which now deprecates and re-exports them): the paper

@@ -1,5 +1,4 @@
-//! Trace exporters: Chrome trace-event JSON (Perfetto-loadable) and a
-//! compact wire codec for shipping event buffers between processes.
+//! Trace exporter: Chrome trace-event JSON (Perfetto-loadable).
 //!
 //! The JSON writer is hand-rolled (this crate has no dependencies); the
 //! emitted document is the Chrome `traceEvents` array-of-objects form that
@@ -7,17 +6,11 @@
 //! with one track per `(pid, tid)` — i.e. per machine and thread once the
 //! cross-process merge has stamped endpoint ids.
 //!
-//! The wire codec is little-endian and self-describing enough for the
-//! coordinator to decode buffers gathered from workers. It lives here (not
-//! in the cluster crate's `wire` module) because `distger-obs` sits below
-//! every other crate in the dependency graph. Encoding stamps two things
-//! serialization time is the right moment for: the sender's endpoint id as
-//! `pid`, and the sender's clock offset (measured against the coordinator's
-//! clock during the transport handshake) added to every timestamp, so merged
-//! timelines share the coordinator's time base.
+//! Shipping event buffers between processes is the transport's job: the
+//! binary codec for that lives beside `gather_trace_events` in
+//! `distger-cluster`, on the workspace's one wire module.
 
 use crate::span::{Phase, TraceEvent};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Renders events as a Chrome trace-event JSON document.
@@ -87,127 +80,10 @@ fn escape_json_into(out: &mut String, s: &str) {
     }
 }
 
-const EVENT_WIRE_VERSION: u16 = 1;
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| "trace event payload truncated".to_string())?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Serializes an event buffer for the cross-process merge, stamping every
-/// event with the sender's endpoint id (`pid`) and shifting timestamps by
-/// `offset_micros` (the sender's clock offset relative to the coordinator,
-/// from the transport handshake) so the decoded timeline is already aligned
-/// to the coordinator's clock.
-pub fn encode_events(events: &[TraceEvent], pid: u32, offset_micros: i64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + events.len() * 40);
-    put_u16(&mut buf, EVENT_WIRE_VERSION);
-    put_u32(&mut buf, pid);
-    put_u32(&mut buf, events.len() as u32);
-    for event in events {
-        let name = event.name.as_bytes();
-        put_u16(&mut buf, name.len().min(u16::MAX as usize) as u16);
-        buf.extend_from_slice(&name[..name.len().min(u16::MAX as usize)]);
-        buf.push(match event.phase {
-            Phase::Begin => 0,
-            Phase::End => 1,
-            Phase::Instant => 2,
-        });
-        put_i64(&mut buf, event.ts_micros.saturating_add(offset_micros));
-        put_u32(&mut buf, event.tid);
-        put_i64(&mut buf, event.machine);
-        put_i64(&mut buf, event.round);
-    }
-    buf
-}
-
-/// Decodes a buffer produced by [`encode_events`]. The embedded endpoint id
-/// becomes every event's `pid`; timestamps were already offset-aligned by
-/// the sender.
-pub fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, String> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let version = r.u16()?;
-    if version != EVENT_WIRE_VERSION {
-        return Err(format!(
-            "unsupported trace event wire version {version} (expected {EVENT_WIRE_VERSION})"
-        ));
-    }
-    let pid = r.u32()?;
-    let count = r.u32()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let name_len = r.u16()? as usize;
-        let name = String::from_utf8(r.take(name_len)?.to_vec())
-            .map_err(|_| "trace event name is not UTF-8".to_string())?;
-        let phase = match r.take(1)?[0] {
-            0 => Phase::Begin,
-            1 => Phase::End,
-            2 => Phase::Instant,
-            other => return Err(format!("unknown trace event phase tag {other}")),
-        };
-        let ts_micros = r.i64()?;
-        let tid = r.u32()?;
-        let machine = r.i64()?;
-        let round = r.i64()?;
-        events.push(TraceEvent {
-            name: Cow::Owned(name),
-            phase,
-            ts_micros,
-            pid,
-            tid,
-            machine,
-            round,
-        });
-    }
-    if r.pos != payload.len() {
-        return Err("trailing bytes after trace event payload".to_string());
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -262,48 +138,5 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         assert_eq!(chrome_trace_json(&[]), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn wire_roundtrip_stamps_pid_and_offset() {
-        let events = sample_events();
-        let payload = encode_events(&events, 3, 1000);
-        let decoded = decode_events(&payload).unwrap();
-        assert_eq!(decoded.len(), events.len());
-        for (orig, dec) in events.iter().zip(&decoded) {
-            assert_eq!(dec.name, orig.name);
-            assert_eq!(dec.phase, orig.phase);
-            assert_eq!(dec.ts_micros, orig.ts_micros + 1000);
-            assert_eq!(dec.pid, 3);
-            assert_eq!(dec.tid, orig.tid);
-            assert_eq!(dec.machine, orig.machine);
-            assert_eq!(dec.round, orig.round);
-        }
-    }
-
-    #[test]
-    fn negative_offset_shifts_backwards() {
-        let events = sample_events();
-        let decoded = decode_events(&encode_events(&events, 1, -90)).unwrap();
-        assert_eq!(decoded[0].ts_micros, 10);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_payloads() {
-        let good = encode_events(&sample_events(), 0, 0);
-        assert!(decode_events(&good[..good.len() - 1]).is_err(), "truncated");
-        let mut extra = good.clone();
-        extra.push(0);
-        assert!(decode_events(&extra).is_err(), "trailing bytes");
-        let mut bad_version = good.clone();
-        bad_version[0] = 99;
-        assert!(decode_events(&bad_version).is_err(), "bad version");
-        assert!(decode_events(&[]).is_err(), "empty payload");
-    }
-
-    #[test]
-    fn empty_event_list_roundtrips() {
-        let payload = encode_events(&[], 5, 123);
-        assert_eq!(decode_events(&payload).unwrap(), Vec::new());
     }
 }

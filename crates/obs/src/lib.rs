@@ -15,11 +15,12 @@
 //!   default; when disabled each instrumentation site costs one relaxed
 //!   atomic load, which keeps the walk engine's hot path unaffected (gated
 //!   by the `obs_overhead` benchmark).
-//! - **Export** ([`chrome_trace_json`], [`encode_events`]/[`decode_events`]):
-//!   Chrome trace-event JSON that Perfetto loads directly, plus a compact
-//!   wire codec for the cross-process merge — workers drain their buffers at
-//!   round boundaries, ship them over the control channel, and the
-//!   coordinator [`absorb`]s them into one clock-aligned timeline.
+//! - **Export** ([`chrome_trace_json`]): Chrome trace-event JSON that
+//!   Perfetto loads directly. For the cross-process merge, workers drain
+//!   their buffers at round boundaries, the transport ships them over the
+//!   control channel (`distger_cluster::gather_trace_events` owns that
+//!   codec), and the coordinator [`absorb`]s them into one clock-aligned
+//!   timeline.
 //!
 //! ```
 //! use distger_obs as obs;
@@ -44,7 +45,7 @@ mod metrics;
 mod span;
 
 pub use clock::{now_micros, PhaseTimes, Stopwatch};
-pub use export::{chrome_trace_json, decode_events, encode_events};
+pub use export::chrome_trace_json;
 pub use hist::Log2Histogram;
 pub use metrics::{global, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{

@@ -48,9 +48,9 @@ pub enum Phase {
 
 /// One record in the trace timeline.
 ///
-/// `pid` is 0 until export: [`encode_events`](crate::export::encode_events)
-/// stamps the transport endpoint id so merged cross-process timelines keep
-/// one track group per machine. `machine`/`round` are −1 when the span has
+/// `pid` is 0 until export: the transport's trace gather
+/// (`distger_cluster::gather_trace_events`) stamps the endpoint id so merged
+/// cross-process timelines keep one track group per machine. `machine`/`round` are −1 when the span has
 /// no such context.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -271,8 +271,8 @@ pub fn drain_all() -> Vec<TraceEvent> {
 }
 
 /// Deposits events collected from another process (already pid-stamped and
-/// clock-aligned by [`encode_events`](crate::export::encode_events)) into
-/// the global store, to be returned by the next [`drain_all`].
+/// clock-aligned by the transport's trace gather) into the global store, to
+/// be returned by the next [`drain_all`].
 pub fn absorb(events: Vec<TraceEvent>) {
     lock(registry()).foreign.extend(events);
 }

@@ -87,8 +87,8 @@ impl ServeConfig {
 /// A batch of query vectors, row-major.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryBatch {
-    dim: usize,
-    data: Vec<f32>,
+    pub(crate) dim: usize,
+    pub(crate) data: Vec<f32>,
 }
 
 impl QueryBatch {

@@ -70,8 +70,7 @@ pub use fixtures::gaussian_clusters;
 pub use index::EmbeddingIndex;
 pub use lsh::{LshConfig, LshIndex, ProbeScratch};
 pub use schedule::{
-    BatchPolicy, Log2Histogram, PendingQuery, Rejected, RequestClient, Scheduler, SchedulerConfig,
-    SchedulerStats,
+    BatchPolicy, PendingQuery, Rejected, RequestClient, Scheduler, SchedulerConfig, SchedulerStats,
 };
 pub use shard::{
     distribute_shards, merge_topk, receive_shard, serve_shard, EngineShard, ShardStats,

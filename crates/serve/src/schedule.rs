@@ -52,6 +52,7 @@ use crate::engine::{QueryBatch, QueryEngine, ServeEngine};
 use crate::index::normalize_into;
 use crate::topk::TopK;
 use distger_cluster::{panic_message, FaultInjector};
+use distger_obs::Log2Histogram;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -146,12 +147,6 @@ impl std::fmt::Display for Rejected {
 }
 
 impl std::error::Error for Rejected {}
-
-/// The power-of-two latency/size histogram, now owned by the observability
-/// layer (it grew up here; the metrics registry needed it, and a metrics type
-/// belongs below the serving layer). Re-exported so existing
-/// `distger_serve::Log2Histogram` imports keep working.
-pub use distger_obs::Log2Histogram;
 
 /// Counters and distributions of a [`Scheduler`]'s lifetime so far.
 ///

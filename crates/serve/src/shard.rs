@@ -60,7 +60,7 @@ use crate::engine::{BatchResults, QueryBackend, QueryBatch, QueryEngine, QuerySt
 use crate::index::EmbeddingIndex;
 use crate::lsh::LshConfig;
 use crate::topk::{Neighbor, TopK};
-use distger_cluster::wire::{put_bytes, put_u32, put_u64, put_u8};
+use distger_cluster::wire::{invalid_data, put_bytes, put_f32s, put_f64, put_u32, put_u64, put_u8};
 use distger_cluster::{
     gather_trace_events, machine_split, panic_message, ControlChannel, FaultInjector, WireReader,
 };
@@ -85,10 +85,6 @@ mod op {
 /// Reply tags of the gathered heap payloads.
 const REPLY_OK: u8 = 1;
 const REPLY_ERR: u8 = 0;
-
-fn invalid_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// One endpoint's slice of the index: a [`QueryEngine`] over a contiguous
 /// node range, with results mapped back to **global** node ids.
@@ -245,7 +241,13 @@ fn decode_config(r: &mut WireReader) -> io::Result<ServeConfig> {
         seed: r.u64()?,
     };
     if k == 0 || threads == 0 {
-        return Err(invalid_data("zero k or threads in shard config".into()));
+        return Err(invalid_data("zero k or threads in shard config"));
+    }
+    if !(1..=24).contains(&lsh.bits) || lsh.tables == 0 {
+        return Err(invalid_data(format!(
+            "shard config asks for {} LSH tables of {} bits",
+            lsh.tables, lsh.bits
+        )));
     }
     Ok(ServeConfig {
         backend,
@@ -268,26 +270,27 @@ fn encode_load(
     put_u64(&mut out, range.len() as u64);
     put_u32(&mut out, dim as u32);
     for node in range {
-        for &v in embeddings.vector(node as NodeId) {
-            put_u32(&mut out, v.to_bits());
-        }
+        put_f32s(&mut out, embeddings.vector(node as NodeId));
     }
     out
 }
 
-fn decode_load(mut r: WireReader) -> io::Result<EngineShard> {
+fn decode_load(payload: &[u8]) -> io::Result<EngineShard> {
+    let mut r = WireReader::new(payload);
+    match r.u8()? {
+        op::LOAD => {}
+        other => return Err(invalid_data(format!("expected LOAD, got opcode {other}"))),
+    }
     let config = decode_config(&mut r)?;
     let base = r.u64()?;
-    let rows = r.u64()? as usize;
+    // A row is at least one `f32`; `f32s` then checks the exact shape.
+    let rows = r.count_u64(4)?;
     let dim = r.u32()? as usize;
     if dim == 0 {
-        return Err(invalid_data("zero-dimensional shard rows".into()));
+        return Err(invalid_data("zero-dimensional shard rows"));
     }
     let base = NodeId::try_from(base).map_err(|_| invalid_data(format!("shard base {base}")))?;
-    let mut data = Vec::with_capacity(rows * dim);
-    for _ in 0..rows * dim {
-        data.push(f32::from_bits(r.u32()?));
-    }
+    let data = r.f32s(rows.saturating_mul(dim))?;
     r.finish()?;
     let local = Embeddings::from_node_major(data, dim);
     Ok(EngineShard::new(
@@ -301,30 +304,19 @@ fn encode_query(batch: &QueryBatch) -> Vec<u8> {
     put_u8(&mut out, op::QUERY);
     put_u32(&mut out, batch.dim() as u32);
     put_u64(&mut out, batch.len() as u64);
-    for q in 0..batch.len() {
-        for &v in batch.query(q) {
-            put_u32(&mut out, v.to_bits());
-        }
-    }
+    put_f32s(&mut out, &batch.data);
     out
 }
 
 fn decode_query(mut r: WireReader) -> io::Result<QueryBatch> {
     let dim = r.u32()? as usize;
-    let queries = r.u64()? as usize;
     if dim == 0 {
-        return Err(invalid_data("zero-dimensional query batch".into()));
+        return Err(invalid_data("zero-dimensional query batch"));
     }
-    let mut batch = QueryBatch::new(dim);
-    let mut row = vec![0.0f32; dim];
-    for _ in 0..queries {
-        for slot in row.iter_mut() {
-            *slot = f32::from_bits(r.u32()?);
-        }
-        batch.push(&row);
-    }
+    let queries = r.count_u64(4 * dim)?;
+    let data = r.f32s(queries * dim)?;
     r.finish()?;
-    Ok(batch)
+    Ok(QueryBatch { dim, data })
 }
 
 fn encode_reply(scan: &Result<BatchResults, String>) -> Vec<u8> {
@@ -345,9 +337,9 @@ fn encode_reply(scan: &Result<BatchResults, String>) -> Vec<u8> {
                 }
             }
             let s = results.stats;
-            distger_cluster::wire::put_f64(&mut out, s.candidate_secs);
-            distger_cluster::wire::put_f64(&mut out, s.rerank_secs);
-            distger_cluster::wire::put_f64(&mut out, s.wall_secs);
+            put_f64(&mut out, s.candidate_secs);
+            put_f64(&mut out, s.rerank_secs);
+            put_f64(&mut out, s.wall_secs);
             put_u64(&mut out, s.candidates_scored);
         }
     }
@@ -363,15 +355,20 @@ fn decode_reply(payload: &[u8]) -> io::Result<Result<(Vec<TopK>, QueryStats), St
             Ok(Err(msg))
         }
         REPLY_OK => {
-            let queries = r.u64()? as usize;
+            // A query's heap is at least its length prefix; a neighbor is
+            // a node id and a score.
+            let queries = r.count_u64(4)?;
             let mut results = Vec::with_capacity(queries);
             for _ in 0..queries {
-                let len = r.u32()? as usize;
+                let len = r.count_u32(8)?;
                 let mut neighbors = Vec::with_capacity(len);
                 for _ in 0..len {
                     let node = r.u32()?;
                     let score = f32::from_bits(r.u32()?);
                     neighbors.push(Neighbor { node, score });
+                }
+                if !neighbors.windows(2).all(|w| w[0] >= w[1]) {
+                    return Err(invalid_data("shard reply is not sorted best-first"));
                 }
                 results.push(TopK::from_sorted(neighbors));
             }
@@ -406,12 +403,7 @@ pub fn distribute_shards<C: ControlChannel>(
     let payloads: Vec<Vec<u8>> = (0..endpoints)
         .map(|e| encode_load(embeddings, machine_split(num_nodes, endpoints, e), config))
         .collect();
-    let own = channel.scatter(&payloads)?;
-    let mut r = WireReader::new(&own);
-    match r.u8()? {
-        op::LOAD => decode_load(r),
-        other => Err(invalid_data(format!("expected LOAD, got opcode {other}"))),
-    }
+    decode_load(&channel.scatter(&payloads)?)
 }
 
 /// Worker side of the LOAD collective: receives this endpoint's rows and
@@ -421,12 +413,7 @@ pub fn receive_shard<C: ControlChannel>(channel: &mut C) -> io::Result<EngineSha
         !channel.is_coordinator(),
         "the coordinator distributes shards, it does not receive one"
     );
-    let payload = channel.scatter(&[])?;
-    let mut r = WireReader::new(&payload);
-    match r.u8()? {
-        op::LOAD => decode_load(r),
-        other => Err(invalid_data(format!("expected LOAD, got opcode {other}"))),
-    }
+    decode_load(&channel.scatter(&[])?)
 }
 
 /// Worker serve loop: answers scattered query batches over `shard` until the
@@ -728,6 +715,7 @@ mod tests {
     use super::*;
     use crate::fixtures::gaussian_clusters;
     use crate::schedule::{BatchPolicy, Rejected, Scheduler, SchedulerConfig};
+    use distger_cluster::wire::testing::assert_total;
     use distger_cluster::{FaultPlan, InMemoryTransport, SocketTransport};
     use std::net::TcpListener;
     use std::time::Duration;
@@ -972,34 +960,61 @@ mod tests {
         assert_eq!(engine.shard_stats()[0].batches, 0);
     }
 
+    fn decode_query_payload(payload: &[u8]) -> io::Result<QueryBatch> {
+        let mut r = WireReader::new(payload);
+        match r.u8()? {
+            op::QUERY => decode_query(r),
+            other => Err(invalid_data(format!("opcode {other}"))),
+        }
+    }
+
     #[test]
-    fn truncated_payloads_error_instead_of_panicking() {
+    fn hostile_load_query_and_reply_payloads_error_instead_of_panicking() {
         let embeddings = gaussian_clusters(8, 4, 2, 0.1, 1);
+        let config = config(QueryBackend::Exact, 3);
         let index = EmbeddingIndex::build(&embeddings);
         let batch = QueryBatch::from_nodes(&index, &[0, 5]);
 
+        let load = encode_load(&embeddings, 2..5, &config);
+        assert_eq!(decode_load(&load).expect("clean LOAD").num_nodes(), 3);
+        assert_total(&load, decode_load);
         let query = encode_query(&batch);
-        for len in 0..query.len() {
-            let mut r = WireReader::new(&query[..len]);
-            let failed = match r.u8() {
-                Err(_) => true,
-                Ok(opcode) => {
-                    assert_eq!(opcode, op::QUERY);
-                    decode_query(r).is_err()
-                }
-            };
-            assert!(failed, "query truncated to {len} decoded");
+        assert_total(&query, decode_query_payload);
+        let reply = encode_reply(&Ok(oracle(&embeddings, config).top_k(&batch)));
+        assert_total(&reply, decode_reply);
+        assert!(decode_reply(&[7]).is_err(), "bad reply tag accepted");
+
+        // Every length field a peer controls, set to all-ones, is an error
+        // and not an allocation: LOAD rows (after opcode, config and base),
+        // QUERY dim and count, TOPK query count and first heap length.
+        type Rejects = fn(&[u8]) -> bool;
+        let (load_rejects, query_rejects, reply_rejects): (Rejects, Rejects, Rejects) = (
+            |bytes| decode_load(bytes).is_err(),
+            |bytes| decode_query_payload(bytes).is_err(),
+            |bytes| decode_reply(bytes).is_err(),
+        );
+        for (clean, field, rejects) in [
+            (&load, 38..46, load_rejects),
+            (&query, 1..5, query_rejects),
+            (&query, 5..13, query_rejects),
+            (&reply, 1..9, reply_rejects),
+            (&reply, 9..13, reply_rejects),
+        ] {
+            let mut lie = clean.clone();
+            lie[field.clone()].fill(0xff);
+            assert!(rejects(&lie), "all-ones at {field:?} accepted");
         }
 
-        let results = oracle(&embeddings, config(QueryBackend::Exact, 3)).top_k(&batch);
-        let reply = encode_reply(&Ok(results));
-        for len in 0..reply.len() {
-            assert!(
-                decode_reply(&reply[..len]).is_err(),
-                "reply truncated to {len} decoded"
-            );
+        // A config the engine constructors would assert on is an error too.
+        for (bits, tables) in [(0, 4), (25, 4), (16, 0)] {
+            let lsh = LshConfig {
+                bits,
+                tables,
+                ..config.lsh
+            };
+            let bad = encode_load(&embeddings, 2..5, &ServeConfig { lsh, ..config });
+            assert!(decode_load(&bad).is_err(), "{tables} tables of {bits} bits");
         }
-        assert!(decode_reply(&[7]).is_err(), "bad reply tag accepted");
 
         let err = encode_reply(&Err("shard exploded".into()));
         let decoded = decode_reply(&err).expect("error replies decode");

@@ -14,137 +14,38 @@
 //! in-flight walkers never need to be serialized, because no in-flight
 //! walker exists at a boundary and the stores are reset there anyway.
 //!
-//! The binary format (`DGWC`) mirrors the embedding store's `DGEB` idiom
-//! (`embeddings::save_binary`): magic + version + FNV-1a64 checksum,
-//! little-endian scalars, no serde, and a decoder that returns
-//! [`io::ErrorKind::InvalidData`] for corrupt or truncated input instead of
-//! panicking. Two deliberate differences serve the every-round snapshot hot
-//! path. First, the checksum folds the payload as little-endian `u64`
-//! *words* (zero-padded tail) rather than bytes — 8× fewer multiplies —
-//! dealt round-robin over four interleaved lanes so the multiplies pipeline
-//! instead of forming one serial dependency chain. Second, the payload puts
-//! the walk section *first* and the small metadata tail (seed, rounds, comm
-//! totals, entropy trace) *last*: the corpus is append-only between
-//! snapshots, so both the cached wire bytes and the streaming checksum state
-//! over them are resumable, and [`CheckpointEncoder`] takes each snapshot in
-//! O(new walks) instead of O(whole corpus). Together that is what keeps the
-//! every-round checkpoint policy within the ≤ 10% overhead budget the bench
-//! gate defends.
+//! The binary format (`DGWC`) is built on the workspace's one wire module
+//! ([`distger_cluster::wire`]): magic + version + header fields + a
+//! [`Checksum`] of the payload and the header bytes before it, little-endian
+//! scalars, and a decoder that returns an error for corrupt or truncated
+//! input instead of panicking (the layout table is in `docs/ARCHITECTURE.md`,
+//! "Binary formats"). One choice serves the every-round snapshot hot path:
+//! the payload puts the walk section *first* and the small metadata tail
+//! (seed, rounds, comm totals, entropy trace) *last*. The corpus is
+//! append-only between snapshots, so both the cached wire bytes and the
+//! streaming checksum state over them are resumable, and
+//! [`CheckpointEncoder`] takes each snapshot in O(new walks) instead of
+//! O(whole corpus) — which is what keeps the every-round checkpoint policy
+//! within the ≤ 10% overhead budget the bench gate defends.
 
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use crate::corpus::Corpus;
-use distger_cluster::CommStats;
+use distger_cluster::wire::{
+    invalid_data, put_f64, put_u32, put_u32s, put_u64, write_atomically, Checksum,
+};
+use distger_cluster::{CommStats, WireReader};
 use distger_graph::NodeId;
 
 /// Magic bytes identifying a DistGER walk checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGWC";
-/// Format version written by [`WalkCheckpoint::encode`].
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Format version written by [`WalkCheckpoint::encode`] (v2: the checksum
+/// became the workspace-wide [`Checksum`]).
+pub const CHECKPOINT_VERSION: u32 = 2;
 /// Header: magic (4) + version (4) + num_nodes (8) + walk-section length (8)
 /// + checksum (8).
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Streaming payload checksum: four interleaved FNV-1a64 lanes over
-/// little-endian `u64` words (words dealt round-robin over 32-byte blocks,
-/// zero-padded tail), seeded with the header's `num_nodes` word and
-/// absorbing the header's walk-section length at [`finalize`] — so a flipped
-/// header can never pair with a still-valid payload. Word-wise folding is 8×
-/// cheaper than the byte-wise variant the embedding store uses, and the four
-/// lanes break the serial xor-multiply dependency chain so the multiplies
-/// pipeline. The state is `Clone` and resumable: [`CheckpointEncoder`] keeps
-/// the state over the append-only walk section across snapshots and only
-/// ever feeds it the new bytes. Each lane is salted with its index and the
-/// final fold absorbs the lanes in order, so moving a word between lanes
-/// still changes the result; corruption-detection strength is equivalent to
-/// plain FNV for this use.
-///
-/// [`finalize`]: ChecksumState::finalize
-#[derive(Clone, Debug)]
-struct ChecksumState {
-    lanes: [u64; 4],
-    /// Bytes of a not-yet-complete 32-byte block.
-    block: [u8; 32],
-    filled: usize,
-}
-
-impl ChecksumState {
-    fn new(num_nodes: u64) -> Self {
-        let mut lanes = [FNV_OFFSET; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane ^= num_nodes ^ (i as u64);
-            *lane = lane.wrapping_mul(FNV_PRIME);
-        }
-        Self {
-            lanes,
-            block: [0u8; 32],
-            filled: 0,
-        }
-    }
-
-    fn fold_block(&mut self, block: &[u8]) {
-        for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane ^= u64::from_le_bytes(word.try_into().expect("exact 8-byte word"));
-            *lane = lane.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs `bytes`; chunk boundaries do not affect the result.
-    fn update(&mut self, mut bytes: &[u8]) {
-        if self.filled > 0 {
-            let take = bytes.len().min(32 - self.filled);
-            self.block[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
-            self.filled += take;
-            bytes = &bytes[take..];
-            if self.filled < 32 {
-                return;
-            }
-            let block = self.block;
-            self.fold_block(&block);
-            self.filled = 0;
-        }
-        let mut blocks = bytes.chunks_exact(32);
-        for block in &mut blocks {
-            let block: [u8; 32] = block.try_into().expect("exact 32-byte block");
-            self.fold_block(&block);
-        }
-        let rem = blocks.remainder();
-        self.block[..rem.len()].copy_from_slice(rem);
-        self.filled = rem.len();
-    }
-
-    /// Consumes the state (clone it first to keep streaming), absorbing the
-    /// header's walk-section length and zero-padding the last partial block.
-    fn finalize(mut self, walk_section_len: u64) -> u64 {
-        self.update(&walk_section_len.to_le_bytes());
-        if self.filled > 0 {
-            self.block[self.filled..].fill(0);
-            let block = self.block;
-            self.fold_block(&block);
-        }
-        let mut hash = FNV_OFFSET;
-        for lane in self.lanes {
-            hash ^= lane;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
-    }
-}
-
-/// One-shot checksum over a complete payload (walk section + metadata tail).
-fn checkpoint_checksum(num_nodes: u64, walk_section_len: u64, payload: &[u8]) -> u64 {
-    let mut state = ChecksumState::new(num_nodes);
-    state.update(payload);
-    state.finalize(walk_section_len)
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// When the supervised walk engine snapshots its coordinator state.
 ///
@@ -208,125 +109,91 @@ pub struct WalkCheckpoint {
 }
 
 impl WalkCheckpoint {
-    /// Serializes to the `DGWC` binary format.
+    /// Serializes to the `DGWC` binary format: a [`CheckpointEncoder`] that
+    /// takes exactly one snapshot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// [`encode`](WalkCheckpoint::encode) into a caller-owned buffer, so
-    /// repeated encodings reuse one steady-state allocation.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let walks = self.corpus.walks();
-        let num_nodes = self.corpus.num_nodes() as u64;
-        let walk_section: usize = walks.iter().map(|walk| 4 + 4 * walk.len()).sum();
-        buf.clear();
-        buf.reserve(HEADER_LEN + walk_section + tail_len(self.trace.len()));
-        write_header(buf, num_nodes, walk_section as u64, 0);
-        append_walk_bytes(buf, walks);
-        write_checkpoint_tail(
-            buf,
+        let mut encoder = CheckpointEncoder::new(self.corpus.num_nodes() as u64);
+        encoder.snapshot(
             self.seed,
             self.rounds,
             &self.comm,
             self.peak_round_memory,
             &self.trace,
-            walks.len() as u64,
+            self.corpus.walks(),
         );
-        let checksum = checkpoint_checksum(num_nodes, walk_section as u64, &buf[HEADER_LEN..]);
-        buf[24..32].copy_from_slice(&checksum.to_le_bytes());
+        encoder
+            .assemble_latest()
+            .expect("a snapshot was just taken")
     }
 
     /// Deserializes a `DGWC` buffer. Corrupt, truncated, or trailing-garbage
-    /// input returns [`io::ErrorKind::InvalidData`]; this function never
-    /// panics on untrusted bytes.
+    /// input returns an error ([`io::ErrorKind::InvalidData`], or
+    /// `UnexpectedEof` for a buffer that ends inside the header); this
+    /// function never panics on untrusted bytes.
     pub fn decode(bytes: &[u8]) -> io::Result<Self> {
-        if bytes.len() < HEADER_LEN {
-            return Err(invalid("checkpoint truncated before header end"));
+        if !bytes.starts_with(&CHECKPOINT_MAGIC) {
+            return Err(invalid_data("not a DGWC checkpoint (bad magic)"));
         }
-        if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(invalid("not a DGWC checkpoint (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sized slice"));
+        let mut header = WireReader::new(&bytes[CHECKPOINT_MAGIC.len()..]);
+        let version = header.u32()?;
         if version != CHECKPOINT_VERSION {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        let num_nodes = u64::from_le_bytes(bytes[8..16].try_into().expect("sized slice"));
-        let walk_section = u64::from_le_bytes(bytes[16..24].try_into().expect("sized slice"));
-        let stored_checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("sized slice"));
+        let (num_nodes, walk_section, stored_checksum) =
+            (header.u64()?, header.u64()?, header.u64()?);
         let payload = &bytes[HEADER_LEN..];
-        if checkpoint_checksum(num_nodes, walk_section, payload) != stored_checksum {
-            return Err(invalid("checkpoint checksum mismatch"));
-        }
-        if walk_section > payload.len() as u64 {
-            return Err(invalid("walk section exceeds payload"));
+        let mut payload_sum = Checksum::new();
+        payload_sum.update(payload);
+        if payload_sum.finish(&bytes[..HEADER_LEN - 8]) != stored_checksum {
+            return Err(invalid_data("checkpoint checksum mismatch"));
         }
         let num_nodes_usize = usize::try_from(num_nodes)
-            .map_err(|_| invalid("checkpoint num_nodes exceeds this platform's usize"))?;
-        let (walk_bytes, tail) = payload.split_at(walk_section as usize);
+            .map_err(|_| invalid_data("checkpoint num_nodes exceeds this platform's usize"))?;
+        let (walk_bytes, tail) = usize::try_from(walk_section)
+            .ok()
+            .and_then(|at| payload.split_at_checked(at))
+            .ok_or_else(|| invalid_data("walk section exceeds payload"))?;
 
-        let mut cursor = Cursor {
-            payload: tail,
-            pos: 0,
-        };
-        let seed = cursor.read_u64("seed")?;
-        let rounds = cursor.read_u64("rounds")?;
+        let mut r = WireReader::new(tail);
+        let seed = r.u64()?;
+        let rounds = r.u64()?;
         // Wire measurements are a deployment property, not part of the
         // logical trace a checkpoint restores — a recovered run re-measures.
         let comm = CommStats {
-            messages: cursor.read_u64("comm.messages")?,
-            bytes: cursor.read_u64("comm.bytes")?,
-            local_steps: cursor.read_u64("comm.local_steps")?,
-            remote_steps: cursor.read_u64("comm.remote_steps")?,
-            supersteps: cursor.read_u64("comm.supersteps")?,
+            messages: r.u64()?,
+            bytes: r.u64()?,
+            local_steps: r.u64()?,
+            remote_steps: r.u64()?,
+            supersteps: r.u64()?,
             ..CommStats::new()
         };
-        let peak_round_memory = cursor.read_u64("peak_round_memory")?;
+        let peak_round_memory = r.u64()?;
+        let trace_len = r.count_u64(8)?;
+        let trace = (0..trace_len).map(|_| r.f64()).collect::<io::Result<_>>()?;
+        let num_walks = r.u64()?;
+        r.finish()?;
 
-        let trace_len = cursor.read_u64("trace length")?;
-        if trace_len > (cursor.remaining() / 8) as u64 {
-            return Err(invalid("trace length exceeds payload"));
-        }
-        let mut trace = Vec::with_capacity(trace_len as usize);
-        for _ in 0..trace_len {
-            trace.push(f64::from_bits(cursor.read_u64("trace entry")?));
-        }
-
-        let num_walks = cursor.read_u64("walk count")?;
-        if cursor.remaining() != 0 {
-            return Err(invalid("trailing bytes after checkpoint tail"));
-        }
-        // Each walk costs at least its 4-byte length prefix.
-        if num_walks > (walk_bytes.len() / 4) as u64 {
-            return Err(invalid("walk count exceeds walk section"));
-        }
-        let mut cursor = Cursor {
-            payload: walk_bytes,
-            pos: 0,
-        };
+        // The walk section is read to its end and the count checked after,
+        // so no allocation is ever sized by `num_walks`.
+        let mut r = WireReader::new(walk_bytes);
         let mut corpus = Corpus::new(num_nodes_usize);
-        for _ in 0..num_walks {
-            let len = cursor.read_u32("walk length")? as usize;
-            if len > cursor.remaining() / 4 {
-                return Err(invalid("walk length exceeds walk section"));
-            }
-            let mut walk: Vec<NodeId> = Vec::with_capacity(len);
-            for _ in 0..len {
-                let node = cursor.read_u32("walk node")?;
-                if u64::from(node) >= num_nodes {
-                    return Err(invalid(format!(
-                        "walk node {node} out of range (num_nodes {num_nodes})"
-                    )));
-                }
-                walk.push(node);
+        while !r.is_empty() {
+            let len = r.count_u32(4)?;
+            let walk: Vec<NodeId> = r.u32s(len)?;
+            if let Some(node) = walk.iter().find(|&&node| u64::from(node) >= num_nodes) {
+                return Err(invalid_data(format!(
+                    "walk node {node} out of range (num_nodes {num_nodes})"
+                )));
             }
             corpus.push_walk(walk);
         }
-        if cursor.remaining() != 0 {
-            return Err(invalid("trailing bytes after walk section"));
+        if corpus.num_walks() as u64 != num_walks {
+            return Err(invalid_data(format!(
+                "walk section holds {} walks, the tail declares {num_walks}",
+                corpus.num_walks()
+            )));
         }
         Ok(Self {
             seed,
@@ -338,26 +205,17 @@ impl WalkCheckpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` crash-safely: the bytes go to a
-    /// temporary sibling first and are atomically renamed over `path`, so a
-    /// crash mid-write can never leave a torn file under the final name —
-    /// the previous checkpoint (if any) survives intact.
+    /// Writes the checkpoint to `path` crash-safely
+    /// ([`write_atomically`]): a crash mid-write can never leave a torn file
+    /// under the final name — the previous checkpoint (if any) survives
+    /// intact.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = temp_sibling(path);
-        let bytes = self.encode();
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.flush()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_atomically(path, |w| w.write_all(&self.encode()))
     }
 
     /// Reads and validates a checkpoint from `path`.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::decode(&bytes)
+        Self::decode(&std::fs::read(path)?)
     }
 }
 
@@ -382,11 +240,12 @@ pub struct CheckpointEncoder {
     /// Number of corpus walks covered by `walk_bytes`.
     encoded_walks: usize,
     /// Checksum state after absorbing exactly `walk_bytes`.
-    walk_hash: ChecksumState,
+    walk_sum: Checksum,
     /// Metadata tail of the latest snapshot (empty until the first one).
     tail: Vec<u8>,
-    checksum: u64,
-    has_snapshot: bool,
+    /// Checksum state over the latest snapshot's whole payload (`walk_bytes`
+    /// then `tail`); `None` until the first snapshot.
+    payload_sum: Option<Checksum>,
 }
 
 impl CheckpointEncoder {
@@ -395,10 +254,9 @@ impl CheckpointEncoder {
             num_nodes,
             walk_bytes: Vec::new(),
             encoded_walks: 0,
-            walk_hash: ChecksumState::new(num_nodes),
+            walk_sum: Checksum::new(),
             tail: Vec::new(),
-            checksum: 0,
-            has_snapshot: false,
+            payload_sum: None,
         }
     }
 
@@ -417,7 +275,7 @@ impl CheckpointEncoder {
         let start = self.walk_bytes.len();
         append_walk_bytes(&mut self.walk_bytes, &walks[self.encoded_walks..]);
         self.encoded_walks = walks.len();
-        self.walk_hash.update(&self.walk_bytes[start..]);
+        self.walk_sum.update(&self.walk_bytes[start..]);
         self.tail.clear();
         write_checkpoint_tail(
             &mut self.tail,
@@ -428,10 +286,9 @@ impl CheckpointEncoder {
             trace,
             walks.len() as u64,
         );
-        let mut hash = self.walk_hash.clone();
-        hash.update(&self.tail);
-        self.checksum = hash.finalize(self.walk_bytes.len() as u64);
-        self.has_snapshot = true;
+        let mut payload_sum = self.walk_sum.clone();
+        payload_sum.update(&self.tail);
+        self.payload_sum = Some(payload_sum);
         HEADER_LEN + self.walk_bytes.len() + self.tail.len()
     }
 
@@ -445,19 +302,13 @@ impl CheckpointEncoder {
     ///
     /// [`reset`]: CheckpointEncoder::reset
     pub fn assemble_latest(&self) -> Option<Vec<u8>> {
-        if !self.has_snapshot {
-            return None;
-        }
-        let mut buf = Vec::with_capacity(HEADER_LEN + self.walk_bytes.len() + self.tail.len());
-        write_header(
-            &mut buf,
+        let payload_sum = self.payload_sum.clone()?;
+        Some(assemble(
             self.num_nodes,
-            self.walk_bytes.len() as u64,
-            self.checksum,
-        );
-        buf.extend_from_slice(&self.walk_bytes);
-        buf.extend_from_slice(&self.tail);
-        Some(buf)
+            &self.walk_bytes,
+            &self.tail,
+            payload_sum,
+        ))
     }
 
     /// Drops every cached snapshot and walk byte; the next [`snapshot`]
@@ -466,47 +317,35 @@ impl CheckpointEncoder {
     ///
     /// [`snapshot`]: CheckpointEncoder::snapshot
     pub fn reset(&mut self) {
-        self.walk_bytes.clear();
-        self.encoded_walks = 0;
-        self.walk_hash = ChecksumState::new(self.num_nodes);
-        self.tail.clear();
-        self.checksum = 0;
-        self.has_snapshot = false;
+        *self = Self::new(self.num_nodes);
     }
 }
 
-/// Writes the fixed-size `DGWC` header.
-fn write_header(buf: &mut Vec<u8>, num_nodes: u64, walk_section: u64, checksum: u64) {
+/// Lays out a complete `DGWC` buffer: the header — whose checksum field is
+/// `payload_sum` (the state over `walk_bytes` then `tail`) finished with the
+/// header bytes before it — then the payload.
+fn assemble(num_nodes: u64, walk_bytes: &[u8], tail: &[u8], payload_sum: Checksum) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + walk_bytes.len() + tail.len());
     buf.extend_from_slice(&CHECKPOINT_MAGIC);
-    buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&num_nodes.to_le_bytes());
-    buf.extend_from_slice(&walk_section.to_le_bytes());
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    put_u32(&mut buf, CHECKPOINT_VERSION);
+    put_u64(&mut buf, num_nodes);
+    put_u64(&mut buf, walk_bytes.len() as u64);
+    let checksum = payload_sum.finish(&buf);
+    put_u64(&mut buf, checksum);
+    buf.extend_from_slice(walk_bytes);
+    buf.extend_from_slice(tail);
+    buf
 }
 
 /// Appends the wire encoding of `walks` (per walk: `u32` length prefix +
-/// `u32` nodes, little-endian) — the payload's leading walk section.
+/// `u32` nodes, little-endian) — the payload's leading walk section, ~99% of
+/// every checkpoint.
 fn append_walk_bytes(buf: &mut Vec<u8>, walks: &[Vec<NodeId>]) {
     buf.reserve(walks.iter().map(|walk| 4 + 4 * walk.len()).sum::<usize>());
     for walk in walks {
-        buf.extend_from_slice(&(walk.len() as u32).to_le_bytes());
-        // Bulk-copy the nodes instead of one 4-byte `extend_from_slice` per
-        // node: the zip over exact chunks compiles to a memcpy on
-        // little-endian targets, and the corpus is ~99% of every checkpoint.
-        let start = buf.len();
-        buf.resize(start + 4 * walk.len(), 0);
-        for (chunk, node) in buf[start..].chunks_exact_mut(4).zip(walk) {
-            chunk.copy_from_slice(&node.to_le_bytes());
-        }
+        put_u32(buf, walk.len() as u32);
+        put_u32s(buf, walk);
     }
-}
-
-/// Encoded size of the metadata tail for a given trace length.
-fn tail_len(trace_len: usize) -> usize {
-    8 * 7 // seed, rounds, 5 comm counters
-        + 8 // peak_round_memory
-        + 8 + 8 * trace_len
-        + 8 // num_walks
 }
 
 /// Appends the payload's metadata tail: scalars, comm counters, entropy
@@ -520,77 +359,30 @@ fn write_checkpoint_tail(
     trace: &[f64],
     num_walks: u64,
 ) {
-    buf.reserve(tail_len(trace.len()));
-    buf.extend_from_slice(&seed.to_le_bytes());
-    buf.extend_from_slice(&rounds.to_le_bytes());
-    for counter in [
+    buf.reserve(8 * (10 + trace.len()));
+    for scalar in [
+        seed,
+        rounds,
         comm.messages,
         comm.bytes,
         comm.local_steps,
         comm.remote_steps,
         comm.supersteps,
+        peak_round_memory,
+        trace.len() as u64,
     ] {
-        buf.extend_from_slice(&counter.to_le_bytes());
+        put_u64(buf, scalar);
     }
-    buf.extend_from_slice(&peak_round_memory.to_le_bytes());
-    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for &d in trace {
-        buf.extend_from_slice(&d.to_bits().to_le_bytes());
+        put_f64(buf, d);
     }
-    buf.extend_from_slice(&num_walks.to_le_bytes());
-}
-
-/// The hidden temporary sibling used for atomic writes: same directory (so
-/// the final `rename` never crosses a filesystem), name-mangled so two
-/// stores in one directory cannot collide.
-pub(crate) fn temp_sibling(path: &Path) -> PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
-    path.with_file_name(format!(".{name}.tmp"))
-}
-
-struct Cursor<'a> {
-    payload: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn remaining(&self) -> usize {
-        self.payload.len() - self.pos
-    }
-
-    fn read_u64(&mut self, what: &str) -> io::Result<u64> {
-        if self.remaining() < 8 {
-            return Err(invalid(format!("checkpoint truncated reading {what}")));
-        }
-        let value = u64::from_le_bytes(
-            self.payload[self.pos..self.pos + 8]
-                .try_into()
-                .expect("sized slice"),
-        );
-        self.pos += 8;
-        Ok(value)
-    }
-
-    fn read_u32(&mut self, what: &str) -> io::Result<u32> {
-        if self.remaining() < 4 {
-            return Err(invalid(format!("checkpoint truncated reading {what}")));
-        }
-        let value = u32::from_le_bytes(
-            self.payload[self.pos..self.pos + 4]
-                .try_into()
-                .expect("sized slice"),
-        );
-        self.pos += 4;
-        Ok(value)
-    }
+    put_u64(buf, num_walks);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample_checkpoint() -> WalkCheckpoint {
         let mut corpus = Corpus::new(10);
@@ -698,82 +490,66 @@ mod tests {
         assert_eq!(assembled, full.encode());
     }
 
-    #[test]
-    fn streaming_checksum_is_chunking_invariant() {
-        // The resumable state must produce the one-shot result no matter how
-        // the payload is sliced into update() calls (the encoder feeds it
-        // per-round slivers of arbitrary length).
-        let payload: Vec<u8> = (0..117u32).flat_map(|i| i.to_le_bytes()).collect();
-        let expected = checkpoint_checksum(7, 99, &payload);
-        for split in [0, 1, 31, 32, 33, 64, payload.len()] {
-            let mut state = ChecksumState::new(7);
-            state.update(&payload[..split]);
-            for chunk in payload[split..].chunks(13) {
-                state.update(chunk);
-            }
-            assert_eq!(state.finalize(99), expected, "split at {split}");
-        }
+    /// The sample checkpoint's bytes with its walk section and tail edited
+    /// and the checksum re-sealed over the result, so only the structural
+    /// checks can reject it.
+    fn resealed(edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>)) -> Vec<u8> {
+        let good = sample_checkpoint();
+        let walks = good.corpus.walks();
+        let (mut walk_bytes, mut tail) = (Vec::new(), Vec::new());
+        append_walk_bytes(&mut walk_bytes, walks);
+        write_checkpoint_tail(
+            &mut tail,
+            good.seed,
+            good.rounds,
+            &good.comm,
+            good.peak_round_memory,
+            &good.trace,
+            walks.len() as u64,
+        );
+        edit(&mut walk_bytes, &mut tail);
+        let mut payload_sum = Checksum::new();
+        payload_sum.update(&walk_bytes);
+        payload_sum.update(&tail);
+        assemble(10, &walk_bytes, &tail, payload_sum)
     }
 
+    /// Corruption is the checksum's job (`tests/hostile_bytes.rs` drives every
+    /// prefix, flip and lying length through `decode`); behind a *valid*
+    /// checksum the structural checks still hold.
     #[test]
-    fn encode_into_reuses_the_buffer() {
-        let checkpoint = sample_checkpoint();
-        let mut buf = Vec::new();
-        checkpoint.encode_into(&mut buf);
-        let first = buf.clone();
-        let capacity = buf.capacity();
-        checkpoint.encode_into(&mut buf);
-        assert_eq!(buf, first);
-        assert_eq!(buf.capacity(), capacity, "steady state must not realloc");
-    }
-
-    #[test]
-    fn corruption_and_truncation_error_without_panicking() {
+    fn structural_lies_behind_a_valid_checksum_are_rejected() {
         let bytes = sample_checkpoint().encode();
-        // Flip every byte in turn: decode must error (never panic) — any
-        // header flip breaks magic/version/num_nodes/checksum, any payload
-        // flip breaks the checksum.
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x01;
-            assert!(
-                WalkCheckpoint::decode(&corrupt).is_err(),
-                "flipping byte {i} must be detected"
-            );
-        }
-        // Every truncation must error cleanly too.
-        for len in 0..bytes.len() {
-            assert!(
-                WalkCheckpoint::decode(&bytes[..len]).is_err(),
-                "truncation to {len} bytes must be detected"
-            );
-        }
-        // Trailing garbage with a freshly recomputed (valid!) checksum is
-        // still rejected, by the explicit trailing-bytes check.
-        let mut padded = bytes.clone();
-        padded.extend_from_slice(&[0u8; 8]);
-        let walk_section = u64::from_le_bytes(padded[16..24].try_into().unwrap());
-        let checksum = checkpoint_checksum(10, walk_section, &padded[HEADER_LEN..]);
-        padded[24..32].copy_from_slice(&checksum.to_le_bytes());
-        let err = WalkCheckpoint::decode(&padded).unwrap_err();
+        assert_eq!(resealed(|_, _| {}), bytes, "resealing nothing encodes");
+        let trailing = resealed(|_, tail| put_u64(tail, 0));
+        let err = WalkCheckpoint::decode(&trailing).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+        for lie in [0, 2, 4, u64::MAX] {
+            let wrong_count = resealed(|_, tail| {
+                tail.truncate(tail.len() - 8);
+                put_u64(tail, lie);
+            });
+            let err = WalkCheckpoint::decode(&wrong_count).unwrap_err();
+            assert!(err.to_string().contains("the tail declares"), "{err}");
+        }
+        let lying_walk_len = resealed(|walk_bytes, _| {
+            walk_bytes.truncate(walk_bytes.len() - 8);
+            put_u32(walk_bytes, u32::MAX);
+            put_u32(walk_bytes, 5);
+        });
+        let err = WalkCheckpoint::decode(&lying_walk_len).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
     fn out_of_range_nodes_are_rejected_before_corpus_construction() {
-        // Hand-craft a checkpoint whose walk references node 10 of 10 nodes
-        // (Corpus::push_walk would debug-panic on it; the decoder must catch
-        // it first and return an error).
-        let good = sample_checkpoint();
-        let mut bytes = good.encode();
-        // Find the last walk's single node (node 5, the final 4 bytes of the
-        // walk section) and replace it with 10, then re-patch the checksum
-        // so only the range check can reject it.
-        let walk_section = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let node_end = HEADER_LEN + walk_section;
-        bytes[node_end - 4..node_end].copy_from_slice(&10u32.to_le_bytes());
-        let checksum = checkpoint_checksum(10, walk_section as u64, &bytes[HEADER_LEN..]);
-        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+        // The last walk's single node (node 5, the final 4 bytes of the walk
+        // section) becomes 10 of 10 nodes: Corpus::push_walk would
+        // debug-panic on it; the decoder must catch it first.
+        let bytes = resealed(|walk_bytes, _| {
+            walk_bytes.truncate(walk_bytes.len() - 4);
+            put_u32(walk_bytes, 10);
+        });
         let err = WalkCheckpoint::decode(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("out of range"), "{err}");
@@ -786,31 +562,6 @@ mod tests {
         checkpoint.save(&path).expect("save");
         let loaded = WalkCheckpoint::load(&path).expect("load");
         assert_eq!(loaded, checkpoint);
-        assert!(
-            !temp_sibling(&path).exists(),
-            "temp sibling must be renamed away"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_write_leaves_previous_checkpoint_intact() {
-        let path = temp_path("torn_write.dgwc");
-        let old = sample_checkpoint();
-        old.save(&path).expect("save old");
-        // Simulate a crash mid-write of a *new* checkpoint: the partial
-        // bytes only ever reach the temp sibling, never the final name.
-        let mut new = sample_checkpoint();
-        new.rounds = 99;
-        let new_bytes = new.encode();
-        std::fs::write(temp_sibling(&path), &new_bytes[..new_bytes.len() / 2])
-            .expect("write partial temp");
-        // The store under the final name still loads as the old checkpoint.
-        let loaded = WalkCheckpoint::load(&path).expect("old file survives");
-        assert_eq!(loaded, old);
-        // And a later successful save replaces the stale temp and the file.
-        new.save(&path).expect("save over stale temp");
-        assert_eq!(WalkCheckpoint::load(&path).expect("load new"), new);
         std::fs::remove_file(&path).ok();
     }
 

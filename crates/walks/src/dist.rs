@@ -37,7 +37,7 @@ use std::io;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use distger_cluster::wire::{put_u32, put_u64};
+use distger_cluster::wire::{invalid_data, put_u32, put_u32s, put_u64};
 use distger_cluster::{
     gather_trace_events, run_bsp_supervised, CommStats, FaultInjector, SocketTransport, Transport,
     WireReader,
@@ -53,10 +53,6 @@ use crate::engine::{
     RoundSchedule, SegRun, WalkEngineConfig, WalkResult,
 };
 use crate::message::WalkerMessage;
-
-pub(crate) fn invalid_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 fn invalid_input(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
@@ -79,9 +75,7 @@ fn encode_harvest(states: &[&mut MachineState], comm: &CommStats) -> Vec<u8> {
     for state in states {
         let harvest = &state.harvest;
         put_u32(&mut out, harvest.seg_nodes.len() as u32);
-        for &node in &harvest.seg_nodes {
-            put_u32(&mut out, node);
-        }
+        put_u32s(&mut out, &harvest.seg_nodes);
         put_u32(&mut out, harvest.seg_runs.len() as u32);
         let mut arena_end = 0usize;
         for run in &harvest.seg_runs {
@@ -125,22 +119,18 @@ fn decode_harvest(
 ) -> io::Result<()> {
     let first_walk = round * n as u64;
     let mut r = WireReader::new(payload);
-    let machines = r.u32()? as usize;
+    let machines = r.u32()?;
     for _ in 0..machines {
         let mut state = RoundHarvest::default();
-        let nodes = r.u32()? as usize;
-        state.seg_nodes.reserve(nodes.min(r.remaining() / 4));
-        for _ in 0..nodes {
-            let node = r.u32()?;
-            if node as usize >= n {
-                return Err(invalid_data(format!(
-                    "harvested node {node} is outside the {n}-node graph"
-                )));
-            }
-            state.seg_nodes.push(node);
+        let nodes = r.count_u32(4)?;
+        state.seg_nodes = r.u32s(nodes)?;
+        if let Some(node) = state.seg_nodes.iter().find(|&&node| node as usize >= n) {
+            return Err(invalid_data(format!(
+                "harvested node {node} is outside the {n}-node graph"
+            )));
         }
-        let runs = r.u32()? as usize;
-        state.seg_runs.reserve(runs.min(r.remaining() / 16));
+        let runs = r.count_u32(16)?;
+        state.seg_runs.reserve(runs);
         let mut offset = 0usize;
         for _ in 0..runs {
             let (walk_id, start_step, len) = (r.u64()?, r.u32()?, r.u32()?);
@@ -182,7 +172,7 @@ fn decode_harvest(
     ] {
         *total = total
             .checked_add(r.u64()?)
-            .ok_or_else(|| invalid_data("harvested traffic counters overflow".into()))?;
+            .ok_or_else(|| invalid_data("harvested traffic counters overflow"))?;
     }
     comm.supersteps = comm.supersteps.max(r.u64()?);
     r.finish()
@@ -820,6 +810,14 @@ mod tests {
             corpus.walks(),
             [vec![0, 1], vec![2, 3, 2], vec![1], vec![3]]
         );
+    }
+
+    #[test]
+    fn hostile_harvest_bytes_never_panic() {
+        let payload = encode_harvest(&[&mut honest_state()], &honest_comm());
+        distger_cluster::wire::testing::assert_total(&payload, |bytes| {
+            decode(bytes).and_then(|(machines, _)| assemble(&machines))
+        });
     }
 
     /// Every field a peer controls, set to a lie: each must be rejected at

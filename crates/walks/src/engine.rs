@@ -22,6 +22,7 @@
 use std::io;
 use std::ops::Range;
 
+use distger_cluster::wire::invalid_data;
 use distger_cluster::{
     CommStats, FaultInjector, InMemoryTransport, Mailbox, Outbox, RecoveryExhausted,
     RecoveryPolicy, TransportKind,
@@ -32,7 +33,7 @@ use distger_partition::Partitioning;
 use crate::alias::{NeighborSampler, SamplingBackend};
 use crate::checkpoint::CheckpointPolicy;
 use crate::corpus::Corpus;
-use crate::dist::{invalid_data, run_walks_over};
+use crate::dist::run_walks_over;
 use crate::freq::{FreqBackend, FreqStore};
 use crate::info::{relative_entropy, FullPathInfo, IncrementalInfo, WalkCountController};
 use crate::message::{InfoPayload, WalkerMessage};

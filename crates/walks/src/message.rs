@@ -13,7 +13,7 @@
 use std::io;
 
 use crate::info::{FullPathInfo, IncrementalInfo, InfoMoments};
-use distger_cluster::wire::{put_f64, put_u32, put_u64, put_u8};
+use distger_cluster::wire::{invalid_data, put_f64, put_u32, put_u32s, put_u64, put_u8};
 use distger_cluster::{MessageSize, Wire, WireReader};
 use distger_graph::NodeId;
 
@@ -114,9 +114,7 @@ impl Wire for WalkerMessage {
                 put_moments(out, &fp.moments());
                 let path = fp.path();
                 put_u32(out, path.len() as u32);
-                for &node in path {
-                    put_u32(out, node);
-                }
+                put_u32s(out, path);
             }
             InfoPayload::Incremental(inc) => {
                 put_u8(out, INFO_INCREMENTAL);
@@ -134,12 +132,7 @@ impl Wire for WalkerMessage {
         let prev = match r.u8()? {
             0 => None,
             1 => Some(r.u32()?),
-            flag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad prev-node flag {flag}"),
-                ))
-            }
+            flag => return Err(invalid_data(format!("bad prev-node flag {flag}"))),
         };
         let rng_state = r.u64()?;
         let info = match r.u8()? {
@@ -147,11 +140,8 @@ impl Wire for WalkerMessage {
             INFO_FULL_PATH => {
                 let entropy = r.f64()?;
                 let moments = read_moments(r)?;
-                let len = r.u32()? as usize;
-                let mut path = Vec::with_capacity(len.min(r.remaining() / 4 + 1));
-                for _ in 0..len {
-                    path.push(r.u32()?);
-                }
+                let len = r.count_u32(4)?;
+                let path = r.u32s(len)?;
                 InfoPayload::FullPath(FullPathInfo::from_wire_parts(path, entropy, moments))
             }
             INFO_INCREMENTAL => {
@@ -160,12 +150,7 @@ impl Wire for WalkerMessage {
                 let moments = read_moments(r)?;
                 InfoPayload::Incremental(IncrementalInfo::from_parts(entropy, length, moments))
             }
-            tag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown info-payload tag {tag}"),
-                ))
-            }
+            tag => return Err(invalid_data(format!("unknown info-payload tag {tag}"))),
         };
         Ok(WalkerMessage {
             walk_id,
@@ -283,20 +268,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_and_corrupt_walker_bytes_error_never_panic() {
-        let mut fp = FullPathInfo::start(0);
-        fp.accept(9);
-        let bytes = base_message(InfoPayload::FullPath(fp)).encode();
-        for cut in 0..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
-            assert!(WalkerMessage::decode(&mut r).is_err(), "cut at {cut}");
+    fn bad_discriminants_are_rejected_not_defaulted() {
+        let bytes = base_message(InfoPayload::None).encode();
+        for at in [16, 29] {
+            // prev-node flag; info tag (8 + 4 + 4 + 1 + 4 + 8 = byte 29)
+            let mut bad = bytes.clone();
+            bad[at] = 7;
+            assert!(WalkerMessage::decode(&mut WireReader::new(&bad)).is_err());
         }
-        // Bad discriminants are rejected, not mapped to a default.
-        let mut bad_flag = bytes.clone();
-        bad_flag[16] = 7; // prev-node flag
-        assert!(WalkerMessage::decode(&mut WireReader::new(&bad_flag)).is_err());
-        let mut bad_tag = bytes;
-        bad_tag[29] = 9; // info tag (8 + 4 + 4 + 1 + 4 + 8 = byte 29)
-        assert!(WalkerMessage::decode(&mut WireReader::new(&bad_tag)).is_err());
     }
 }

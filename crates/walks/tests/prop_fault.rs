@@ -10,6 +10,7 @@
 //! pure function of `(seed, round)`, so replaying from the latest checkpoint
 //! reconstructs exactly the rounds the crash destroyed.
 
+use distger_cluster::wire::testing::assert_total;
 use distger_cluster::CommStats;
 use distger_partition::{mpgp_partition, MpgpConfig};
 use distger_walks::{
@@ -136,14 +137,12 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
     }
 
-    /// Any single-byte corruption and any truncation of a valid checkpoint
-    /// is rejected with an error — never a panic, never a silent wrong load.
+    /// Every hostile variant (any prefix, any bit flip, any lying length
+    /// field) of a random valid checkpoint is rejected with an error — never
+    /// a panic, never a silent wrong load.
     #[test]
-    fn corrupt_checkpoints_error_without_panicking(
-        walks in prop::collection::vec(prop::collection::vec(0u32..20, 1..15), 1..15),
-        flip_pos in 0usize..10_000,
-        flip_mask in 1usize..256,
-        trunc_pos in 0usize..10_000,
+    fn hostile_checkpoints_are_always_rejected(
+        walks in prop::collection::vec(prop::collection::vec(0u32..20, 1..8), 1..8),
     ) {
         let checkpoint = WalkCheckpoint {
             seed: 7,
@@ -153,23 +152,6 @@ proptest! {
             trace: vec![0.5, 0.25],
             corpus: Corpus::from_walks(walks, 20),
         };
-        let bytes = checkpoint.encode();
-
-        let mut corrupt = bytes.clone();
-        let pos = flip_pos % corrupt.len();
-        corrupt[pos] ^= flip_mask as u8;
-        prop_assert!(
-            WalkCheckpoint::decode(&corrupt).is_err(),
-            "flipping byte {} with mask {:#x} must be detected",
-            pos,
-            flip_mask
-        );
-
-        let len = trunc_pos % bytes.len();
-        prop_assert!(
-            WalkCheckpoint::decode(&bytes[..len]).is_err(),
-            "truncation to {} bytes must be detected",
-            len
-        );
+        prop_assert_eq!(assert_total(&checkpoint.encode(), WalkCheckpoint::decode), 0);
     }
 }
