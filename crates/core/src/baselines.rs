@@ -20,6 +20,7 @@
 //! documents the substitution.
 
 use distger_cluster::CommStats;
+use distger_embed::kernel::{axpy, dot};
 use distger_embed::Embeddings;
 use distger_graph::{CsrGraph, NodeId};
 use distger_obs::{PhaseTimes, Stopwatch};
@@ -148,15 +149,11 @@ fn sgd_pair(emb: &mut [f32], dim: usize, u: NodeId, v: NodeId, label: f32, lr: f
         let (lo, hi) = emb.split_at_mut(u * dim);
         (&mut hi[..dim], &mut lo[v * dim..v * dim + dim])
     };
-    let mut dot = 0.0;
-    for i in 0..dim {
-        dot += a[i] * b[i];
-    }
-    let g = (label - sigmoid(dot)) * lr;
-    for i in 0..dim {
-        let ai = a[i];
-        a[i] += g * b[i];
-        b[i] += g * ai;
+    let g = (label - sigmoid(dot(a, b))) * lr;
+    for (ai, bi) in a.iter_mut().zip(b) {
+        let old = *ai;
+        *ai += g * *bi;
+        *bi += g * old;
     }
 }
 
@@ -246,14 +243,8 @@ pub fn run_gnn_like(
             let positive = neighbors[rng.next_bounded(neighbors.len())];
             let mut train_pair = |target: NodeId, label: f32| {
                 let trow = &mut features[target as usize * dim..target as usize * dim + dim];
-                let mut dot = 0.0;
-                for d in 0..dim {
-                    dot += aggregated[d] * trow[d];
-                }
-                let g = (label - sigmoid(dot)) * config.learning_rate;
-                for d in 0..dim {
-                    trow[d] += g * aggregated[d];
-                }
+                let g = (label - sigmoid(dot(&aggregated, trow))) * config.learning_rate;
+                axpy(g, &aggregated, trow);
             };
             train_pair(positive, 1.0);
             for _ in 0..config.negatives {

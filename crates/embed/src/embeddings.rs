@@ -1,5 +1,6 @@
 //! The final node embeddings `φ : V → R^d`.
 
+use crate::kernel::dot;
 use distger_cluster::wire::{
     invalid_data, put_f32s, put_u32, put_u64, write_atomically, Checksum, WireReader,
 };
@@ -71,17 +72,13 @@ impl Embeddings {
     /// Dot-product similarity `φ(u)·φ(v)` — the link-prediction score used in
     /// §6.4.
     pub fn dot(&self, u: NodeId, v: NodeId) -> f32 {
-        self.vector(u)
-            .iter()
-            .zip(self.vector(v))
-            .map(|(a, b)| a * b)
-            .sum()
+        dot(self.vector(u), self.vector(v))
     }
 
     /// Cosine similarity between two node embeddings (0 when either is zero).
     pub fn cosine(&self, u: NodeId, v: NodeId) -> f32 {
-        let nu: f32 = self.vector(u).iter().map(|x| x * x).sum::<f32>().sqrt();
-        let nv: f32 = self.vector(v).iter().map(|x| x * x).sum::<f32>().sqrt();
+        let nu = self.dot(u, u).sqrt();
+        let nv = self.dot(v, v).sqrt();
         if nu == 0.0 || nv == 0.0 {
             0.0
         } else {

@@ -22,6 +22,7 @@ pub mod dist;
 pub mod dsgl;
 pub mod embeddings;
 pub mod hogwild;
+pub mod kernel;
 pub mod negative;
 pub mod pword2vec;
 pub mod sgns;

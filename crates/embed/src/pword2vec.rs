@@ -7,7 +7,8 @@
 //! arithmetic (explicit loops rather than a BLAS call) but reproduces the
 //! sharing pattern, which is what DSGL's multi-window mechanism then extends.
 
-use crate::sgns::{apply_input_grad, sgns_pair_update, TrainContext};
+use crate::kernel::axpy;
+use crate::sgns::{sgns_pair_update, TrainContext};
 use distger_walks::rng::SplitMix64;
 
 /// Trains one thread's share of walks with per-window shared negatives.
@@ -64,7 +65,7 @@ pub fn train_walks_pword2vec(ctx: &TrainContext<'_>, walks: &[Vec<u32>], thread_
                         &mut input_grad,
                     );
                 }
-                apply_input_grad(input, &input_grad);
+                axpy(1.0, &input_grad, input);
                 pairs += 1;
             }
         }
@@ -115,7 +116,7 @@ mod tests {
         let dot = |a: usize, b: usize| -> f32 {
             let ra = unsafe { phi_in.row(a) };
             let rb = unsafe { phi_in.row(b) };
-            ra.iter().zip(rb).map(|(x, y)| x * y).sum()
+            crate::kernel::dot(ra, rb)
         };
         let intra = (dot(0, 1) + dot(1, 2) + dot(3, 4) + dot(4, 5)) / 4.0;
         let inter = (dot(0, 3) + dot(1, 4) + dot(2, 5)) / 3.0;

@@ -8,6 +8,7 @@
 //! *which* updates and in how the vectors are staged in memory.
 
 use crate::hogwild::HogwildMatrix;
+use crate::kernel::{axpy, dot};
 use crate::negative::NegativeTable;
 use distger_walks::rng::SplitMix64;
 
@@ -65,25 +66,9 @@ pub fn sgns_pair_update(
     lr: f32,
     input_grad: &mut [f32],
 ) {
-    debug_assert_eq!(input.len(), output.len());
-    debug_assert_eq!(input.len(), input_grad.len());
-    let mut dot = 0.0f32;
-    for i in 0..input.len() {
-        dot += input[i] * output[i];
-    }
-    let g = (label - sig.sigmoid(dot)) * lr;
-    for i in 0..input.len() {
-        input_grad[i] += g * output[i];
-        output[i] += g * input[i];
-    }
-}
-
-/// Applies an accumulated input gradient.
-#[inline]
-pub fn apply_input_grad(input: &mut [f32], input_grad: &[f32]) {
-    for i in 0..input.len() {
-        input[i] += input_grad[i];
-    }
+    let g = (label - sig.sigmoid(dot(input, output))) * lr;
+    axpy(g, output, input_grad);
+    axpy(g, input, output);
 }
 
 /// Shared parameters of a single training pass over a set of walks.
@@ -157,7 +142,7 @@ pub fn train_walks_hogwild(ctx: &TrainContext<'_>, walks: &[Vec<u32>], thread_id
                         &mut input_grad,
                     );
                 }
-                apply_input_grad(input, &input_grad);
+                axpy(1.0, &input_grad, input);
                 pairs += 1;
             }
         }
@@ -191,14 +176,14 @@ mod tests {
         let input = vec![0.1f32, -0.2, 0.3, 0.05];
         let mut output = vec![-0.1f32, 0.2, 0.1, -0.3];
         let mut grad = vec![0.0f32; 4];
-        let before: f32 = input.iter().zip(&output).map(|(a, b)| a * b).sum();
+        let before = dot(&input, &output);
         let mut inp = input.clone();
         for _ in 0..200 {
             grad.iter_mut().for_each(|x| *x = 0.0);
             sgns_pair_update(&sig, &inp, &mut output, 1.0, 0.1, &mut grad);
-            apply_input_grad(&mut inp, &grad);
+            axpy(1.0, &grad, &mut inp);
         }
-        let after: f32 = inp.iter().zip(&output).map(|(a, b)| a * b).sum();
+        let after = dot(&inp, &output);
         assert!(after > before, "positive pair similarity must increase");
         assert!(after > 1.0);
     }
@@ -212,9 +197,9 @@ mod tests {
         for _ in 0..200 {
             grad.iter_mut().for_each(|x| *x = 0.0);
             sgns_pair_update(&sig, &input, &mut output, 0.0, 0.1, &mut grad);
-            apply_input_grad(&mut input, &grad);
+            axpy(1.0, &grad, &mut input);
         }
-        let after: f32 = input.iter().zip(&output).map(|(a, b)| a * b).sum();
+        let after = dot(&input, &output);
         assert!(
             after < 0.1,
             "negative pair similarity must shrink, got {after}"
@@ -258,7 +243,7 @@ mod tests {
         let dot = |a: usize, b: usize| -> f32 {
             let ra = unsafe { phi_in.row(a) };
             let rb = unsafe { phi_in.row(b) };
-            ra.iter().zip(rb).map(|(x, y)| x * y).sum()
+            crate::kernel::dot(ra, rb)
         };
         let intra = (dot(0, 1) + dot(1, 2) + dot(3, 4) + dot(4, 5)) / 4.0;
         let inter = (dot(0, 3) + dot(1, 4) + dot(2, 5)) / 3.0;

@@ -2,16 +2,17 @@
 //!
 //! The scan visits every node, so its value is being *predictably* fast: the
 //! node-major unit-vector matrix is walked in blocks of `SCAN_CHUNK` rows,
-//! scores for a block are computed into a flat buffer first (a tight
-//! dot-product loop the compiler auto-vectorizes, untangled from the heap's
+//! scores for a block are computed into a flat buffer first (a tight loop
+//! over the workspace's one `dot` kernel, untangled from the heap's
 //! branches), and only then offered to the bounded heap — which rejects
 //! almost all of them with a single comparison once the heap is warm.
 //!
 //! This backend is the ground truth the LSH backend's `recall@k` is measured
 //! against; its recall is 1.0 by construction.
 
-use crate::index::{dot, EmbeddingIndex};
+use crate::index::EmbeddingIndex;
 use crate::topk::{BoundedTopK, Neighbor, TopK};
+use distger_embed::kernel::dot;
 use distger_graph::NodeId;
 
 /// Rows scored per block before the heap sees them.

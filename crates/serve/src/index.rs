@@ -6,6 +6,7 @@
 //! per-step square roots or divisions, which is what keeps the exact scan's
 //! inner loop a pure fused multiply-add chain.
 
+use distger_embed::kernel::dot;
 use distger_embed::Embeddings;
 use distger_graph::NodeId;
 
@@ -32,7 +33,7 @@ impl EmbeddingIndex {
         let mut norms = Vec::with_capacity(n);
         for node in 0..n {
             let row = embeddings.vector(node as NodeId);
-            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+            let norm = dot(row, row).sqrt();
             norms.push(norm);
             if norm > 0.0 {
                 units.extend(row.iter().map(|x| x / norm));
@@ -83,13 +84,6 @@ impl EmbeddingIndex {
     }
 }
 
-/// Plain dot product; the slices must have equal length.
-#[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Returns `v` scaled to unit length (unchanged if it is the zero vector).
 /// Test-only convenience; the serving hot path uses [`normalize_into`].
 #[cfg(test)]
@@ -103,7 +97,7 @@ pub(crate) fn normalized(v: &[f32]) -> Vec<f32> {
 /// vector) — the allocation-free form for per-query hot loops.
 pub(crate) fn normalize_into(v: &[f32], out: &mut [f32]) {
     debug_assert_eq!(v.len(), out.len());
-    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let norm = dot(v, v).sqrt();
     if norm > 0.0 {
         for (o, x) in out.iter_mut().zip(v) {
             *o = x / norm;

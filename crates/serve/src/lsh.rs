@@ -12,8 +12,9 @@
 //! scorer for re-ranking, so LSH results are always *true* cosine scores over
 //! a candidate subset — the only approximation is which nodes get scored.
 
-use crate::index::{dot, EmbeddingIndex};
+use crate::index::EmbeddingIndex;
 use crate::normal::gaussian;
+use distger_embed::kernel::dot;
 use distger_graph::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
