@@ -15,6 +15,7 @@ use distger_bench::{bench_dataset, BenchScale, Report};
 use distger_cluster::{machine_split, SocketTransport};
 use distger_eval::recall_at_k;
 use distger_graph::generate::PaperDataset;
+use distger_graph::NodeId;
 use distger_graph::{barabasi_albert, CsrGraph};
 use distger_partition::{
     balanced::workload_balanced_partition, mpgp_partition, MpgpConfig, Partitioning,
@@ -24,9 +25,13 @@ use distger_serve::{
     EngineShard, QueryBackend, QueryBatch, QueryEngine, Scheduler, SchedulerConfig, SchedulerStats,
     ServeConfig, ShardedQueryEngine, TopK,
 };
+use distger_walks::info::IncrementalInfo;
+use distger_walks::models::{huge_acceptance, propose_next};
+use distger_walks::rng::SplitMix64;
 use distger_walks::{
-    run_distributed_walks, run_walks_over_loopback, CheckpointPolicy, FreqBackend, LengthPolicy,
-    SamplingBackend, WalkCountPolicy, WalkEngineConfig, WalkModel, WalkResult,
+    run_distributed_walks, run_walks_over_loopback, CheckpointPolicy, FlatFreqStore, FreqBackend,
+    LengthPolicy, SamplingBackend, TransitionTables, WalkCountPolicy, WalkEngineConfig, WalkModel,
+    WalkResult,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -240,6 +245,151 @@ fn small_rounds_workload() -> &'static (CsrGraph, Partitioning) {
     })
 }
 
+/// One rung of the walk ladder, on one thread with no engine around it:
+/// `rounds` walks from every node, the next node chosen by `step`, every
+/// accepted node (the start included) shown to `stop`, which ends the walk by
+/// returning `true`. Returns `(steps taken, seconds)`.
+fn ladder_rung(
+    graph: &CsrGraph,
+    rounds: u64,
+    mut step: impl FnMut(NodeId, &mut SplitMix64) -> Option<NodeId>,
+    mut stop: impl FnMut(u64, NodeId, usize) -> bool,
+) -> (u64, f64) {
+    let n = graph.num_nodes() as u64;
+    let (mut steps, mut checksum) = (0u64, 0u64);
+    let clock = Instant::now();
+    for walk_id in 0..rounds * n {
+        let mut rng = SplitMix64::for_walker(11, walk_id);
+        let mut cur = (walk_id % n) as NodeId;
+        let mut len = 1;
+        while !stop(walk_id, cur, len) {
+            let Some(next) = step(cur, &mut rng) else {
+                break;
+            };
+            cur = next;
+            len += 1;
+            steps += 1;
+            checksum += cur as u64;
+        }
+    }
+    let secs = clock.elapsed().as_secs_f64();
+    black_box(checksum);
+    (steps, secs)
+}
+
+/// The parent's HuGE step, kept here as the ladder's *before* row: the
+/// acceptance of every candidate recomputed from the graph (a galloping
+/// intersection, a weight search and a `tanh`), up to 64 trials per step.
+fn huge_step_per_candidate(
+    graph: &CsrGraph,
+    tables: &TransitionTables,
+    cur: NodeId,
+    rng: &mut SplitMix64,
+) -> Option<NodeId> {
+    let mut candidate = tables.sample(graph, cur, rng)?;
+    for _ in 0..64 {
+        if rng.next_f64() < huge_acceptance(graph, cur, candidate) {
+            return Some(candidate);
+        }
+        candidate = tables.sample(graph, cur, rng)?;
+    }
+    Some(candidate)
+}
+
+/// ROADMAP 2(b)'s ladder: what each layer between two flat arrays and the
+/// BSP engine costs per step, on the `orkut_walk_heavy` graph. Rungs 1–4 run
+/// on one thread through [`ladder_rung`]; the last is the engine itself.
+fn walk_ladder_report(reps: usize) -> Report {
+    let graph = PaperDataset::ComOrkut.generate(0.75, 11);
+    let mut report = Report::new(
+        "walk_ladder",
+        "Steps/s per layer of the walk, one thread, com-Orkut stand-in \
+         (PaperDataset::ComOrkut.generate(0.75, 11)): flat uniform step, + slot draw through the \
+         tables, + HuGE accept (per-candidate formula = the parent's step, vs the acceptance \
+         table), + InCoM info, then the BSP engine on 4 machines (4 threads, its table build included)",
+        &["steps_per_sec", "total_steps", "best_secs"],
+    );
+    let mut push = |label: &str, run: &mut dyn FnMut() -> (u64, f64)| {
+        let (steps, secs) = (0..reps)
+            .map(|_| run())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("reps >= 1");
+        println!(
+            "walk_ladder/{label}: {:.0} steps/s ({steps} steps in {secs:.4}s)",
+            steps as f64 / secs
+        );
+        report.push(label, vec![steps as f64 / secs, steps as f64, secs]);
+    };
+    // Fixed-length rungs walk 18 nodes, the information-driven average on
+    // this graph (17.2), so every rung sees the same reuse of a walk's rows.
+    let fixed = |_: u64, _: NodeId, len: usize| len >= 18;
+    let draw_only =
+        TransitionTables::build(&graph, SamplingBackend::Alias, &WalkModel::DeepWalk, 1);
+    let huge = TransitionTables::build(&graph, SamplingBackend::Alias, &WalkModel::Huge, 1);
+    let uniform = |cur: NodeId, rng: &mut SplitMix64| {
+        let range = graph.arc_range(cur);
+        (!range.is_empty())
+            .then(|| graph.arc_targets()[range.start + rng.next_bounded(range.len())])
+    };
+    let huge_step = |cur: NodeId, rng: &mut SplitMix64| {
+        propose_next(&WalkModel::Huge, &graph, &huge, None, cur, rng)
+    };
+    push("1_flat_uniform", &mut || {
+        ladder_rung(&graph, 10, uniform, fixed)
+    });
+    push("2_slot_draw", &mut || {
+        ladder_rung(
+            &graph,
+            10,
+            |cur, rng| draw_only.sample(&graph, cur, rng),
+            fixed,
+        )
+    });
+    // The before row is ≈ 40× slower per step: two rounds are enough.
+    push("3_huge_accept_per_candidate_parent", &mut || {
+        ladder_rung(
+            &graph,
+            2,
+            |cur, rng| huge_step_per_candidate(&graph, &draw_only, cur, rng),
+            fixed,
+        )
+    });
+    push("3_huge_accept_table", &mut || {
+        ladder_rung(&graph, 10, huge_step, fixed)
+    });
+    push("4_incom_info", &mut || {
+        let LengthPolicy::InfoDriven {
+            mu,
+            min_len,
+            max_len,
+        } = LengthPolicy::info_driven_default()
+        else {
+            unreachable!("the information-driven default is information-driven");
+        };
+        let mut freq = FlatFreqStore::new();
+        let mut info = IncrementalInfo::default();
+        ladder_rung(&graph, 10, huge_step, |walk_id, node, len| {
+            if len == 1 {
+                info = IncrementalInfo::default();
+            }
+            let r_squared = info.accept(freq.accept(walk_id, node) as u64).r_squared;
+            let done = len >= max_len || (len >= min_len && r_squared < mu);
+            if done {
+                freq.release(walk_id);
+            }
+            done
+        })
+    });
+    let mpgp = mpgp_partition(&graph, 4, MpgpConfig::default());
+    push("5_bsp_engine_4_machines", &mut || {
+        let config = WalkEngineConfig::distger().with_seed(11);
+        let clock = Instant::now();
+        let result = black_box(run_distributed_walks(&graph, &mpgp, &config));
+        (result.comm.total_steps(), clock.elapsed().as_secs_f64())
+    });
+    report
+}
+
 /// Best-of-`reps` timed run; returns `(best_secs, result_of_best_rep)`.
 fn best_of(
     reps: usize,
@@ -357,6 +507,9 @@ fn export_reports(_c: &mut Criterion) {
             speedup_report.push(graph_label, vec![alias / linear]);
         }
     }
+
+    // Part 3: the walk ladder (informational, no gate floor).
+    let ladder_report = walk_ladder_report(3);
 
     // Part 4: the serving layer — batched top-k query throughput of the
     // exact scan vs multi-probe LSH, plus LSH recall@10 against the exact
@@ -1006,6 +1159,7 @@ fn export_reports(_c: &mut Criterion) {
                 freq_speedup_report.to_json(),
                 sampling_report.to_json(),
                 speedup_report.to_json(),
+                ladder_report.to_json(),
                 query_report.to_json(),
                 query_speedup_report.to_json(),
                 checkpoint_report.to_json(),
@@ -1031,6 +1185,7 @@ fn export_reports(_c: &mut Criterion) {
     println!("{}", freq_speedup_report.to_text());
     println!("{}", sampling_report.to_text());
     println!("{}", speedup_report.to_text());
+    println!("{}", ladder_report.to_text());
     println!("{}", query_report.to_text());
     println!("{}", query_speedup_report.to_text());
     println!("{}", checkpoint_report.to_text());

@@ -344,7 +344,7 @@ pub fn run_pipeline(graph: &CsrGraph, config: &DistGerConfig) -> PipelineResult 
         .add("walker state", walk_result.walker_peak_bytes)
         .add("corpus shard", walk_result.corpus_shard_bytes)
         .add(
-            "alias transition tables",
+            "transition tables (alias + HuGE acceptance)",
             walk_result.alias_table_bytes / num_machines.max(1),
         );
     let mut training_memory = MemoryEstimate::new();

@@ -155,6 +155,13 @@ impl CsrGraph {
         self.offsets[u]..self.offsets[u + 1]
     }
 
+    /// The full arc-aligned destination array: slot `i` holds the destination
+    /// of arc `i`; per-node slices are addressed by [`Self::arc_range`].
+    #[inline]
+    pub fn arc_targets(&self) -> &[NodeId] {
+        &self.targets
+    }
+
     /// The full arc-aligned weight array (`None` for unweighted graphs).
     /// Slot `i` of this array weights the arc whose destination is slot `i`
     /// of the target array; per-node slices are addressed by

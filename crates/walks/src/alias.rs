@@ -1,4 +1,4 @@
-//! O(1) alias-table transition sampling.
+//! O(1) transition sampling: alias tables and HuGE's acceptance table.
 //!
 //! PR 1 removed the per-step frequency-store overhead of InCoM, which left
 //! the neighbour draw itself as the walk engine's dominant per-step cost on
@@ -16,22 +16,37 @@
 //!
 //! # Memory layout
 //!
-//! The tables piggyback on the graph's CSR offsets: `prob` and `alias` are
-//! two flat arrays with **one slot per CSR arc**, addressed by the same
-//! [`CsrGraph::arc_range`] that addresses the adjacency and weight slices.
-//! The whole structure is therefore two contiguous allocations totalling
-//! 8 bytes per arc — no per-node `Vec`s, no pointer chasing, and building it
-//! never touches a hash map.
+//! The tables piggyback on the graph's CSR offsets: `prob`, `alias` and
+//! `accept` are flat arrays with **one slot per CSR arc**, addressed by the
+//! same [`CsrGraph::arc_range`] that addresses the adjacency and weight
+//! slices — no per-node `Vec`s, no pointer chasing, and building them never
+//! touches a hash map. Each is materialized only when the job needs it:
+//!
+//! | array | bytes/arc | present when |
+//! |---|---|---|
+//! | `prob` + `alias` | 8 | the graph is weighted and the backend is [`SamplingBackend::Alias`] |
+//! | `accept` | 4 | the model is [`WalkModel::Huge`] |
 //!
 //! # Role in the walk models
 //!
 //! * **First order** (DeepWalk): the alias draw *is* the transition.
-//! * **Second order** (node2vec, HuGE): both models already sample by
-//!   rejection — node2vec against the `max(1/p, 1, 1/q)` envelope, HuGE by
+//! * **Second order** (node2vec, HuGE): both models sample by rejection —
+//!   node2vec against the `max(1/p, 1, 1/q)` envelope, HuGE by
 //!   walking-backtracking (§2.1). The alias table serves as their **proposal
-//!   distribution**, making every proposal `O(1)` instead of `O(deg)`; the
-//!   acceptance logic is untouched, so the sampled distribution is exactly
-//!   the one the paper specifies.
+//!   distribution**, making every proposal `O(1)` instead of `O(deg)`.
+//!
+//! # The HuGE acceptance table
+//!
+//! HuGE accepts a candidate `v` of `u` with probability
+//! `Z(α(u, v) · w(u, v))` (Eq. 3), and `deg u`, `deg v`, `Cm(u, v)` and
+//! `w(u, v)` never change during a job. `accept[arc_range(u).start + i]`
+//! therefore holds [`huge_acceptance`](crate::models::huge_acceptance) of
+//! `u`'s `i`-th arc, rounded to `f32`, computed **once**: `O(Σ deg²)` in
+//! total (one sorted-list intersection per arc, the term MPGP already pays
+//! to partition the graph), shared out over the caller's threads.
+//! A trial of the walking-backtracking loop is then one slot draw
+//! ([`TransitionTables::sample_slot`]) and one array read — and the step no
+//! longer touches the *candidate's* adjacency at all, only `cur`'s arc range.
 //!
 //! # Choosing a backend
 //!
@@ -42,10 +57,13 @@
 //! the same single bounded draw per step, so they produce byte-identical
 //! corpora (a property test asserts this); on weighted graphs they agree in
 //! distribution (a chi-squared test asserts that) but not per-sample, since
-//! the alias draw consumes randomness differently.
+//! the alias draw consumes randomness differently. The backend decides only
+//! whether the alias arrays exist; the acceptance table is built under both.
 
+use crate::models::{huge_arc_acceptance, WalkModel};
 use crate::rng::SplitMix64;
 use distger_graph::{CsrGraph, NodeId};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which neighbour-sampling implementation backs the walk engine's
@@ -60,41 +78,63 @@ pub enum SamplingBackend {
     LinearScan,
 }
 
-/// Per-node alias tables for every node of one graph, stored as two flat
-/// arc-aligned arrays (see the [module docs](self) for the layout).
+/// The per-arc side tables of one walk job, stored as flat arc-aligned
+/// arrays (see the [module docs](self) for the layout): the alias tables of
+/// every node, and HuGE's acceptance probabilities.
 ///
-/// For **unweighted** graphs no table is materialized at all: a uniform
-/// neighbour draw is already `O(1)`, and skipping the table keeps the draw
-/// bit-compatible with [`SamplingBackend::LinearScan`].
+/// Without alias arrays a neighbour draw is uniform on **unweighted** graphs
+/// (already `O(1)`, and bit-compatible between the two backends) and the
+/// reference `O(deg)` sum-then-scan on weighted ones — which is all that
+/// [`SamplingBackend::LinearScan`] means.
 #[derive(Clone, Debug)]
 pub struct TransitionTables {
     /// Probability of keeping the rolled slot, aligned with the CSR arcs.
-    /// Empty for unweighted graphs.
+    /// Empty unless the graph is weighted and the backend is `Alias`.
     prob: Vec<f32>,
     /// Fallback neighbour (as a *local* adjacency index) when the roll is
     /// rejected, aligned with `prob`.
     alias: Vec<u32>,
-    /// Wall-clock seconds spent building the tables.
+    /// HuGE's acceptance probability of every arc. Empty unless the model is
+    /// [`WalkModel::Huge`].
+    accept: Vec<f32>,
+    /// Wall-clock seconds spent building the arrays.
     build_secs: f64,
 }
 
 impl TransitionTables {
-    /// Builds the tables for `graph` with Vose's method: `O(deg)` per node,
-    /// `O(|arcs|)` overall, two contiguous allocations.
+    /// Slots per unit of work of the acceptance build: a few hundred units on
+    /// the benchmark graphs, so the threads finish together, and each long
+    /// enough (tens of microseconds) that claiming it costs nothing.
+    const CHUNK_ARCS: usize = 4096;
+
+    /// Builds the tables a job over `graph` with this backend and model
+    /// needs. Alias arrays: Vose's method, `O(deg)` per node. Acceptance
+    /// array: one common-neighbour intersection per arc, shared out over
+    /// `threads` threads (the caller's included).
     ///
     /// Nodes whose weights sum to zero (all-zero adjacency weights) get a
     /// uniform table, matching the linear scan's documented fallback.
     /// Negative or non-finite weights cannot occur: `GraphBuilder` and
     /// `CsrGraph::from_parts` reject them at construction time.
-    pub fn build(graph: &CsrGraph) -> Self {
+    pub fn build(
+        graph: &CsrGraph,
+        backend: SamplingBackend,
+        model: &WalkModel,
+        threads: usize,
+    ) -> Self {
         let start_time = Instant::now();
-        let (prob, alias) = match graph.arc_weights() {
-            None => (Vec::new(), Vec::new()),
-            Some(weights) => Self::build_weighted(graph, weights),
+        let (prob, alias) = match (backend, graph.arc_weights()) {
+            (SamplingBackend::Alias, Some(weights)) => Self::build_weighted(graph, weights),
+            _ => (Vec::new(), Vec::new()),
+        };
+        let accept = match model {
+            WalkModel::Huge => Self::build_acceptance(graph, threads),
+            _ => Vec::new(),
         };
         // Report exactly 0 when nothing was materialized, so "build_secs ==
-        // 0" reliably means "no table" to downstream accounting.
-        let build_secs = if prob.is_empty() {
+        // 0" reliably means "no array of either kind" to downstream
+        // accounting.
+        let build_secs = if prob.is_empty() && accept.is_empty() {
             0.0
         } else {
             start_time.elapsed().as_secs_f64()
@@ -102,8 +142,58 @@ impl TransitionTables {
         Self {
             prob,
             alias,
+            accept,
             build_secs,
         }
+    }
+
+    /// Fills HuGE's acceptance probability of every arc. The array is cut
+    /// into runs of whole rows of about [`Self::CHUNK_ARCS`] slots, which the
+    /// threads claim from a queue: an arc of a hub costs a longer
+    /// intersection than an arc between leaves, so equal static shares of the
+    /// nodes — or of the arcs — would leave the thread that drew the hubs
+    /// working alone.
+    fn build_acceptance(graph: &CsrGraph, threads: usize) -> Vec<f32> {
+        let n = graph.num_nodes() as NodeId;
+        let mut accept = vec![0.0f32; graph.num_arcs()];
+        {
+            let mut chunks = Vec::new();
+            let mut rest = accept.as_mut_slice();
+            let mut first = 0 as NodeId;
+            while first < n {
+                let base = graph.arc_range(first).start;
+                let mut end = first + 1;
+                while end < n && graph.arc_range(end).end - base <= Self::CHUNK_ARCS {
+                    end += 1;
+                }
+                let (rows, tail) =
+                    std::mem::take(&mut rest).split_at_mut(graph.arc_range(end - 1).end - base);
+                rest = tail;
+                chunks.push((first..end, rows));
+                first = end;
+            }
+            let queue = Mutex::new(chunks.into_iter());
+            let claim = || queue.lock().expect("no thread panics holding it").next();
+            let work = || {
+                let weights = graph.arc_weights();
+                while let Some((nodes, rows)) = claim() {
+                    let base = graph.arc_range(nodes.start).start;
+                    for u in nodes {
+                        for (slot, &v) in graph.arc_range(u).zip(graph.neighbors(u)) {
+                            let weight = weights.map_or(1.0, |w| w[slot]);
+                            rows[slot - base] = huge_arc_acceptance(graph, u, v, weight) as f32;
+                        }
+                    }
+                }
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    scope.spawn(work);
+                }
+                work();
+            });
+        }
+        accept
     }
 
     fn build_weighted(graph: &CsrGraph, weights: &[f32]) -> (Vec<f32>, Vec<u32>) {
@@ -170,95 +260,84 @@ impl TransitionTables {
         (prob, alias)
     }
 
-    /// Whether the graph required materialized tables (it was weighted).
-    pub fn is_materialized(&self) -> bool {
+    /// Whether alias arrays are resident (weighted graph, alias backend).
+    pub fn has_alias_arrays(&self) -> bool {
         !self.prob.is_empty()
     }
 
-    /// Wall-clock seconds the construction took.
+    /// HuGE's acceptance probability of every arc, aligned with
+    /// [`CsrGraph::arc_targets`]; empty unless built for [`WalkModel::Huge`].
+    pub fn acceptance(&self) -> &[f32] {
+        &self.accept
+    }
+
+    /// Wall-clock seconds the construction took (0 when no array was built).
     pub fn build_secs(&self) -> f64 {
         self.build_secs
     }
 
-    /// Resident bytes of the two flat arrays (8 bytes per arc when
-    /// materialized, 0 for unweighted graphs).
+    /// Resident bytes of the flat arrays: 8 per arc of alias arrays plus 4
+    /// per arc of acceptance probabilities, each only when materialized.
     pub fn memory_bytes(&self) -> usize {
-        self.prob.len() * std::mem::size_of::<f32>() + self.alias.len() * std::mem::size_of::<u32>()
+        (self.prob.len() + self.accept.len()) * std::mem::size_of::<f32>()
+            + self.alias.len() * std::mem::size_of::<u32>()
     }
 
-    /// Draws a neighbour of `u` in `O(1)`: roll a slot uniformly, then keep
-    /// it or take its alias. Returns `None` when `u` has no out-neighbours.
+    /// Draws an out-arc of `u`, uniformly or edge-weight-proportionally when
+    /// the graph is weighted, and returns its slot in the arc-aligned arrays
+    /// (`None` when `u` has no out-neighbours). With alias arrays: roll a
+    /// slot uniformly, then keep it or take its alias — one bounded draw and
+    /// one `next_f64`, `O(1)`. Without: one bounded draw on unweighted graphs
+    /// (bit-identical between the backends), the reference sum-then-scan on
+    /// weighted ones.
     #[inline]
-    pub fn sample(&self, graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> Option<NodeId> {
-        let neighbors = graph.neighbors(u);
-        if neighbors.is_empty() {
+    pub fn sample_slot(&self, graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> Option<usize> {
+        let range = graph.arc_range(u);
+        if range.is_empty() {
             return None;
         }
-        let k = rng.next_bounded(neighbors.len());
         if self.prob.is_empty() {
-            // Unweighted: the uniform roll is already the answer (and is
-            // bit-identical to the linear-scan backend's draw).
-            return Some(neighbors[k]);
+            return Some(range.start + linear_scan_index(graph, u, rng));
         }
-        let slot = graph.arc_range(u).start + k;
+        let slot = range.start + rng.next_bounded(range.len());
         if rng.next_f64() < self.prob[slot] as f64 {
-            Some(neighbors[k])
+            Some(slot)
         } else {
-            Some(neighbors[self.alias[slot] as usize])
+            Some(range.start + self.alias[slot] as usize)
         }
     }
-}
 
-/// The neighbour sampler handed to [`crate::models::propose_next`]: either a
-/// borrowed set of alias tables or the reference linear scan. `Copy`, so the
-/// engine can pass it freely into the per-machine BSP closures.
-#[derive(Clone, Copy, Debug)]
-pub enum NeighborSampler<'a> {
-    /// `O(1)` draws through prebuilt [`TransitionTables`].
-    Alias(&'a TransitionTables),
-    /// The seed's `O(deg)` sum-then-scan reference path.
-    LinearScan,
-}
-
-impl NeighborSampler<'_> {
-    /// Samples a neighbour of `u` uniformly, or edge-weight-proportionally
-    /// when the graph is weighted. Returns `None` for nodes without
-    /// out-neighbours.
+    /// [`sample_slot`](Self::sample_slot), as the neighbour the arc leads to.
     #[inline]
     pub fn sample(&self, graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> Option<NodeId> {
-        match self {
-            NeighborSampler::Alias(tables) => tables.sample(graph, u, rng),
-            NeighborSampler::LinearScan => linear_scan_sample(graph, u, rng),
-        }
+        self.sample_slot(graph, u, rng)
+            .map(|slot| graph.arc_targets()[slot])
     }
 }
 
-/// The reference `O(deg)` draw: sum the weights, then scan to the roll.
-/// Falls back to a uniform draw when every weight of `u` is zero (negative
-/// weights are rejected at graph-construction time, so `total <= 0` can only
-/// mean all-zero).
-fn linear_scan_sample(graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> Option<NodeId> {
-    let neighbors = graph.neighbors(u);
-    if neighbors.is_empty() {
-        return None;
+/// The draw without alias arrays, as an index into `u`'s (non-empty)
+/// adjacency: uniform on unweighted graphs; on weighted ones the reference
+/// `O(deg)` scan — sum the weights, then scan to the roll. Falls back to a
+/// uniform draw when every weight of `u` is zero (negative weights are
+/// rejected at graph-construction time, so `total <= 0` can only mean
+/// all-zero).
+fn linear_scan_index(graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> usize {
+    let deg = graph.degree(u);
+    let Some(weights) = graph.neighbor_weights(u) else {
+        return rng.next_bounded(deg);
+    };
+    let total: f32 = weights.iter().sum();
+    if total <= 0.0 {
+        return rng.next_bounded(deg);
     }
-    match graph.neighbor_weights(u) {
-        None => Some(neighbors[rng.next_bounded(neighbors.len())]),
-        Some(weights) => {
-            let total: f32 = weights.iter().sum();
-            if total <= 0.0 {
-                return Some(neighbors[rng.next_bounded(neighbors.len())]);
-            }
-            let mut target = rng.next_f64() * total as f64;
-            for (i, &w) in weights.iter().enumerate() {
-                target -= w as f64;
-                if target <= 0.0 {
-                    return Some(neighbors[i]);
-                }
-            }
-            Some(*neighbors.last().unwrap())
+    let mut target = rng.next_f64() * total as f64;
+    for (i, &w) in weights.iter().enumerate() {
+        target -= w as f64;
+        if target <= 0.0 {
+            return i;
         }
     }
+    deg - 1
 }
 
 #[cfg(test)]
@@ -270,9 +349,18 @@ mod tests {
         SplitMix64::new(99)
     }
 
+    /// Draw-only tables (no acceptance array) for either backend.
+    fn alias_tables(graph: &CsrGraph) -> TransitionTables {
+        TransitionTables::build(graph, SamplingBackend::Alias, &WalkModel::DeepWalk, 1)
+    }
+
+    fn scan_tables(graph: &CsrGraph) -> TransitionTables {
+        TransitionTables::build(graph, SamplingBackend::LinearScan, &WalkModel::DeepWalk, 1)
+    }
+
     /// Draws `n` samples from `sampler` at `u` and returns per-neighbour
     /// counts indexed like the adjacency list.
-    fn histogram(graph: &CsrGraph, sampler: NeighborSampler<'_>, u: NodeId, n: usize) -> Vec<u64> {
+    fn histogram(graph: &CsrGraph, sampler: &TransitionTables, u: NodeId, n: usize) -> Vec<u64> {
         let neighbors = graph.neighbors(u);
         let mut counts = vec![0u64; neighbors.len()];
         let mut r = rng();
@@ -305,12 +393,11 @@ mod tests {
         b.add_weighted_edge(0, 1, 3.5);
         b.add_weighted_edge(1, 2, 1.0);
         let g = b.build();
-        let tables = TransitionTables::build(&g);
-        let sampler = NeighborSampler::Alias(&tables);
+        let tables = alias_tables(&g);
         let mut r = rng();
         for _ in 0..100 {
-            assert_eq!(sampler.sample(&g, 0, &mut r), Some(1));
-            assert_eq!(sampler.sample(&g, 2, &mut r), Some(1));
+            assert_eq!(tables.sample(&g, 0, &mut r), Some(1));
+            assert_eq!(tables.sample(&g, 2, &mut r), Some(1));
         }
     }
 
@@ -320,10 +407,10 @@ mod tests {
         b.add_weighted_edge(0, 1, 2.0);
         b.reserve_nodes(3);
         let g = b.build();
-        let tables = TransitionTables::build(&g);
+        let tables = alias_tables(&g);
         let mut r = rng();
-        assert_eq!(NeighborSampler::Alias(&tables).sample(&g, 2, &mut r), None);
-        assert_eq!(NeighborSampler::LinearScan.sample(&g, 2, &mut r), None);
+        assert_eq!(tables.sample(&g, 2, &mut r), None);
+        assert_eq!(scan_tables(&g).sample(&g, 2, &mut r), None);
     }
 
     #[test]
@@ -335,9 +422,9 @@ mod tests {
             b.add_weighted_edge(0, v, 2.5);
         }
         let g = b.build();
-        let tables = TransitionTables::build(&g);
-        assert!(tables.is_materialized());
-        let counts = histogram(&g, NeighborSampler::Alias(&tables), 0, 60_000);
+        let tables = alias_tables(&g);
+        assert!(tables.has_alias_arrays());
+        let counts = histogram(&g, &tables, 0, 60_000);
         let weights = g.neighbor_weights(0).unwrap();
         // 5 degrees of freedom; chi² < 20.5 keeps a false-failure rate ~1e-3,
         // and the fixed seed makes the test deterministic anyway.
@@ -356,9 +443,9 @@ mod tests {
             b.add_weighted_edge(0, v, 1.0);
         }
         let g = b.build();
-        let tables = TransitionTables::build(&g);
+        let tables = alias_tables(&g);
         let n = 50_000;
-        let counts = histogram(&g, NeighborSampler::Alias(&tables), 0, n);
+        let counts = histogram(&g, &tables, 0, n);
         let dominant = counts[0] as f64 / n as f64;
         assert!(
             (dominant - 0.95).abs() < 0.01,
@@ -377,8 +464,8 @@ mod tests {
         // Give the spokes a real edge so the graph stays weighted overall.
         b.add_weighted_edge(1, 2, 3.0);
         let g = b.build();
-        let tables = TransitionTables::build(&g);
-        let counts = histogram(&g, NeighborSampler::Alias(&tables), 0, 40_000);
+        let tables = alias_tables(&g);
+        let counts = histogram(&g, &tables, 0, 40_000);
         let uniform = vec![1.0f32; counts.len()];
         assert!(
             chi_squared(&counts, &uniform) < 16.3, // df = 3
@@ -392,13 +479,13 @@ mod tests {
         // empirical distribution must match both the exact weights and the
         // linear scan's empirical distribution.
         let g = barabasi_albert(300, 4, 11).with_skewed_weights(1.5, 7);
-        let tables = TransitionTables::build(&g);
+        let tables = alias_tables(&g);
         let hub = g.nodes_by_degree_desc()[0];
         let deg = g.degree(hub);
         assert!(deg >= 10, "hub should be high-degree, got {deg}");
         let n = 3_000 * deg;
-        let alias_counts = histogram(&g, NeighborSampler::Alias(&tables), hub, n);
-        let scan_counts = histogram(&g, NeighborSampler::LinearScan, hub, n);
+        let alias_counts = histogram(&g, &tables, hub, n);
+        let scan_counts = histogram(&g, &scan_tables(&g), hub, n);
         let weights = g.neighbor_weights(hub).unwrap();
         // Generous df-scaled bound: E[chi²] = df, Var = 2·df; df + 6·sqrt(2·df)
         // is far beyond any plausible statistical fluctuation at fixed seed.
@@ -413,12 +500,11 @@ mod tests {
     #[test]
     fn unweighted_graphs_materialize_nothing_and_match_scan_bitwise() {
         let g = barabasi_albert(200, 3, 5);
-        let tables = TransitionTables::build(&g);
-        assert!(!tables.is_materialized());
+        let tables = alias_tables(&g);
+        assert!(!tables.has_alias_arrays());
         assert_eq!(tables.memory_bytes(), 0);
         assert_eq!(tables.build_secs(), 0.0, "no table, no reported build time");
-        let alias = NeighborSampler::Alias(&tables);
-        let scan = NeighborSampler::LinearScan;
+        let (alias, scan) = (&tables, scan_tables(&g));
         let mut ra = rng();
         let mut rs = rng();
         for u in 0..200u32 {
@@ -429,8 +515,8 @@ mod tests {
     #[test]
     fn build_accounting_is_sane() {
         let g = barabasi_albert(500, 5, 2).with_random_weights(1.0, 5.0, 3);
-        let tables = TransitionTables::build(&g);
-        assert!(tables.is_materialized());
+        let tables = alias_tables(&g);
+        assert!(tables.has_alias_arrays());
         assert_eq!(tables.memory_bytes(), g.num_arcs() * 8);
         assert!(tables.build_secs() >= 0.0);
     }
@@ -440,7 +526,7 @@ mod tests {
         // Per node: sum over buckets of (prob + donated alias mass) must
         // reconstruct the original weight distribution exactly.
         let g = barabasi_albert(120, 4, 9).with_skewed_weights(2.0, 4);
-        let tables = TransitionTables::build(&g);
+        let tables = alias_tables(&g);
         for u in 0..g.num_nodes() as NodeId {
             let deg = g.degree(u);
             if deg == 0 {

@@ -45,7 +45,7 @@ use distger_cluster::{
 use distger_graph::{stats::degree_distribution, CsrGraph};
 use distger_partition::Partitioning;
 
-use crate::alias::{NeighborSampler, SamplingBackend, TransitionTables};
+use crate::alias::TransitionTables;
 use crate::checkpoint::{CheckpointEncoder, WalkCheckpoint};
 use crate::corpus::Corpus;
 use crate::engine::{
@@ -363,14 +363,10 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
     let local = transport.local_machines();
     let is_coordinator = transport.is_coordinator();
 
-    let tables = match config.sampling_backend {
-        SamplingBackend::Alias => Some(TransitionTables::build(graph)),
-        SamplingBackend::LinearScan => None,
-    };
-    let sampler = match &tables {
-        Some(t) => NeighborSampler::Alias(t),
-        None => NeighborSampler::LinearScan,
-    };
+    // One thread per local machine: the parallelism the BSP pool is about
+    // to run the supersteps with.
+    let tables =
+        TransitionTables::build(graph, config.sampling_backend, &config.model, local.len());
     let degree_dist = if is_coordinator {
         degree_distribution(graph)
     } else {
@@ -406,7 +402,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
                 .collect()
         },
         config.max_supersteps,
-        walker_step(graph, partitioning, config, sampler),
+        walker_step(graph, partitioning, config, &tables),
         |ctx, transport, states, comm_so_far| {
             if ctx.started {
                 // Harvest the round that just drained, then decide whether
@@ -469,9 +465,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
     // resident at end of run, so both only need dividing across machines.
     let walker_peak_bytes = ctx.peak_round_memory / num_machines;
     let corpus_shard_bytes = ctx.corpus.memory_bytes() / num_machines;
-    let (alias_build_secs, alias_table_bytes) = tables
-        .as_ref()
-        .map_or((0.0, 0), |t| (t.build_secs(), t.memory_bytes()));
+    let alias_table_bytes = tables.memory_bytes();
     let alias_shard_bytes = alias_table_bytes / num_machines;
     Ok(Some(WalkResult {
         corpus: ctx.corpus,
@@ -480,7 +474,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
         relative_entropy_trace: ctx.trace,
         walker_peak_bytes,
         corpus_shard_bytes,
-        alias_build_secs,
+        alias_build_secs: tables.build_secs(),
         alias_table_bytes,
         // Sync overhead of the attempt that completed; crashed attempts'
         // timings unwound with their panics.
@@ -558,12 +552,8 @@ mod tests {
     ) -> (Corpus, CommStats, usize, Vec<f64>) {
         let n = graph.num_nodes();
         let m = partitioning.num_machines();
-        let tables = TransitionTables::build(graph);
-        let sampler = match config.sampling_backend {
-            SamplingBackend::Alias => NeighborSampler::Alias(&tables),
-            SamplingBackend::LinearScan => NeighborSampler::LinearScan,
-        };
-        let step = walker_step(graph, partitioning, config, sampler);
+        let tables = TransitionTables::build(graph, config.sampling_backend, &config.model, 1);
+        let step = walker_step(graph, partitioning, config, &tables);
         let degree_dist = degree_distribution(graph);
         let mut schedule = RoundSchedule::new(config.walks_per_node);
         let mut states: Vec<MachineState> = (0..m)

@@ -17,7 +17,9 @@
 //!
 //! Transition draws go through the [`SamplingBackend`] configured in
 //! [`WalkEngineConfig`]: per-node alias tables (built once per run, `O(1)`
-//! per draw — the default) or the reference `O(deg)` linear scan.
+//! per draw — the default) or the reference `O(deg)` linear scan. HuGE's
+//! per-arc acceptance probabilities are built beside them, once per run
+//! under either backend, so a rejected candidate costs one array read.
 
 use std::io;
 use std::ops::Range;
@@ -30,7 +32,7 @@ use distger_cluster::{
 use distger_graph::{CsrGraph, NodeId};
 use distger_partition::Partitioning;
 
-use crate::alias::{NeighborSampler, SamplingBackend};
+use crate::alias::{SamplingBackend, TransitionTables};
 use crate::checkpoint::CheckpointPolicy;
 use crate::corpus::Corpus;
 use crate::dist::run_walks_over;
@@ -237,15 +239,16 @@ pub struct WalkResult {
     /// End-of-run corpus residency per machine (the accumulated corpus,
     /// divided evenly over machines).
     pub corpus_shard_bytes: usize,
-    /// Wall-clock seconds spent building the alias transition tables (0 when
-    /// [`SamplingBackend::LinearScan`] is configured or the graph is
-    /// unweighted, in which case no table is materialized).
+    /// Wall-clock seconds spent building the arc-aligned transition tables:
+    /// the alias arrays (weighted graph under [`SamplingBackend::Alias`]) and
+    /// HuGE's acceptance array ([`WalkModel::Huge`]). Exactly 0 when the job
+    /// needs neither.
     pub alias_build_secs: f64,
-    /// Resident bytes of the alias transition tables over the whole graph
-    /// (8 bytes per CSR arc when materialized, 0 otherwise). The tables are
-    /// read-only and partition-independent, so each machine only needs the
-    /// slice covering its own nodes — divide by the machine count for the
-    /// per-machine share.
+    /// Resident bytes of the transition tables over the whole graph: 8 per
+    /// CSR arc of alias arrays plus 4 per arc of acceptance probabilities,
+    /// each counted only when materialized. The tables are read-only and
+    /// partition-independent, so each machine only needs the slice covering
+    /// its own nodes — divide by the machine count for the per-machine share.
     pub alias_table_bytes: usize,
     /// Wall-clock seconds of BSP superstep thread-coordination overhead on
     /// the coordinator endpoint, summed over all rounds: the barrier-crossing
@@ -257,7 +260,7 @@ pub struct WalkResult {
     pub superstep_sync_secs: f64,
     /// Estimated per-machine sampling-phase memory in bytes: transient
     /// walker state, the resident corpus shard, plus this machine's share of
-    /// the alias tables.
+    /// the transition tables (alias and acceptance arrays).
     pub avg_machine_memory_bytes: usize,
     /// Rounds re-executed by supervised recovery: for each crash, the rounds
     /// completed since the restored checkpoint plus the partial round that
@@ -480,7 +483,7 @@ pub(crate) fn walker_step<'g>(
     graph: &'g CsrGraph,
     partitioning: &'g Partitioning,
     config: &'g WalkEngineConfig,
-    sampler: NeighborSampler<'g>,
+    tables: &'g TransitionTables,
 ) -> impl for<'a> Fn(usize, &mut MachineState, Mailbox<'a, WalkerMessage>, &mut Outbox<WalkerMessage>)
        + Sync
        + 'g {
@@ -490,7 +493,7 @@ pub(crate) fn walker_step<'g>(
                 graph,
                 partitioning,
                 config,
-                sampler,
+                tables,
                 machine,
                 state,
                 msg,
@@ -635,7 +638,7 @@ fn process_walker(
     graph: &CsrGraph,
     partitioning: &Partitioning,
     config: &WalkEngineConfig,
-    sampler: NeighborSampler<'_>,
+    tables: &TransitionTables,
     machine: usize,
     state: &mut MachineState,
     mut msg: WalkerMessage,
@@ -678,7 +681,7 @@ fn process_walker(
             return;
         }
 
-        let next = match propose_next(&config.model, graph, sampler, msg.prev, msg.cur, &mut rng) {
+        let next = match propose_next(&config.model, graph, tables, msg.prev, msg.cur, &mut rng) {
             Some(v) => v,
             None => {
                 // Dead end (isolated or sink node).
@@ -807,8 +810,10 @@ mod tests {
         );
         assert_eq!(alias.corpus, scan.corpus);
         assert_eq!(alias.comm, scan.comm);
-        assert_eq!(alias.alias_table_bytes, 0, "unweighted: no table resident");
-        assert_eq!(scan.alias_build_secs, 0.0, "linear scan builds nothing");
+        // Unweighted: no alias arrays under either backend; HuGE's 4 B/arc
+        // acceptance array under both.
+        assert_eq!(alias.alias_table_bytes, g.num_arcs() * 4);
+        assert_eq!(scan.alias_table_bytes, g.num_arcs() * 4);
     }
 
     #[test]
@@ -819,8 +824,12 @@ mod tests {
         cfg.length = LengthPolicy::Fixed(15);
         cfg.walks_per_node = WalkCountPolicy::Fixed(2);
         let result = run_distributed_walks(&g, &p, &cfg);
+        // Weighted DeepWalk: 8 B/arc of alias arrays, no acceptance array…
         assert_eq!(result.alias_table_bytes, g.num_arcs() * 8);
-        assert!(result.alias_build_secs >= 0.0);
+        assert!(result.alias_build_secs > 0.0);
+        // …and HuGE on the same graph adds its 4 B/arc.
+        let huge = run_distributed_walks(&g, &p, &cfg.with_model(WalkModel::Huge));
+        assert_eq!(huge.alias_table_bytes, g.num_arcs() * 12);
         assert!(result.avg_machine_memory_bytes >= result.alias_table_bytes / 4);
         for walk in result.corpus.walks() {
             for pair in walk.windows(2) {
@@ -836,6 +845,10 @@ mod tests {
         );
         assert_eq!(scan.corpus.num_walks(), result.corpus.num_walks());
         assert_eq!(scan.alias_table_bytes, 0);
+        assert_eq!(
+            scan.alias_build_secs, 0.0,
+            "linear-scan DeepWalk builds nothing"
+        );
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //!
 //! * [`freq`] — the flat machine-local frequency store (PR 1), queried once
 //!   per accepted node by InCoM's incremental measurement;
-//! * [`alias`] — per-node alias transition tables (Vose construction, two
-//!   flat arc-aligned arrays), making every weighted neighbour draw — and
-//!   every second-order rejection *proposal* — constant time regardless of
-//!   degree. Both keep the original implementation selectable as a reference
-//!   backend ([`FreqBackend`] / [`SamplingBackend`]).
+//! * [`alias`] — flat arc-aligned side tables built once per job: per-node
+//!   alias tables (Vose construction) making every weighted neighbour draw —
+//!   and every second-order rejection *proposal* — constant time regardless
+//!   of degree, and HuGE's per-arc acceptance probabilities (Eq. 3), making
+//!   every rejection *trial* one array read. Both keep the original draw
+//!   selectable as a reference backend ([`FreqBackend`] /
+//!   [`SamplingBackend`]).
 //!
 //! All engines run on the BSP driver of `distger-cluster` through **one**
 //! round loop, [`run_walks_over`]: each endpoint's machines live on one
@@ -49,7 +51,7 @@ pub mod message;
 pub mod models;
 pub mod rng;
 
-pub use alias::{NeighborSampler, SamplingBackend, TransitionTables};
+pub use alias::{SamplingBackend, TransitionTables};
 pub use checkpoint::{CheckpointPolicy, WalkCheckpoint};
 pub use corpus::{Corpus, CorpusShard};
 pub use dist::{run_walks_over, run_walks_over_loopback};

@@ -12,7 +12,10 @@
 //!   `Z(α(u, v) · w(u, v))` where
 //!   `α(u, v) = max(deg u / deg v, deg v / deg u) / (deg u − Cm(u, v))`
 //!   and `Z(x) = tanh(x)`; a rejected candidate sends the walker back to `u`
-//!   for another attempt (walking-backtracking).
+//!   for another attempt (walking-backtracking). Every term is a static
+//!   property of the arc, so the step reads the probability from the
+//!   arc-aligned table [`TransitionTables`] built once per job;
+//!   [`huge_acceptance`] is the formula the builder fills it with.
 //!
 //! Termination is controlled independently by [`LengthPolicy`] (per-walk) and
 //! [`WalkCountPolicy`] (walks per node), so the routine configuration
@@ -21,12 +24,12 @@
 //! is the "general API" of §6.6.
 //!
 //! The neighbour draw itself — the first-order transition and the proposal
-//! distribution of the two rejection-sampled second-order models — is
-//! delegated to a [`NeighborSampler`], so every model transparently benefits
-//! from the `O(1)` alias tables of [`crate::alias`] (or falls back to the
-//! reference `O(deg)` linear scan).
+//! distribution of the two rejection-sampled second-order models — goes
+//! through the job's [`TransitionTables`], so every model transparently
+//! benefits from the `O(1)` alias tables of [`crate::alias`] (or falls back
+//! to the reference `O(deg)` linear scan when they were not materialized).
 
-use crate::alias::NeighborSampler;
+use crate::alias::TransitionTables;
 use crate::rng::SplitMix64;
 use distger_graph::{CsrGraph, NodeId};
 
@@ -183,38 +186,45 @@ pub fn huge_alpha(graph: &CsrGraph, u: NodeId, v: NodeId) -> f64 {
     ratio / denom
 }
 
-/// HuGE's acceptance probability `P(u, v) = Z(α(u, v) · w(u, v))`.
+/// HuGE's acceptance probability `P(u, v) = Z(α(u, v) · w(u, v))` (Eq. 3).
+/// The walk step never evaluates this: it is the per-arc formula
+/// [`TransitionTables`] is filled with, and the oracle the table is tested
+/// against.
 pub fn huge_acceptance(graph: &CsrGraph, u: NodeId, v: NodeId) -> f64 {
+    let weight = graph.edge_weight(u, v).unwrap_or(1.0);
+    huge_arc_acceptance(graph, u, v, weight)
+}
+
+/// [`huge_acceptance`] of an arc whose weight the caller already holds (the
+/// table builder reads it from the arc's slot instead of searching for it).
+pub(crate) fn huge_arc_acceptance(graph: &CsrGraph, u: NodeId, v: NodeId, weight: f32) -> f64 {
     let alpha = huge_alpha(graph, u, v);
     if !alpha.is_finite() {
         return 1.0;
     }
-    let w = graph.edge_weight(u, v).unwrap_or(1.0) as f64;
-    huge_normalize(alpha * w)
+    huge_normalize(alpha * weight as f64)
 }
 
 /// Proposes (and accepts) the next node of a walk currently at `cur`, having
 /// previously been at `prev` (for second-order models). Neighbour draws —
-/// DeepWalk's transition and the rejection proposals of node2vec/HuGE — go
-/// through `sampler`. Returns `None` when `cur` has no out-neighbours (the
+/// DeepWalk's transition and the rejection proposals of node2vec/HuGE — and
+/// HuGE's acceptance probabilities come from `tables`, which must have been
+/// built for `model`. Returns `None` when `cur` has no out-neighbours (the
 /// walk must stop).
 pub fn propose_next(
     model: &WalkModel,
     graph: &CsrGraph,
-    sampler: NeighborSampler<'_>,
+    tables: &TransitionTables,
     prev: Option<NodeId>,
     cur: NodeId,
     rng: &mut SplitMix64,
 ) -> Option<NodeId> {
-    if graph.degree(cur) == 0 {
-        return None;
-    }
     match *model {
-        WalkModel::DeepWalk => sampler.sample(graph, cur, rng),
+        WalkModel::DeepWalk => tables.sample(graph, cur, rng),
         WalkModel::Node2Vec { p, q } => {
             // Rejection sampling with envelope Q = max(1/p, 1, 1/q).
             let envelope = (1.0 / p).max(1.0).max(1.0 / q);
-            let mut candidate = sampler.sample(graph, cur, rng)?;
+            let mut candidate = tables.sample(graph, cur, rng)?;
             for _ in 0..MAX_TRIALS {
                 let bias = match prev {
                     None => 1.0,
@@ -231,22 +241,23 @@ pub fn propose_next(
                 if rng.next_f64() * envelope <= bias {
                     return Some(candidate);
                 }
-                candidate = sampler.sample(graph, cur, rng)?;
+                candidate = tables.sample(graph, cur, rng)?;
             }
             Some(candidate)
         }
         WalkModel::Huge => {
-            // Walking-backtracking: rejected candidates send the walker back
-            // to `cur` for a fresh attempt.
-            let mut candidate = sampler.sample(graph, cur, rng)?;
+            // Walking-backtracking: a rejected candidate sends the walker
+            // back to `cur` for a fresh attempt. A trial is one slot draw and
+            // one read of the arc-aligned acceptance table.
+            let accept = tables.acceptance();
+            let mut slot = tables.sample_slot(graph, cur, rng)?;
             for _ in 0..MAX_TRIALS {
-                let accept = huge_acceptance(graph, cur, candidate);
-                if rng.next_f64() < accept {
-                    return Some(candidate);
+                if rng.next_f64() < accept[slot] as f64 {
+                    break;
                 }
-                candidate = sampler.sample(graph, cur, rng)?;
+                slot = tables.sample_slot(graph, cur, rng)?;
             }
-            Some(candidate)
+            Some(graph.arc_targets()[slot])
         }
     }
 }
@@ -254,10 +265,17 @@ pub fn propose_next(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alias::SamplingBackend;
     use distger_graph::{barabasi_albert, GraphBuilder};
 
     fn rng() -> SplitMix64 {
         SplitMix64::new(42)
+    }
+
+    /// Tables for `model` under both backends, the linear scan first.
+    fn both_backends(g: &CsrGraph, model: &WalkModel) -> [TransitionTables; 2] {
+        [SamplingBackend::LinearScan, SamplingBackend::Alias]
+            .map(|backend| TransitionTables::build(g, backend, model, 1))
     }
 
     #[test]
@@ -300,18 +318,17 @@ mod tests {
     #[test]
     fn propose_next_returns_neighbors_only() {
         let g = barabasi_albert(100, 3, 7);
-        let tables = crate::alias::TransitionTables::build(&g);
         let mut r = rng();
-        for sampler in [NeighborSampler::LinearScan, NeighborSampler::Alias(&tables)] {
-            for model in [
-                WalkModel::DeepWalk,
-                WalkModel::Node2Vec { p: 0.5, q: 2.0 },
-                WalkModel::Huge,
-            ] {
+        for model in [
+            WalkModel::DeepWalk,
+            WalkModel::Node2Vec { p: 0.5, q: 2.0 },
+            WalkModel::Huge,
+        ] {
+            for tables in both_backends(&g, &model) {
                 let mut prev = None;
                 let mut cur: NodeId = 5;
                 for _ in 0..50 {
-                    let next = propose_next(&model, &g, sampler, prev, cur, &mut r)
+                    let next = propose_next(&model, &g, &tables, prev, cur, &mut r)
                         .expect("connected node must have a next hop");
                     assert!(
                         g.has_edge(cur, next),
@@ -331,16 +348,12 @@ mod tests {
         b.add_edge(0, 1);
         b.reserve_nodes(3);
         let g = b.build();
-        let scan = NeighborSampler::LinearScan;
         let mut r = rng();
-        assert_eq!(
-            propose_next(&WalkModel::DeepWalk, &g, scan, None, 2, &mut r),
-            None
-        );
-        assert_eq!(
-            propose_next(&WalkModel::Huge, &g, scan, None, 2, &mut r),
-            None
-        );
+        for model in [WalkModel::DeepWalk, WalkModel::Huge] {
+            for tables in both_backends(&g, &model) {
+                assert_eq!(propose_next(&model, &g, &tables, None, 2, &mut r), None);
+            }
+        }
     }
 
     #[test]
@@ -354,10 +367,9 @@ mod tests {
         let trials = 4_000;
         let count_returns = |p: f64, q: f64, r: &mut SplitMix64| {
             let model = WalkModel::Node2Vec { p, q };
+            let [scan, _] = both_backends(&g, &model);
             (0..trials)
-                .filter(|_| {
-                    propose_next(&model, &g, NeighborSampler::LinearScan, Some(0), 1, r) == Some(0)
-                })
+                .filter(|_| propose_next(&model, &g, &scan, Some(0), 1, r) == Some(0))
                 .count()
         };
         let returns_low_p = count_returns(0.25, 1.0, &mut r); // strong return bias
@@ -374,12 +386,11 @@ mod tests {
         b.add_weighted_edge(0, 1, 10.0);
         b.add_weighted_edge(0, 2, 0.1);
         let g = b.build();
-        let tables = crate::alias::TransitionTables::build(&g);
-        for sampler in [NeighborSampler::LinearScan, NeighborSampler::Alias(&tables)] {
+        for tables in both_backends(&g, &WalkModel::DeepWalk) {
             let mut r = rng();
             let to_1 = (0..2_000)
                 .filter(|_| {
-                    propose_next(&WalkModel::DeepWalk, &g, sampler, None, 0, &mut r) == Some(1)
+                    propose_next(&WalkModel::DeepWalk, &g, &tables, None, 0, &mut r) == Some(1)
                 })
                 .count();
             assert!(to_1 > 1_800, "heavy edge taken only {to_1}/2000 times");

@@ -3,9 +3,11 @@
 use distger_graph::{GraphBuilder, NodeId};
 use distger_partition::{mpgp_partition, MpgpConfig, Partitioning};
 use distger_walks::info::{walk_entropy, FullPathInfo, IncrementalInfo};
+use distger_walks::models::{huge_acceptance, propose_next};
+use distger_walks::rng::SplitMix64;
 use distger_walks::{
-    run_distributed_walks, FreqBackend, LengthPolicy, SamplingBackend, WalkCountPolicy,
-    WalkEngineConfig, WalkModel,
+    run_distributed_walks, FreqBackend, LengthPolicy, SamplingBackend, TransitionTables,
+    WalkCountPolicy, WalkEngineConfig, WalkModel,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -153,7 +155,8 @@ proptest! {
     /// On weighted graphs the alias backend consumes randomness differently,
     /// so corpora are only equal in distribution — but every walk it emits
     /// must still be a real path, cover every source, and the engine must
-    /// report the 8-bytes-per-arc table residency.
+    /// report the table residency: 8 bytes per arc of alias arrays, plus 4
+    /// per arc of acceptance probabilities when the model is HuGE.
     #[test]
     fn alias_backend_weighted_walks_are_paths(
         seed in 0u64..10,
@@ -164,14 +167,144 @@ proptest! {
         let mut cfg = WalkEngineConfig::knightking_routine(WalkModel::DeepWalk).with_seed(seed);
         cfg.length = LengthPolicy::Fixed(12);
         cfg.walks_per_node = WalkCountPolicy::Fixed(1);
-        let result = run_distributed_walks(&g, &p, &cfg);
-        prop_assert_eq!(result.corpus.num_walks(), g.num_nodes());
-        prop_assert_eq!(result.alias_table_bytes, g.num_arcs() * 8);
-        for walk in result.corpus.walks() {
-            for pair in walk.windows(2) {
-                prop_assert!(g.has_edge(pair[0], pair[1]), "non-edge in weighted walk");
+        for (model, bytes_per_arc) in [(WalkModel::DeepWalk, 8), (WalkModel::Huge, 12)] {
+            let result = run_distributed_walks(&g, &p, &cfg.with_model(model));
+            prop_assert_eq!(result.corpus.num_walks(), g.num_nodes());
+            prop_assert_eq!(result.alias_table_bytes, g.num_arcs() * bytes_per_arc);
+            for walk in result.corpus.walks() {
+                for pair in walk.windows(2) {
+                    prop_assert!(g.has_edge(pair[0], pair[1]), "non-edge in weighted walk");
+                }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Table ≡ formula: on random weighted / unweighted, directed /
+    /// undirected graphs — an isolated node and a degree-1 node always
+    /// included — every slot of the acceptance table is `huge_acceptance` of
+    /// its arc rounded to `f32`, however many threads split the build, and
+    /// the array is there exactly when the model is HuGE.
+    #[test]
+    fn acceptance_table_equals_the_per_arc_formula(
+        edges in prop::collection::vec((0u32..30, 0u32..30), 0..150),
+        directed in any::<bool>(),
+        weighted in any::<bool>(),
+        threads in 1usize..6,
+        seed in 0u64..50,
+    ) {
+        let mut b = if directed { GraphBuilder::new_directed() } else { GraphBuilder::new_undirected() };
+        for (u, v) in edges { b.add_edge(u, v); }
+        b.add_edge(30, 0); // node 30: a single out-arc
+        b.reserve_nodes(32); // node 31: isolated
+        let mut g = b.build();
+        if weighted { g = g.with_skewed_weights(1.5, seed); }
+        for backend in [SamplingBackend::Alias, SamplingBackend::LinearScan] {
+            let tables = TransitionTables::build(&g, backend, &WalkModel::Huge, threads);
+            let accept = tables.acceptance();
+            prop_assert_eq!(accept.len(), g.num_arcs());
+            for u in 0..g.num_nodes() as NodeId {
+                for (slot, &v) in g.arc_range(u).zip(g.neighbors(u)) {
+                    let want = huge_acceptance(&g, u, v) as f32;
+                    prop_assert!((0.0..=1.0).contains(&want));
+                    prop_assert_eq!(accept[slot].to_bits(), want.to_bits(), "arc {} -> {}", u, v);
+                }
+            }
+            let alias_bytes = if weighted && backend == SamplingBackend::Alias { 8 } else { 0 };
+            prop_assert_eq!(tables.memory_bytes(), g.num_arcs() * (alias_bytes + 4));
+            let draw_only = TransitionTables::build(&g, backend, &WalkModel::DeepWalk, threads);
+            prop_assert!(draw_only.acceptance().is_empty());
+            prop_assert_eq!(draw_only.memory_bytes(), g.num_arcs() * alias_bytes);
+        }
+    }
+}
+
+/// The HuGE step ≡ its distribution. At a hub of a skewed-weight graph the
+/// walking-backtracking loop — up to 64 vetted candidates, then one accepted
+/// unvetted — lands on neighbour `v` with probability
+/// `p(v) = q(v)·a(v)·(1 − r⁶⁴)/(1 − r) + r⁶⁴·q(v)`, where `q` is the
+/// weight-proportional proposal, `a` the acceptance-table row and
+/// `r = 1 − Σ q·a` the chance that one trial rejects. 50 k draws per backend
+/// against that exact law, by chi-squared.
+#[test]
+fn huge_step_matches_its_exact_distribution() {
+    let g = distger_graph::planted_partition(300, 4, 0.15, 0.15, 0.0, 23)
+        .graph
+        .with_skewed_weights(1.5, 8);
+    // `(q, reject)` of a node under a table: the weight-proportional proposal
+    // and the chance that one trial rejects.
+    let trial = |u: NodeId, tables: &TransitionTables| {
+        let weights = g.neighbor_weights(u).unwrap();
+        let total: f64 = weights.iter().map(|&w| w as f64).sum();
+        let q: Vec<f64> = weights.iter().map(|&w| w as f64 / total).collect();
+        let row = &tables.acceptance()[g.arc_range(u)];
+        let accept: f64 = q.iter().zip(row).map(|(q, &a)| q * a as f64).sum();
+        (q, 1.0 - accept)
+    };
+    // Of the ten highest-degree nodes, the one that rejects most, so that the
+    // fall-through term of the law carries weight.
+    let reference = TransitionTables::build(&g, SamplingBackend::Alias, &WalkModel::Huge, 1);
+    let hub = *g.nodes_by_degree_desc()[..10]
+        .iter()
+        .max_by(|&&a, &&b| trial(a, &reference).1.total_cmp(&trial(b, &reference).1))
+        .unwrap();
+    let neighbors = g.neighbors(hub);
+    let draws = 50_000usize;
+    for backend in [SamplingBackend::Alias, SamplingBackend::LinearScan] {
+        let tables = TransitionTables::build(&g, backend, &WalkModel::Huge, 1);
+        let row = &tables.acceptance()[g.arc_range(hub)];
+        let (q, reject) = trial(hub, &tables);
+        let fall_through = reject.powi(64);
+        assert!(
+            fall_through > 1e-2,
+            "the hub should exercise the MAX_TRIALS fall-through, r^64 = {fall_through}"
+        );
+        let vetted = (1.0 - fall_through) / (1.0 - reject);
+        let law: Vec<f64> = q
+            .iter()
+            .zip(row)
+            .map(|(q, &a)| q * a as f64 * vetted + fall_through * q)
+            .collect();
+        assert!((law.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+
+        let mut counts = vec![0u64; neighbors.len()];
+        let mut rng = SplitMix64::new(2024);
+        for _ in 0..draws {
+            let v = propose_next(&WalkModel::Huge, &g, &tables, None, hub, &mut rng).unwrap();
+            counts[neighbors.binary_search(&v).unwrap()] += 1;
+        }
+        // Cells expecting fewer than 5 draws are pooled into one, the usual
+        // condition for the chi-squared approximation.
+        let (mut chi, mut cells) = (0.0, 0usize);
+        let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
+        for (&obs, &p) in counts.iter().zip(&law) {
+            let expected = p * draws as f64;
+            if expected < 5.0 {
+                pooled_obs += obs as f64;
+                pooled_exp += expected;
+            } else {
+                chi += (obs as f64 - expected).powi(2) / expected;
+                cells += 1;
+            }
+        }
+        if pooled_exp > 0.0 {
+            chi += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+            cells += 1;
+        }
+        // E[chi²] = df, Var = 2·df: df + 6·sqrt(2·df) is far beyond any
+        // plausible fluctuation, and the fixed seed makes the test repeat.
+        let df = (cells - 1) as f64;
+        assert!(
+            cells > 20,
+            "the hub should have many neighbours, got {cells} cells"
+        );
+        assert!(
+            chi < df + 6.0 * (2.0 * df).sqrt(),
+            "{backend:?}: chi² {chi:.1} against df {df}"
+        );
     }
 }
 
