@@ -7,7 +7,7 @@
 //! there is the costliest kind. The gate turns `BENCH_walks.json` from a
 //! passive artifact into an enforced contract: every row of every report
 //! whose id ends in a [`GATED_SUFFIXES`] suffix (`_speedup` ratios, `_qps`
-//! absolute throughput, `_slo` latency headroom) is compared against a floor
+//! absolute throughput) is compared against a floor
 //! committed in `crates/bench/baselines.json`, and CI fails when a measured
 //! value drops below `floor × (1 − tolerance)`.
 //!
@@ -74,12 +74,10 @@ impl Baselines {
     }
 }
 
-/// Report-id suffixes the gate enforces: `_speedup` (ratio contracts),
-/// `_qps` (absolute-throughput contracts — the serving front door's
-/// concurrent QPS) and `_slo` (latency-headroom contracts — e.g. p99 under
-/// the serving SLO, expressed as `slo / p99` so "bigger is better" holds
-/// for every gated number).
-pub const GATED_SUFFIXES: [&str; 3] = ["_speedup", "_qps", "_slo"];
+/// Report-id suffixes the gate enforces: `_speedup` (ratio contracts) and
+/// `_qps` (absolute-throughput contracts — the sharded serving fleet's QPS).
+/// Both are "bigger is better".
+pub const GATED_SUFFIXES: [&str; 2] = ["_speedup", "_qps"];
 
 /// Extracts every gated measurement from a `BENCH_walks.json` document:
 /// each row of each report whose `id` ends in one of [`GATED_SUFFIXES`],
@@ -197,12 +195,10 @@ mod tests {
                 { "id": "transition_sampling_speedup",
                   "rows": [ {"label": "unweighted_ba", "values": [1.0]},
                             {"label": "skewed_ba", "values": [3.5]} ] },
-                { "id": "serve_latency",
-                  "rows": [ {"label": "callers_32", "values": [1.2]} ] },
-                { "id": "serve_concurrent_qps",
-                  "rows": [ {"label": "callers_32", "values": [12000.0]} ] },
-                { "id": "serve_latency_slo",
-                  "rows": [ {"label": "p99_under_50ms_slo", "values": [40.0]} ] }
+                { "id": "shard_merge",
+                  "rows": [ {"label": "kway_heap", "values": [90000.0]} ] },
+                { "id": "sharded_serve_qps",
+                  "rows": [ {"label": "loopback_4_shards", "values": [12000.0]} ] }
               ]
             }"#,
         )
@@ -216,8 +212,7 @@ mod tests {
               "floors": [
                 { "key": "freq_store_speedup/flat_over_nested", "min_speedup": 1.5 },
                 { "key": "transition_sampling_speedup/skewed_ba", "min_speedup": 2.0 },
-                { "key": "serve_concurrent_qps/callers_32", "min_speedup": 1000.0 },
-                { "key": "serve_latency_slo/p99_under_50ms_slo", "min_speedup": 1.2 }
+                { "key": "sharded_serve_qps/loopback_4_shards", "min_speedup": 1000.0 }
               ]
             }"#,
         )
@@ -226,9 +221,8 @@ mod tests {
 
     #[test]
     fn collects_only_gated_suffixes() {
-        // `freq_store` (plain measurements) and `serve_latency`
-        // (informational distribution) are skipped; `_speedup`, `_qps` and
-        // `_slo` reports are all collected.
+        // `freq_store` and `shard_merge` (plain measurements) are skipped;
+        // `_speedup` and `_qps` reports are both collected.
         let speedups = collect_speedups(&bench_doc());
         assert_eq!(
             speedups,
@@ -236,8 +230,7 @@ mod tests {
                 ("freq_store_speedup/flat_over_nested".to_string(), 1.9),
                 ("transition_sampling_speedup/unweighted_ba".to_string(), 1.0),
                 ("transition_sampling_speedup/skewed_ba".to_string(), 3.5),
-                ("serve_concurrent_qps/callers_32".to_string(), 12000.0),
-                ("serve_latency_slo/p99_under_50ms_slo".to_string(), 40.0),
+                ("sharded_serve_qps/loopback_4_shards".to_string(), 12000.0),
             ]
         );
     }
@@ -246,7 +239,7 @@ mod tests {
     fn passing_floors_pass() {
         let baselines = Baselines::from_json(&baselines_doc()).unwrap();
         let checks = evaluate(&baselines, &collect_speedups(&bench_doc()));
-        assert_eq!(checks.len(), 4);
+        assert_eq!(checks.len(), 3);
         assert!(checks.iter().all(GateCheck::passed), "{checks:?}");
     }
 
@@ -255,8 +248,7 @@ mod tests {
         let baselines = Baselines::from_json(&baselines_doc()).unwrap();
         let rest = [
             ("transition_sampling_speedup/skewed_ba".to_string(), 2.0),
-            ("serve_concurrent_qps/callers_32".to_string(), 12000.0),
-            ("serve_latency_slo/p99_under_50ms_slo".to_string(), 40.0),
+            ("sharded_serve_qps/loopback_4_shards".to_string(), 12000.0),
         ];
         // 1.25 is below the 1.5 floor but above 1.5 × 0.8 = 1.2: noise, pass.
         let mut measured = rest.to_vec();

@@ -7,7 +7,8 @@ use crate::{EdgeWeight, NodeId};
 ///
 /// Duplicate edges and self-loops are dropped (the paper's random-walk models
 /// assume simple graphs). For undirected graphs each added edge is stored in
-/// both directions.
+/// both directions. Of duplicate weighted edges the first added keeps its
+/// weight, in both directions of an undirected graph.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     edges: Vec<(NodeId, NodeId, EdgeWeight)>,
@@ -107,10 +108,79 @@ impl GraphBuilder {
     /// Consumes the builder and produces the CSR graph.
     pub fn build(&self) -> CsrGraph {
         let n = self.max_node.map_or(0, |m| m as usize + 1);
+        let (offsets, targets, weights) = if self.weighted {
+            let (offsets, arcs) = self.rows(n, |v, w| (v, w), |&(v, _)| v);
+            let (targets, weights) = arcs.into_iter().unzip();
+            (offsets, targets, Some(weights))
+        } else {
+            let (offsets, targets) = self.rows(n, |v, _| v, |&v| v);
+            (offsets, targets, None)
+        };
+        let num_edges = if self.directed {
+            targets.len()
+        } else {
+            targets.len() / 2
+        };
+        CsrGraph::from_parts(offsets, targets, weights, self.directed, num_edges)
+    }
 
-        // Materialize arcs: one per direction for undirected graphs.
-        let mut arcs: Vec<(NodeId, NodeId, EdgeWeight)> =
-            Vec::with_capacity(self.edges.len() * if self.directed { 1 } else { 2 });
+    /// The CSR rows by counting sort: count out-degrees, scatter every arc
+    /// (one per direction for undirected graphs) into its row in the order
+    /// the edges were added, then sort each row by target, stably, keeping
+    /// the first arc to each target and packing the rows to the front.
+    fn rows<T: Copy + Default>(
+        &self,
+        n: usize,
+        arc: impl Fn(NodeId, EdgeWeight) -> T,
+        target: impl Fn(&T) -> NodeId,
+    ) -> (Vec<usize>, Vec<T>) {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v, _) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            if !self.directed {
+                offsets[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut arcs = vec![T::default(); offsets[n]];
+        let mut next = offsets.clone();
+        for &(u, v, w) in &self.edges {
+            let mut place = |from: NodeId, to: NodeId| {
+                let slot = &mut next[from as usize];
+                arcs[*slot] = arc(to, w);
+                *slot += 1;
+            };
+            place(u, v);
+            if !self.directed {
+                place(v, u);
+            }
+        }
+        let (mut start, mut write) = (0, 0);
+        for u in 0..n {
+            let end = offsets[u + 1];
+            arcs[start..end].sort_by_key(&target);
+            let row = write;
+            for i in start..end {
+                if write == row || target(&arcs[write - 1]) != target(&arcs[i]) {
+                    arcs[write] = arcs[i];
+                    write += 1;
+                }
+            }
+            offsets[u + 1] = write;
+            start = end;
+        }
+        arcs.truncate(write);
+        (offsets, arcs)
+    }
+
+    /// The build this one replaced, kept as the oracle of the counting sort:
+    /// every arc materialised, globally sorted, deduplicated.
+    #[cfg(test)]
+    fn build_by_global_sort(&self) -> CsrGraph {
+        let n = self.max_node.map_or(0, |m| m as usize + 1);
+        let mut arcs: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::new();
         for &(u, v, w) in &self.edges {
             arcs.push((u, v, w));
             if !self.directed {
@@ -119,7 +189,6 @@ impl GraphBuilder {
         }
         arcs.sort_unstable_by_key(|&(u, v, _)| (u, v));
         arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
-
         let mut offsets = vec![0usize; n + 1];
         for &(u, _, _) in &arcs {
             offsets[u as usize + 1] += 1;
@@ -127,13 +196,10 @@ impl GraphBuilder {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets: Vec<NodeId> = arcs.iter().map(|&(_, v, _)| v).collect();
-        let weights = if self.weighted {
-            Some(arcs.iter().map(|&(_, _, w)| w).collect())
-        } else {
-            None
-        };
-
+        let targets = arcs.iter().map(|&(_, v, _)| v).collect();
+        let weights = self
+            .weighted
+            .then(|| arcs.iter().map(|&(_, _, w)| w).collect());
         let num_edges = if self.directed {
             arcs.len()
         } else {
@@ -219,6 +285,50 @@ mod tests {
         b.add_weighted_edge(1, 2, 2.0);
         let g = b.build();
         assert_eq!(g.edge_weight(0, 1), Some(0.0));
+    }
+
+    #[test]
+    fn the_first_added_duplicate_weight_wins_in_both_directions() {
+        let mut b = GraphBuilder::new_undirected();
+        b.add_weighted_edge(0, 1, 2.0);
+        b.add_weighted_edge(1, 0, 3.0);
+        b.add_weighted_edge(0, 1, 4.0);
+        let g = b.build();
+        assert_eq!(g.edge_weight(0, 1), Some(2.0));
+        assert_eq!(g.edge_weight(1, 0), Some(2.0));
+        assert_eq!(g.num_edges(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The counting sort builds the global sort's CSR: directed and
+        /// undirected, both orientations of an edge, duplicates, self-loops
+        /// and isolated nodes; weighted inputs without duplicates, where
+        /// the global sort's choice of weight is defined.
+        #[test]
+        fn counting_sort_build_equals_the_global_sort(
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..120),
+            directed in proptest::prelude::any::<bool>(),
+            weighted in proptest::prelude::any::<bool>(),
+            reserve in 0usize..40,
+        ) {
+            let mut b = if directed {
+                GraphBuilder::new_directed()
+            } else {
+                GraphBuilder::new_undirected()
+            };
+            b.reserve_nodes(reserve);
+            let mut seen = std::collections::HashSet::new();
+            for (i, &(u, v)) in edges.iter().enumerate() {
+                if !weighted {
+                    b.add_edge(u, v);
+                } else if seen.insert((u.min(v), u.max(v))) {
+                    b.add_weighted_edge(u, v, (i % 7) as EdgeWeight * 0.5);
+                }
+            }
+            proptest::prop_assert_eq!(b.build(), b.build_by_global_sort());
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   [`QueryBackend::Exact`] is a chunked brute-force scan with a bounded
 //!   heap ([`exact`]); [`QueryBackend::Lsh`] is seeded random-hyperplane
 //!   signatures with multi-probe buckets and an exact re-rank ([`lsh`]).
-//!   Batches fan out across threads on the same
-//!   [`run_rounds`](distger_cluster::run_rounds) pool the sampler and
-//!   trainer use.
+//!   Each engine owns `threads − 1` helper threads for its lifetime
+//!   (`workers`): the caller takes stride 0 of a batch and wakes helpers
+//!   for the rest, and a one-query batch never leaves the calling thread.
 //! * Determinism: every backend breaks score ties by ascending node id
 //!   ([`topk`]), and the LSH hyperplanes are seeded — the same index and
 //!   config always produce the same results.
@@ -61,6 +61,7 @@ mod normal;
 pub mod schedule;
 pub mod shard;
 pub mod topk;
+mod workers;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use engine::{

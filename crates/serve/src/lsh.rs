@@ -14,10 +14,14 @@
 
 use crate::index::EmbeddingIndex;
 use crate::normal::gaussian;
+use crate::workers::Workers;
+use distger_cluster::machine_split;
 use distger_embed::kernel::dot;
 use distger_graph::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of the LSH backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,33 +93,94 @@ impl LshIndex {
     /// # Panics
     /// Panics if `bits` is outside `1..=24` or `tables` is zero.
     pub fn build(index: &EmbeddingIndex, config: &LshConfig) -> Self {
+        let mut lsh = Self::unfilled(index.dim(), config);
+        let mut signatures = Vec::new();
+        lsh.sign(index, 0..index.num_nodes(), &mut signatures);
+        lsh.fill(0, &signatures);
+        lsh
+    }
+
+    /// [`build`](Self::build) with the signatures computed in contiguous
+    /// node chunks on the calling thread and `workers`' helpers. The buckets
+    /// are filled in node order on the calling thread, so the index is the
+    /// one `build` makes.
+    pub(crate) fn build_on(
+        index: &Arc<EmbeddingIndex>,
+        config: &LshConfig,
+        workers: &Workers,
+    ) -> Self {
+        let mut lsh = Self::unfilled(index.dim(), config);
+        let participants = workers.helpers() + 1;
+        let chunks: Arc<Vec<Mutex<Vec<u32>>>> =
+            Arc::new((0..participants).map(|_| Mutex::default()).collect());
+        let job = {
+            let signer = lsh.clone();
+            let index = Arc::clone(index);
+            let chunks = Arc::clone(&chunks);
+            move |participant, participants| {
+                let nodes = machine_split(index.num_nodes(), participants, participant);
+                let mut signatures = Vec::with_capacity(nodes.len() * signer.tables());
+                signer.sign(&index, nodes, &mut signatures);
+                // Each participant locks only its own chunk, and no code
+                // panics while holding it.
+                *chunks[participant]
+                    .lock()
+                    .expect("chunk lock is never poisoned") = signatures;
+            }
+        };
+        workers.run(participants, Arc::new(job));
+        let mut first = 0;
+        for chunk in chunks.iter() {
+            let signatures = std::mem::take(&mut *chunk.lock().expect("signing has finished"));
+            lsh.fill(first, &signatures);
+            first += signatures.len() / lsh.tables();
+        }
+        lsh
+    }
+
+    /// Hyperplanes drawn, buckets empty.
+    fn unfilled(dim: usize, config: &LshConfig) -> Self {
         assert!(
             (1..=24).contains(&config.bits),
             "signature width must be 1..=24 bits"
         );
         assert!(config.tables > 0, "need at least one hash table");
-        let dim = index.dim();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let plane_count = config.tables * config.bits as usize;
         let mut planes = Vec::with_capacity(plane_count * dim);
         for _ in 0..plane_count * dim {
             planes.push(gaussian(&mut rng));
         }
-        let mut lsh = Self {
+        Self {
             dim,
             bits: config.bits,
             probes: config.probes,
             planes,
             buckets: vec![HashMap::new(); config.tables],
-        };
-        for node in 0..index.num_nodes() as NodeId {
-            let row = index.unit_vector(node);
-            for table in 0..config.tables {
-                let sig = lsh.signature(table, row);
-                lsh.buckets[table].entry(sig).or_default().push(node);
+        }
+    }
+
+    /// Appends every table's signature of each node in `nodes` to `out`,
+    /// node-major.
+    fn sign(&self, index: &EmbeddingIndex, nodes: Range<usize>, out: &mut Vec<u32>) {
+        for node in nodes {
+            let row = index.unit_vector(node as NodeId);
+            for table in 0..self.tables() {
+                out.push(self.signature(table, row));
             }
         }
-        lsh
+    }
+
+    /// Buckets the nodes `first..` whose node-major signatures `sign`
+    /// wrote, in node order, so every bucket stays ascending.
+    fn fill(&mut self, first: usize, signatures: &[u32]) {
+        let tables = self.tables();
+        for (offset, row) in signatures.chunks_exact(tables).enumerate() {
+            let node = (first + offset) as NodeId;
+            for (bucket, &sig) in self.buckets.iter_mut().zip(row) {
+                bucket.entry(sig).or_default().push(node);
+            }
+        }
     }
 
     /// Number of hash tables.
@@ -305,6 +370,24 @@ mod tests {
             grew |= set6.len() > set0.len();
         }
         assert!(grew, "probing never added a candidate");
+    }
+
+    #[test]
+    fn a_build_on_helpers_equals_the_one_thread_build_bucket_for_bucket() {
+        let config = LshConfig::default();
+        // 0..=4 helpers over node counts the participants do not divide.
+        for (nodes, helpers) in [(200, 0), (200, 1), (203, 2), (7, 4), (1, 3)] {
+            let index = Arc::new(EmbeddingIndex::build(&gaussian_clusters(
+                nodes, 16, 4, 0.05, 7,
+            )));
+            let serial = LshIndex::build(&index, &config);
+            let parallel = LshIndex::build_on(&index, &config, &Workers::spawn(helpers));
+            assert_eq!(parallel.planes, serial.planes);
+            assert_eq!(
+                parallel.buckets, serial.buckets,
+                "{nodes} nodes on {helpers} helpers"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! callers submit single queries through a cloneable [`RequestClient`]; a
 //! dispatcher thread accumulates them into batches under a
 //! [`BatchPolicy`] and flushes each batch onto the existing
-//! `cluster::pool`-backed [`QueryEngine::top_k`] path, returning per-request
-//! [`TopK`] results through completion channels ([`PendingQuery`]).
+//! [`QueryEngine::top_k`] path, whose helpers it wakes from the dispatcher
+//! thread, returning per-request [`TopK`] results through completion
+//! channels ([`PendingQuery`]).
 //!
 //! # Flush conditions (the dispatcher state machine)
 //!

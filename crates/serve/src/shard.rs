@@ -56,7 +56,9 @@
 //! [`Scheduler::failure`](crate::schedule::Scheduler::failure) surfaces the
 //! shard's message.
 
-use crate::engine::{BatchResults, QueryBackend, QueryBatch, QueryEngine, QueryStats, ServeConfig};
+use crate::engine::{
+    BatchResults, QueryBackend, QueryBatch, QueryEngine, QueryStats, ServeConfig, MAX_THREADS,
+};
 use crate::index::EmbeddingIndex;
 use crate::lsh::LshConfig;
 use crate::topk::{Neighbor, TopK};
@@ -242,6 +244,11 @@ fn decode_config(r: &mut WireReader) -> io::Result<ServeConfig> {
     };
     if k == 0 || threads == 0 {
         return Err(invalid_data("zero k or threads in shard config"));
+    }
+    if threads > MAX_THREADS {
+        return Err(invalid_data(format!(
+            "shard config asks for {threads} query threads, more than {MAX_THREADS}"
+        )));
     }
     if !(1..=24).contains(&lsh.bits) || lsh.tables == 0 {
         return Err(invalid_data(format!(
@@ -985,8 +992,9 @@ mod tests {
         assert!(decode_reply(&[7]).is_err(), "bad reply tag accepted");
 
         // Every length field a peer controls, set to all-ones, is an error
-        // and not an allocation: LOAD rows (after opcode, config and base),
-        // QUERY dim and count, TOPK query count and first heap length.
+        // and not an allocation (or a spawn): LOAD threads (after opcode,
+        // backend and k) and rows (after opcode, config and base), QUERY dim
+        // and count, TOPK query count and first heap length.
         type Rejects = fn(&[u8]) -> bool;
         let (load_rejects, query_rejects, reply_rejects): (Rejects, Rejects, Rejects) = (
             |bytes| decode_load(bytes).is_err(),
@@ -994,6 +1002,7 @@ mod tests {
             |bytes| decode_reply(bytes).is_err(),
         );
         for (clean, field, rejects) in [
+            (&load, 6..10, load_rejects),
             (&load, 38..46, load_rejects),
             (&query, 1..5, query_rejects),
             (&query, 5..13, query_rejects),
@@ -1015,6 +1024,9 @@ mod tests {
             let bad = encode_load(&embeddings, 2..5, &ServeConfig { lsh, ..config });
             assert!(decode_load(&bad).is_err(), "{tables} tables of {bits} bits");
         }
+        let threads = MAX_THREADS + 1;
+        let bad = encode_load(&embeddings, 2..5, &ServeConfig { threads, ..config });
+        assert!(decode_load(&bad).is_err(), "{threads} query threads");
 
         let err = encode_reply(&Err("shard exploded".into()));
         let decoded = decode_reply(&err).expect("error replies decode");

@@ -112,6 +112,39 @@ proptest! {
         }
     }
 
+    /// An engine's helpers live as long as it does: a run of batches of
+    /// every size, from one query (answered on the caller) to more than the
+    /// engine has threads, on one long-lived engine answers each batch as a
+    /// freshly built engine does, for every thread count.
+    #[test]
+    fn a_long_lived_engine_answers_every_batch_as_a_fresh_engine_does(
+        nodes in 40usize..120,
+        dim in 4usize..16,
+        k in 1usize..8,
+        sizes in proptest::collection::vec(0usize..12, 1..8),
+        lsh in any::<bool>(),
+        seed in 0u64..64,
+    ) {
+        let backend = if lsh { QueryBackend::Lsh } else { QueryBackend::Exact };
+        let index = EmbeddingIndex::build(&gaussian_clusters(nodes, dim, 3, 0.2, seed));
+        for threads in 1..=4 {
+            let long_lived = engine(&index, backend, k, threads);
+            for (b, &size) in sizes.iter().enumerate() {
+                let query_nodes: Vec<u32> =
+                    (0..size).map(|i| ((b * 31 + i * 7) % nodes) as u32).collect();
+                let batch = QueryBatch::from_nodes(&index, &query_nodes);
+                let fresh = engine(&index, backend, k, threads).top_k(&batch);
+                prop_assert_eq!(
+                    &long_lived.top_k(&batch).results,
+                    &fresh.results,
+                    "batch {} on {} threads",
+                    b,
+                    threads
+                );
+            }
+        }
+    }
+
     /// `EmbeddingIndex` normalization invariants on arbitrary embeddings
     /// (including all-zero rows): unit rows, preserved norms, exact
     /// reconstruction `unit × norm ≈ row`, and self-cosine 1.
