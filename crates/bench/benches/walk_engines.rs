@@ -1,18 +1,18 @@
 //! Figure 10(a) at micro scale: random-walk time of the routine KnightKing
 //! configuration, the HuGE-D full-path baseline, and DistGER's InCoM engine —
-//! plus steps-per-second throughput comparisons of the optimized hot-path
-//! implementations against their retained reference paths (flat vs
-//! nested-HashMap frequency store; alias-table vs linear-scan transition
-//! sampling) and the serving layer's top-k query throughput (multi-probe LSH vs the
-//! exact scan, with LSH recall@10 against the exact ground truth), exported
-//! together to `BENCH_walks.json`. Every `*_speedup` report row is enforced
-//! by the CI regression gate against `crates/bench/baselines.json` (see
-//! `distger_bench::gate`).
+//! plus the ratios the end-to-end benchmark (`BENCHMARK.json`) cannot
+//! express: the walk ladder (steps/s per layer of the walk), the serving
+//! layer's top-k throughput (multi-probe LSH vs the exact scan, with LSH
+//! recall@10 against the exact ground truth), and the overhead of
+//! checkpointing, span tracing, the request scheduler and the shard merge,
+//! exported together to `BENCH_walks.json`. Every `*_speedup` report row is
+//! enforced by the CI regression gate against `crates/bench/baselines.json`
+//! (see `distger_bench::gate`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use distger_bench::json::{object, Value};
 use distger_bench::{bench_dataset, BenchScale, Report};
-use distger_cluster::{machine_split, SocketTransport};
+use distger_cluster::machine_split;
 use distger_eval::recall_at_k;
 use distger_graph::generate::PaperDataset;
 use distger_graph::NodeId;
@@ -21,17 +21,16 @@ use distger_partition::{
     balanced::workload_balanced_partition, mpgp_partition, MpgpConfig, Partitioning,
 };
 use distger_serve::{
-    gaussian_clusters, merge_topk, receive_shard, serve_shard, BatchPolicy, EmbeddingIndex,
-    EngineShard, PendingQuery, QueryBackend, QueryBatch, QueryEngine, Scheduler, SchedulerConfig,
-    ServeConfig, ShardedQueryEngine, TopK,
+    gaussian_clusters, merge_topk, BatchPolicy, EmbeddingIndex, EngineShard, PendingQuery,
+    QueryBackend, QueryBatch, QueryEngine, Scheduler, SchedulerConfig, ServeConfig, TopK,
 };
+use distger_walks::freq::FreqStore;
 use distger_walks::info::IncrementalInfo;
 use distger_walks::models::{huge_acceptance, propose_next};
 use distger_walks::rng::SplitMix64;
 use distger_walks::{
-    run_distributed_walks, run_walks_over_loopback, CheckpointPolicy, FlatFreqStore, FreqBackend,
-    LengthPolicy, SamplingBackend, TransitionTables, WalkCountPolicy, WalkEngineConfig, WalkModel,
-    WalkResult,
+    run_distributed_walks, CheckpointPolicy, LengthPolicy, TransitionTables, WalkCountPolicy,
+    WalkEngineConfig, WalkModel, WalkResult,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -70,56 +69,6 @@ fn bench_walks(c: &mut Criterion) {
             ))
         })
     });
-    group.finish();
-}
-
-/// Steps-per-second throughput of the InCoM sampler under the two frequency
-/// store backends.
-///
-/// The workload is shaped to expose the store, not the harness: DeepWalk
-/// transitions keep the per-step transition cost minimal, a single simulated
-/// machine collapses the BSP run to one superstep (so thread-spawn overhead
-/// does not drown the per-step work), and the Default-scale Flickr stand-in
-/// with several fixed rounds yields hundreds of thousands of steps per run.
-fn bench_freq_store_throughput(c: &mut Criterion) {
-    let graph = freq_bench_graph();
-    let partitioning = Partitioning::single_machine(graph.num_nodes());
-    let mut group = c.benchmark_group("freq_store_steps_per_sec");
-    group.sample_size(10);
-    for (label, backend) in FREQ_BACKENDS {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(run_distributed_walks(
-                    graph,
-                    &partitioning,
-                    &freq_store_config(backend),
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Steps-per-second throughput of the transition draw under the two
-/// sampling backends, on the skewed-weight Barabási–Albert graph where the
-/// reference linear scan is at its worst (hub-heavy degrees, full-adjacency
-/// weight sums every step).
-fn bench_transition_sampling(c: &mut Criterion) {
-    let (_, weighted) = sampling_bench_graphs();
-    let partitioning = Partitioning::single_machine(weighted.num_nodes());
-    let mut group = c.benchmark_group("transition_sampling_steps_per_sec");
-    group.sample_size(10);
-    for (label, backend) in SAMPLING_BACKENDS {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(run_distributed_walks(
-                    weighted,
-                    &partitioning,
-                    &sampling_config(backend),
-                ))
-            })
-        });
-    }
     group.finish();
 }
 
@@ -171,55 +120,6 @@ fn query_workload() -> &'static (EmbeddingIndex, QueryBatch) {
         let batch = QueryBatch::from_nodes(&index, &nodes);
         (index, batch)
     })
-}
-
-const FREQ_BACKENDS: [(&str, FreqBackend); 2] = [
-    ("flat", FreqBackend::Flat),
-    ("nested_reference", FreqBackend::NestedReference),
-];
-
-const SAMPLING_BACKENDS: [(&str, SamplingBackend); 2] = [
-    ("alias", SamplingBackend::Alias),
-    ("linear_scan", SamplingBackend::LinearScan),
-];
-
-fn freq_store_config(backend: FreqBackend) -> WalkEngineConfig {
-    let mut config = WalkEngineConfig::distger_general(WalkModel::DeepWalk)
-        .with_seed(7)
-        .with_freq_backend(backend);
-    config.walks_per_node = WalkCountPolicy::Fixed(5);
-    config
-}
-
-/// Routine DeepWalk on a single machine: no measurement, no messages — the
-/// per-step cost is almost entirely the neighbour draw under test.
-fn sampling_config(backend: SamplingBackend) -> WalkEngineConfig {
-    let mut config = WalkEngineConfig::knightking_routine(WalkModel::DeepWalk)
-        .with_seed(13)
-        .with_sampling_backend(backend);
-    config.length = LengthPolicy::Fixed(80);
-    config.walks_per_node = WalkCountPolicy::Fixed(3);
-    config
-}
-
-/// A hub-heavy Barabási–Albert graph, unweighted and with Pareto(1.5)
-/// weights, built once and shared by the criterion group and the JSON export.
-/// The scan's expected per-step cost is `E[deg²]/E[deg]`, which the BA degree
-/// tail makes much larger than the mean degree.
-fn sampling_bench_graphs() -> &'static (CsrGraph, CsrGraph) {
-    static GRAPHS: std::sync::OnceLock<(CsrGraph, CsrGraph)> = std::sync::OnceLock::new();
-    GRAPHS.get_or_init(|| {
-        let unweighted = barabasi_albert(4_000, 16, 11);
-        let weighted = unweighted.with_skewed_weights(1.5, 11);
-        (unweighted, weighted)
-    })
-}
-
-/// The Default-scale Flickr stand-in shared by the frequency-store criterion
-/// group and the JSON export.
-fn freq_bench_graph() -> &'static CsrGraph {
-    static GRAPH: std::sync::OnceLock<CsrGraph> = std::sync::OnceLock::new();
-    GRAPH.get_or_init(|| bench_dataset(PaperDataset::Flickr, BenchScale::Default, 3))
 }
 
 /// Routine DeepWalk with short walks (`L = 8`) and many rounds (`r = 12`)
@@ -323,9 +223,8 @@ fn walk_ladder_report(reps: usize) -> Report {
     // Fixed-length rungs walk 18 nodes, the information-driven average on
     // this graph (17.2), so every rung sees the same reuse of a walk's rows.
     let fixed = |_: u64, _: NodeId, len: usize| len >= 18;
-    let draw_only =
-        TransitionTables::build(&graph, SamplingBackend::Alias, &WalkModel::DeepWalk, 1);
-    let huge = TransitionTables::build(&graph, SamplingBackend::Alias, &WalkModel::Huge, 1);
+    let draw_only = TransitionTables::build(&graph, &WalkModel::DeepWalk, 1);
+    let huge = TransitionTables::build(&graph, &WalkModel::Huge, 1);
     let uniform = |cur: NodeId, rng: &mut SplitMix64| {
         let range = graph.arc_range(cur);
         (!range.is_empty())
@@ -366,7 +265,7 @@ fn walk_ladder_report(reps: usize) -> Report {
         else {
             unreachable!("the information-driven default is information-driven");
         };
-        let mut freq = FlatFreqStore::new();
+        let mut freq = FreqStore::new();
         let mut info = IncrementalInfo::default();
         ladder_rung(&graph, 10, huge_step, |walk_id, node, len| {
             if len == 1 {
@@ -390,128 +289,15 @@ fn walk_ladder_report(reps: usize) -> Report {
     report
 }
 
-/// Best-of-`reps` timed run; returns `(best_secs, result_of_best_rep)`.
-fn best_of(
-    reps: usize,
-    graph: &CsrGraph,
-    partitioning: &Partitioning,
-    config: &WalkEngineConfig,
-) -> (f64, WalkResult) {
-    let mut best: Option<(f64, WalkResult)> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let result = black_box(run_distributed_walks(graph, partitioning, config));
-        let secs = start.elapsed().as_secs_f64();
-        // Keep (time, result) as a pair from the same rep so derived ratios
-        // stay meaningful even if the config ever turns nondeterministic.
-        if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-            best = Some((secs, result));
-        }
-    }
-    best.expect("reps >= 1")
-}
-
-/// Timed steps/sec measurements exported for the repo's records
-/// (`BENCH_walks.json`): the frequency-store comparison from PR 1 and the
-/// alias-vs-linear transition-sampling comparison, on both an unweighted and
-/// a skewed-weight Barabási–Albert graph.
+/// The timed measurements exported for the repo's records
+/// (`BENCH_walks.json`).
 fn export_reports(_c: &mut Criterion) {
     let reps = 5;
 
-    // Part 1: flat vs nested frequency store (InCoM measurement path).
-    let graph = freq_bench_graph();
-    let partitioning = Partitioning::single_machine(graph.num_nodes());
-    let mut freq_report = Report::new(
-        "freq_store",
-        "InCoM sampler throughput: flat vs nested-HashMap frequency store",
-        &["steps_per_sec", "total_steps", "best_secs"],
-    );
-    let mut freq_speedup_report = Report::new(
-        "freq_store_speedup",
-        "Flat-over-nested steps/sec ratio",
-        &["flat_over_nested"],
-    );
-    let mut freq_rates = Vec::new();
-    for (label, backend) in FREQ_BACKENDS {
-        let (best_secs, result) = best_of(reps, graph, &partitioning, &freq_store_config(backend));
-        let total_steps = result.comm.total_steps();
-        let steps_per_sec = total_steps as f64 / best_secs;
-        println!(
-            "freq_store_throughput/{label}: {steps_per_sec:.0} steps/s \
-             ({total_steps} steps in {best_secs:.4}s best of {reps})"
-        );
-        freq_report.push(label, vec![steps_per_sec, total_steps as f64, best_secs]);
-        freq_rates.push(steps_per_sec);
-    }
-    if let [flat, nested] = freq_rates[..] {
-        println!(
-            "freq_store_throughput: flat/nested speedup = {:.2}x",
-            flat / nested
-        );
-        freq_speedup_report.push("flat_over_nested", vec![flat / nested]);
-    }
-
-    // Part 2: alias tables vs linear scan (transition draw).
-    let (unweighted, weighted) = sampling_bench_graphs();
-    let partitioning = Partitioning::single_machine(unweighted.num_nodes());
-    let mut sampling_report = Report::new(
-        "transition_sampling",
-        "Transition-draw throughput: alias tables vs linear scan \
-         (Barabási–Albert n=4000 m=16, Pareto(1.5) weights)",
-        &[
-            "steps_per_sec",
-            "total_steps",
-            "best_secs",
-            "table_build_secs",
-            "table_bytes",
-        ],
-    );
-    let mut speedup_report = Report::new(
-        "transition_sampling_speedup",
-        "Alias-over-linear steps/sec ratio per graph",
-        &["alias_over_linear"],
-    );
-    for (graph_label, g) in [("unweighted_ba", unweighted), ("skewed_ba", weighted)] {
-        let mut rates = Vec::new();
-        for (label, backend) in SAMPLING_BACKENDS {
-            let (best_secs, result) = best_of(reps, g, &partitioning, &sampling_config(backend));
-            let total_steps = result.comm.total_steps();
-            // The run times the whole engine including the one-time table
-            // construction; subtract it so `steps_per_sec` measures the draw
-            // throughput the column claims (the build cost is reported
-            // separately in `table_build_secs`).
-            let draw_secs = (best_secs - result.alias_build_secs).max(f64::EPSILON);
-            let steps_per_sec = total_steps as f64 / draw_secs;
-            println!(
-                "transition_sampling/{label}@{graph_label}: {steps_per_sec:.0} steps/s \
-                 ({total_steps} steps in {best_secs:.4}s, table {} bytes built in {:.4}s)",
-                result.alias_table_bytes, result.alias_build_secs
-            );
-            sampling_report.push(
-                format!("{label}@{graph_label}"),
-                vec![
-                    steps_per_sec,
-                    total_steps as f64,
-                    best_secs,
-                    result.alias_build_secs,
-                    result.alias_table_bytes as f64,
-                ],
-            );
-            rates.push(steps_per_sec);
-        }
-        if let [alias, linear] = rates[..] {
-            println!(
-                "transition_sampling@{graph_label}: alias/linear speedup = {:.2}x",
-                alias / linear
-            );
-            speedup_report.push(graph_label, vec![alias / linear]);
-        }
-    }
-
-    // Part 3: the walk ladder (informational, no gate floor).
+    // Part 1: the walk ladder (informational, no gate floor).
     let ladder_report = walk_ladder_report(3);
 
-    // Part 4: the serving layer — batched top-k query throughput of the
+    // Part 2: the serving layer — batched top-k query throughput of the
     // exact scan vs multi-probe LSH, plus LSH recall@10 against the exact
     // ground truth. Both rows of the speedup report are gated: the QPS
     // advantage is what the LSH complexity buys, and recall is the quality
@@ -586,7 +372,7 @@ fn export_reports(_c: &mut Criterion) {
         query_speedup_report.push("lsh_recall_at_10", vec![recall]);
     }
 
-    // Part 5: fault-tolerance overhead — the walk engine with an
+    // Part 3: fault-tolerance overhead — the walk engine with an
     // every-round checkpoint policy vs the plain fault-free run, on the
     // many-small-rounds workload (many rounds means many checkpoints: the
     // worst case for the policy). `checkpoint_secs` and
@@ -675,7 +461,7 @@ fn export_reports(_c: &mut Criterion) {
         );
     }
 
-    // Part 6: the serving front door on `serve_saturated`'s shape — one
+    // Part 4: the serving front door on `serve_saturated`'s shape — one
     // closed-loop caller keeping 128 single-query requests outstanding
     // through the dynamic-batching scheduler (max_batch 64) — against the
     // serial one-query-at-a-time reference (`top_k_one` in a loop, answered
@@ -775,101 +561,10 @@ fn export_reports(_c: &mut Criterion) {
         ],
     );
 
-    // Part 7: the transport layer — the walk driver with every machine in
-    // this process (`InMemoryTransport`) and as a 4-endpoint loopback-TCP run
-    // (real frames, real sockets, one process), on the same many-small-rounds
-    // workload as Part 5. The socket row also carries the measured wire
-    // traffic, checked here against the analytic `CommStats` byte estimate:
-    // the two must agree within an order of magnitude, or the simulated
-    // cluster's network model is pricing a fiction.
-    let mut transport_report = Report::new(
-        "transport_overhead",
-        "Walk throughput of the round loop over an in-memory transport and over \
-         loopback TCP with 4 worker processes' worth of endpoints \
-         (Barabási–Albert n=2000 m=8, 8 machines, L=8, r=12)",
-        &[
-            "steps_per_sec",
-            "total_steps",
-            "best_secs",
-            "wire_frames",
-            "wire_batch_bytes",
-        ],
-    );
-    let transport_config = small_rounds_config();
-    let in_memory = best_of(reps, graph, partitioning, &transport_config);
-    let socket = {
-        let mut best: Option<(f64, WalkResult)> = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let result = black_box(run_walks_over_loopback(
-                graph,
-                partitioning,
-                &transport_config,
-                4,
-            ));
-            let secs = start.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-                best = Some((secs, result));
-            }
-        }
-        best.expect("reps >= 1")
-    };
-    for (label, (best_secs, result)) in [
-        ("in_memory_transport", &in_memory),
-        ("socket_loopback_4", &socket),
-    ] {
-        let total_steps = result.comm.total_steps();
-        let steps_per_sec = total_steps as f64 / best_secs;
-        println!(
-            "transport_overhead/{label}: {steps_per_sec:.0} steps/s \
-             ({total_steps} steps in {best_secs:.4}s, {} frames, \
-             {} batch bytes on the wire)",
-            result.comm.wire.frames_sent, result.comm.wire.batch_bytes_sent
-        );
-        transport_report.push(
-            label,
-            vec![
-                steps_per_sec,
-                total_steps as f64,
-                *best_secs,
-                result.comm.wire.frames_sent as f64,
-                result.comm.wire.batch_bytes_sent as f64,
-            ],
-        );
-    }
-    // Whatever the transport, the walk itself must be the bit-identical job:
-    // the transport layer is plumbing, not semantics.
-    let socket = &socket.1;
-    assert_eq!(
-        socket.corpus, in_memory.1.corpus,
-        "the socket transport changed the corpus"
-    );
-    // The estimate-vs-measured contract: the analytic byte count the
-    // NetworkModel prices must agree with the bytes actually shipped in
-    // BATCH frames within an order of magnitude.
-    assert!(
-        socket.comm.wire.batch_bytes_sent > 0,
-        "loopback run must measure real traffic"
-    );
-    let estimate_over_measured =
-        socket.comm.bytes as f64 / socket.comm.wire.batch_bytes_sent as f64;
-    println!(
-        "transport_overhead: {} estimated bytes vs {} measured batch bytes \
-         ({estimate_over_measured:.2}x)",
-        socket.comm.bytes, socket.comm.wire.batch_bytes_sent
-    );
-    assert!(
-        (0.1..=10.0).contains(&estimate_over_measured),
-        "CommStats byte estimate ({}) and measured wire batch bytes ({}) \
-         disagree by more than an order of magnitude",
-        socket.comm.bytes,
-        socket.comm.wire.batch_bytes_sent
-    );
-
-    // Part 8: the observability layer — end-to-end walk throughput with span
+    // Part 5: the observability layer — end-to-end walk throughput with span
     // tracing enabled vs disabled, on the same many-small-rounds workload as
-    // Parts 5 and 7 (many rounds means many `superstep`/`round` spans:
-    // the worst case for the per-span cost). Like Part 5, the two sides run
+    // Part 3 (many rounds means many `superstep`/`round` spans: the worst
+    // case for the per-span cost). Like Part 3, the two sides run
     // the identical walk and differ only by the ring-buffer writes, so reps
     // are interleaved at triple the usual count. The gated ratio follows the
     // checkpoint-overhead idiom — min 0.98, effective 0.833 under the 15%
@@ -940,90 +635,23 @@ fn export_reports(_c: &mut Criterion) {
         obs_speedup_report.push("enabled_over_disabled", vec![enabled / disabled]);
     }
 
-    // Part 9: sharded serving over the transport layer. Two measurements:
-    // the scatter-gather fleet's end-to-end QPS (4 endpoints over real
-    // loopback TCP serving the Part 4 query workload, answers asserted
-    // bit-identical to the single-process engine before timing), gated as an
-    // absolute catastrophic-regression floor; and
-    // the coordinator's k-way bounded merge against a naive
-    // concatenate-and-resort of the same per-shard heaps (16 shards x k=10 —
-    // the merge pops only k of the 160 candidates, the resort pays for all
-    // of them), interleaved reps, gated as a genuine speedup.
+    // Part 6: the coordinator's k-way bounded merge of per-shard top-k heaps
+    // against a naive concatenate-and-resort of the same heaps (16 shards x
+    // k=10 — the merge pops only k of the 160 candidates, the resort pays for
+    // all of them), interleaved reps, gated as a genuine speedup.
     let serve_embeddings = gaussian_clusters(20_000, 64, 40, 0.08, 97);
-    let (shard_index, shard_batch) = query_workload();
-    let shard_serve_config = query_config(QueryBackend::Lsh);
-    let shard_expected = QueryEngine::new(shard_index.clone(), shard_serve_config)
-        .top_k(shard_batch)
-        .results;
-
-    const SHARD_ENDPOINTS: usize = 4;
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let shard_addr = listener.local_addr().expect("loopback addr");
-    let (sharded_qps, sharded_best) = std::thread::scope(|scope| {
-        for _ in 1..SHARD_ENDPOINTS {
-            scope.spawn(move || {
-                let mut channel =
-                    SocketTransport::worker(shard_addr, std::time::Duration::from_secs(60))
-                        .expect("connect");
-                let shard = receive_shard(&mut channel).expect("receive shard");
-                serve_shard(&mut channel, &shard, None).expect("serve loop");
-            });
-        }
-        let channel = SocketTransport::coordinator(&listener, SHARD_ENDPOINTS, SHARD_ENDPOINTS)
-            .expect("coordinator");
-        let engine = ShardedQueryEngine::new(channel, &serve_embeddings, shard_serve_config)
-            .expect("load shards");
-        let warmup = engine.top_k(shard_batch);
-        assert_eq!(
-            warmup
-                .results
-                .iter()
-                .flat_map(|t| t.neighbors())
-                .collect::<Vec<_>>(),
-            shard_expected
-                .iter()
-                .flat_map(|t| t.neighbors())
-                .collect::<Vec<_>>(),
-            "sharded answers must be bit-identical before they are timed"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            black_box(engine.top_k(shard_batch));
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        engine.shutdown().expect("shutdown collective");
-        (shard_batch.len() as f64 / best, best)
-    });
-    let mut sharded_qps_report = Report::new(
-        "sharded_serve_qps",
-        "Scatter-gather top-k over 4 shard endpoints on loopback TCP \
-         (Part 4 fixture: 20k nodes x 64 dims, 250-query batches, LSH \
-         backend, answers bit-identical to the single-process engine; \
-         floor is a catastrophic-regression bound far below the recording)",
-        &["queries_per_sec", "queries_per_batch", "best_secs"],
-    );
-    sharded_qps_report.push(
-        "loopback_4_shards",
-        vec![sharded_qps, shard_batch.len() as f64, sharded_best],
-    );
-    println!(
-        "sharded_serve_qps/loopback_4_shards: {sharded_qps:.0} qps \
-         ({} queries in {sharded_best:.4}s best-of-{reps})",
-        shard_batch.len()
-    );
-
+    let merge_config = query_config(QueryBackend::Lsh);
     const MERGE_SHARDS: usize = 16;
-    let merge_k = shard_serve_config.k;
+    let merge_k = merge_config.k;
     let shard_parts: Vec<Vec<TopK>> = (0..MERGE_SHARDS)
         .map(|endpoint| {
             let range = machine_split(serve_embeddings.num_nodes(), MERGE_SHARDS, endpoint);
-            EngineShard::from_rows(&serve_embeddings, range, shard_serve_config)
-                .top_k(shard_batch)
+            EngineShard::from_rows(&serve_embeddings, range, merge_config)
+                .top_k(batch)
                 .results
         })
         .collect();
-    let merge_queries = shard_batch.len();
+    let merge_queries = batch.len();
     let mut merge_best = f64::INFINITY;
     let mut resort_best = f64::INFINITY;
     for _ in 0..3 * reps {
@@ -1081,26 +709,22 @@ fn export_reports(_c: &mut Criterion) {
         (
             "title",
             Value::from(
-                "Walk-engine hot-path throughput: optimized vs reference backends".to_string(),
+                "Walk ladder, serving throughput and the overhead ratios the end-to-end \
+                 benchmark cannot express"
+                    .to_string(),
             ),
         ),
         (
             "reports",
             Value::Array(vec![
-                freq_report.to_json(),
-                freq_speedup_report.to_json(),
-                sampling_report.to_json(),
-                speedup_report.to_json(),
                 ladder_report.to_json(),
                 query_report.to_json(),
                 query_speedup_report.to_json(),
                 checkpoint_report.to_json(),
                 checkpoint_speedup_report.to_json(),
                 serve_speedup_report.to_json(),
-                transport_report.to_json(),
                 obs_report.to_json(),
                 obs_speedup_report.to_json(),
-                sharded_qps_report.to_json(),
                 shard_merge_report.to_json(),
                 shard_merge_speedup_report.to_json(),
             ]),
@@ -1110,30 +734,17 @@ fn export_reports(_c: &mut Criterion) {
     // the workspace root.
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_walks.json");
     std::fs::write(&out, combined.to_string_pretty()).expect("write BENCH_walks.json");
-    println!("{}", freq_report.to_text());
-    println!("{}", freq_speedup_report.to_text());
-    println!("{}", sampling_report.to_text());
-    println!("{}", speedup_report.to_text());
     println!("{}", ladder_report.to_text());
     println!("{}", query_report.to_text());
     println!("{}", query_speedup_report.to_text());
     println!("{}", checkpoint_report.to_text());
     println!("{}", checkpoint_speedup_report.to_text());
     println!("{}", serve_speedup_report.to_text());
-    println!("{}", transport_report.to_text());
     println!("{}", obs_report.to_text());
     println!("{}", obs_speedup_report.to_text());
-    println!("{}", sharded_qps_report.to_text());
     println!("{}", shard_merge_report.to_text());
     println!("{}", shard_merge_speedup_report.to_text());
 }
 
-criterion_group!(
-    benches,
-    bench_walks,
-    bench_freq_store_throughput,
-    bench_transition_sampling,
-    bench_query_backends,
-    export_reports
-);
+criterion_group!(benches, bench_walks, bench_query_backends, export_reports);
 criterion_main!(benches);

@@ -1,15 +1,14 @@
 //! Bench throughput regression gate.
 //!
-//! Two PRs of hot-path speedups (flat frequency store, alias transition
-//! sampling) and the worker-pool superstep engine are only worth their
-//! complexity while they actually stay fast — and random-walk embedding
-//! pipelines are dominated by sampling throughput, so a silent regression
-//! there is the costliest kind. The gate turns `BENCH_walks.json` from a
-//! passive artifact into an enforced contract: every row of every report
-//! whose id ends in a [`GATED_SUFFIXES`] suffix (`_speedup` ratios, `_qps`
-//! absolute throughput) is compared against a floor
-//! committed in `crates/bench/baselines.json`, and CI fails when a measured
-//! value drops below `floor × (1 − tolerance)`.
+//! The end-to-end benchmark (`BENCHMARK.json`) bounds whole-job metrics; a
+//! few contracts are ratios it cannot express — LSH over the exact scan,
+//! the cost of checkpointing and of span tracing, the scheduler over serial
+//! queries, the k-way shard merge over a resort. The gate turns
+//! `BENCH_walks.json` from a passive artifact into an enforced contract:
+//! every row of every report whose id ends in a [`GATED_SUFFIXES`] suffix
+//! (`_speedup` ratios) is compared against a floor committed in
+//! `crates/bench/baselines.json`, and CI fails when a measured value drops
+//! below `floor × (1 − tolerance)`.
 //!
 //! The tolerance absorbs runner-to-runner noise (shared CI machines easily
 //! wobble ±10%); the floors themselves are deliberately set well below the
@@ -40,7 +39,7 @@ impl Baselines {
     /// {
     ///   "tolerance": 0.15,
     ///   "floors": [
-    ///     { "key": "transition_sampling_speedup/skewed_ba", "min_speedup": 2.0 }
+    ///     { "key": "shard_merge_speedup/merge_over_resort", "min_speedup": 2.0 }
     ///   ]
     /// }
     /// ```
@@ -74,10 +73,9 @@ impl Baselines {
     }
 }
 
-/// Report-id suffixes the gate enforces: `_speedup` (ratio contracts) and
-/// `_qps` (absolute-throughput contracts — the sharded serving fleet's QPS).
-/// Both are "bigger is better".
-pub const GATED_SUFFIXES: [&str; 2] = ["_speedup", "_qps"];
+/// Report-id suffixes the gate enforces: `_speedup` (ratio contracts,
+/// "bigger is better").
+pub const GATED_SUFFIXES: [&str; 1] = ["_speedup"];
 
 /// Extracts every gated measurement from a `BENCH_walks.json` document:
 /// each row of each report whose `id` ends in one of [`GATED_SUFFIXES`],
@@ -189,16 +187,16 @@ mod tests {
             r#"{
               "id": "bench_walks",
               "reports": [
-                { "id": "freq_store", "rows": [ {"label": "flat", "values": [100.0]} ] },
-                { "id": "freq_store_speedup",
-                  "rows": [ {"label": "flat_over_nested", "values": [1.9]} ] },
-                { "id": "transition_sampling_speedup",
-                  "rows": [ {"label": "unweighted_ba", "values": [1.0]},
-                            {"label": "skewed_ba", "values": [3.5]} ] },
+                { "id": "obs_overhead", "rows": [ {"label": "enabled", "values": [100.0]} ] },
+                { "id": "obs_overhead_speedup",
+                  "rows": [ {"label": "enabled_over_disabled", "values": [1.9]} ] },
+                { "id": "query_backend_speedup",
+                  "rows": [ {"label": "lsh_recall_at_10", "values": [1.0]},
+                            {"label": "lsh_over_exact_qps", "values": [3.5]} ] },
                 { "id": "shard_merge",
                   "rows": [ {"label": "kway_heap", "values": [90000.0]} ] },
-                { "id": "sharded_serve_qps",
-                  "rows": [ {"label": "loopback_4_shards", "values": [12000.0]} ] }
+                { "id": "serve_scheduler_speedup",
+                  "rows": [ {"label": "scheduled_over_serial_qps", "values": [1.6]} ] }
               ]
             }"#,
         )
@@ -210,9 +208,9 @@ mod tests {
             r#"{
               "tolerance": 0.2,
               "floors": [
-                { "key": "freq_store_speedup/flat_over_nested", "min_speedup": 1.5 },
-                { "key": "transition_sampling_speedup/skewed_ba", "min_speedup": 2.0 },
-                { "key": "sharded_serve_qps/loopback_4_shards", "min_speedup": 1000.0 }
+                { "key": "obs_overhead_speedup/enabled_over_disabled", "min_speedup": 1.5 },
+                { "key": "query_backend_speedup/lsh_over_exact_qps", "min_speedup": 2.0 },
+                { "key": "serve_scheduler_speedup/scheduled_over_serial_qps", "min_speedup": 1.2 }
               ]
             }"#,
         )
@@ -221,16 +219,22 @@ mod tests {
 
     #[test]
     fn collects_only_gated_suffixes() {
-        // `freq_store` and `shard_merge` (plain measurements) are skipped;
-        // `_speedup` and `_qps` reports are both collected.
+        // `obs_overhead` and `shard_merge` (plain measurements) are skipped;
+        // every `_speedup` row is collected.
         let speedups = collect_speedups(&bench_doc());
         assert_eq!(
             speedups,
             vec![
-                ("freq_store_speedup/flat_over_nested".to_string(), 1.9),
-                ("transition_sampling_speedup/unweighted_ba".to_string(), 1.0),
-                ("transition_sampling_speedup/skewed_ba".to_string(), 3.5),
-                ("sharded_serve_qps/loopback_4_shards".to_string(), 12000.0),
+                (
+                    "obs_overhead_speedup/enabled_over_disabled".to_string(),
+                    1.9
+                ),
+                ("query_backend_speedup/lsh_recall_at_10".to_string(), 1.0),
+                ("query_backend_speedup/lsh_over_exact_qps".to_string(), 3.5),
+                (
+                    "serve_scheduler_speedup/scheduled_over_serial_qps".to_string(),
+                    1.6
+                ),
             ]
         );
     }
@@ -247,17 +251,29 @@ mod tests {
     fn tolerance_absorbs_noise_but_not_regressions() {
         let baselines = Baselines::from_json(&baselines_doc()).unwrap();
         let rest = [
-            ("transition_sampling_speedup/skewed_ba".to_string(), 2.0),
-            ("sharded_serve_qps/loopback_4_shards".to_string(), 12000.0),
+            ("query_backend_speedup/lsh_over_exact_qps".to_string(), 2.0),
+            (
+                "serve_scheduler_speedup/scheduled_over_serial_qps".to_string(),
+                1.6,
+            ),
         ];
         // 1.25 is below the 1.5 floor but above 1.5 × 0.8 = 1.2: noise, pass.
         let mut measured = rest.to_vec();
-        measured.push(("freq_store_speedup/flat_over_nested".to_string(), 1.25));
+        measured.push((
+            "obs_overhead_speedup/enabled_over_disabled".to_string(),
+            1.25,
+        ));
         let checks = evaluate(&baselines, &measured);
         assert!(checks.iter().all(GateCheck::passed));
         // 1.19 is below the effective floor: regression, fail.
         let mut measured = rest.to_vec();
-        measured.insert(0, ("freq_store_speedup/flat_over_nested".to_string(), 1.19));
+        measured.insert(
+            0,
+            (
+                "obs_overhead_speedup/enabled_over_disabled".to_string(),
+                1.19,
+            ),
+        );
         let checks = evaluate(&baselines, &measured);
         assert!(!checks[0].passed());
         assert!(checks[1].passed());
@@ -267,17 +283,20 @@ mod tests {
     #[test]
     fn unfloored_speedups_are_reported() {
         let baselines = Baselines::from_json(&baselines_doc()).unwrap();
-        // `transition_sampling_speedup/unweighted_ba` is measured in the
-        // bench doc but has no floor committed.
+        // `query_backend_speedup/lsh_recall_at_10` is measured in the bench
+        // doc but has no floor committed.
         let missing = unfloored(&baselines, &collect_speedups(&bench_doc()));
         assert_eq!(
             missing,
-            vec!["transition_sampling_speedup/unweighted_ba".to_string()]
+            vec!["query_backend_speedup/lsh_recall_at_10".to_string()]
         );
         // With every measurement floored, nothing is reported.
         assert!(unfloored(
             &baselines,
-            &[("freq_store_speedup/flat_over_nested".to_string(), 1.9)]
+            &[(
+                "obs_overhead_speedup/enabled_over_disabled".to_string(),
+                1.9
+            )]
         )
         .is_empty());
     }
@@ -311,7 +330,7 @@ mod tests {
         let checks = evaluate(&baselines, &collect_speedups(&bench_doc()));
         let line = checks[0].render();
         assert!(line.starts_with("PASS"), "{line}");
-        assert!(line.contains("freq_store_speedup/flat_over_nested"));
+        assert!(line.contains("obs_overhead_speedup/enabled_over_disabled"));
         assert!(line.contains("1.900x"));
     }
 }

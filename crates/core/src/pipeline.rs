@@ -12,10 +12,7 @@ use distger_partition::{
     mpgp_partition, parallel_mpgp_partition, MpgpConfig, Partitioning,
 };
 use distger_serve::{EmbeddingIndex, QueryEngine, Scheduler, SchedulerConfig, ServeConfig};
-use distger_walks::{
-    run_distributed_walks, CheckpointPolicy, FreqBackend, SamplingBackend, WalkEngineConfig,
-    WalkModel,
-};
+use distger_walks::{run_distributed_walks, CheckpointPolicy, WalkEngineConfig, WalkModel};
 
 /// Which partitioner feeds the walk engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -173,14 +170,6 @@ impl DistGerConfig {
         self
     }
 
-    /// Builder-style frequency-store backend override for the walk phase.
-    /// The default everywhere is [`FreqBackend::Flat`]; the reference
-    /// [`FreqBackend::NestedReference`] is retained for A/B comparisons.
-    pub fn with_freq_backend(mut self, backend: FreqBackend) -> Self {
-        self.walks.freq_backend = backend;
-        self
-    }
-
     /// Builder-style transport override, applied to both BSP phases — like
     /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
     /// consistent. [`run_pipeline`] executes in
@@ -191,14 +180,6 @@ impl DistGerConfig {
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.walks.transport = transport;
         self.training.transport = transport;
-        self
-    }
-
-    /// Builder-style transition-sampling backend override. The default
-    /// everywhere is [`SamplingBackend::Alias`]; the reference
-    /// [`SamplingBackend::LinearScan`] is retained for A/B comparisons.
-    pub fn with_sampling_backend(mut self, backend: SamplingBackend) -> Self {
-        self.walks.sampling_backend = backend;
         self
     }
 
@@ -533,16 +514,12 @@ mod tests {
             .with_cluster(ClusterConfig::new(3))
             .with_trainer_kind(TrainerKind::Hogwild)
             .with_walk_model(WalkModel::DeepWalk)
-            .with_freq_backend(FreqBackend::NestedReference)
-            .with_sampling_backend(SamplingBackend::LinearScan)
             .with_transport(TransportKind::Socket)
             .with_seed(9);
         assert_eq!(config.partitioner, PartitionerChoice::Hash);
         assert_eq!(config.cluster.num_machines, 3);
         assert_eq!(config.training.kind, TrainerKind::Hogwild);
         assert_eq!(config.walks.model, WalkModel::DeepWalk);
-        assert_eq!(config.walks.freq_backend, FreqBackend::NestedReference);
-        assert_eq!(config.walks.sampling_backend, SamplingBackend::LinearScan);
         assert_eq!(config.walks.transport, TransportKind::Socket);
         assert_eq!(config.training.transport, TransportKind::Socket);
         assert_eq!(config.seed, 9);

@@ -59,8 +59,7 @@ impl GraphBuilder {
     /// Panics on a negative, NaN or infinite weight. Random-walk transition
     /// probabilities are proportional to edge weights (`P(u→v) ∝ w(u,v)`), so
     /// such weights have no probabilistic meaning; rejecting them here keeps
-    /// every downstream sampler — the linear scan and the alias tables alike —
-    /// free of silent uniform fallbacks. A weight of exactly `0.0` is allowed
+    /// every downstream sampler free of silent uniform fallbacks. A weight of exactly `0.0` is allowed
     /// and means "this edge is never taken" (unless *all* of a node's weights
     /// are zero, in which case samplers fall back to a uniform draw).
     pub fn add_weighted_edge(&mut self, u: NodeId, v: NodeId, w: EdgeWeight) -> &mut Self {

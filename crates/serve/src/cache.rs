@@ -110,7 +110,7 @@ mod tests {
     use crate::topk::{BoundedTopK, Neighbor};
 
     fn answer(node: u32) -> TopK {
-        let mut heap = BoundedTopK::new(1);
+        let mut heap = BoundedTopK::new(1, 1);
         heap.push(Neighbor {
             node,
             score: 1.0 - node as f32 * 0.01,

@@ -1,10 +1,9 @@
 //! The batched top-k query engine.
 //!
 //! [`QueryEngine`] answers batches of cosine top-k queries over an
-//! [`EmbeddingIndex`] with one of two [`QueryBackend`]s — mirroring the
-//! `FreqBackend` / `SamplingBackend` pattern of the sampler crate: the
-//! approximate LSH path is the optimized default, the exact brute-force scan
-//! is the ground-truth reference (and what `recall@k` is measured against).
+//! [`EmbeddingIndex`] with one of two [`QueryBackend`]s: the approximate LSH
+//! path is the optimized default, the exact brute-force scan is the
+//! ground-truth reference (and what `recall@k` is measured against).
 //!
 //! The engine owns its threads: [`QueryEngine::new`] spawns `threads − 1`
 //! helpers that park between batches and are joined when the engine drops
@@ -395,7 +394,7 @@ impl Core {
 /// `Arc`, its fields were reloaded for every candidate, ≈ 10 % of a 32-dim
 /// near-full scan.
 fn rerank(index: &EmbeddingIndex, query_unit: &[f32], candidates: &[NodeId], k: usize) -> TopK {
-    let mut heap = BoundedTopK::new(k);
+    let mut heap = BoundedTopK::new(k, candidates.len());
     for &node in candidates {
         heap.push(Neighbor {
             node,

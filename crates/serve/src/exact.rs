@@ -22,7 +22,7 @@ const SCAN_CHUNK: usize = 256;
 /// unit-normalized query.
 pub(crate) fn scan_top_k(index: &EmbeddingIndex, query_unit: &[f32], k: usize) -> TopK {
     let dim = index.dim();
-    let mut heap = BoundedTopK::new(k);
+    let mut heap = BoundedTopK::new(k, index.num_nodes());
     let mut scores = [0.0f32; SCAN_CHUNK];
     let mut base: usize = 0;
     for block in index.unit_vectors().chunks(SCAN_CHUNK * dim) {

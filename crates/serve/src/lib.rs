@@ -12,12 +12,12 @@
 //!   ([`index`]). Built from in-memory embeddings or from the versioned
 //!   binary store written by
 //!   [`Embeddings::save_binary`](distger_embed::Embeddings::save_binary).
-//! * [`QueryEngine`] — batched top-k with two [`QueryBackend`]s mirroring
-//!   the workspace's optimized-default / reference pattern
-//!   (`FreqBackend` / `SamplingBackend`):
-//!   [`QueryBackend::Exact`] is a chunked brute-force scan with a bounded
-//!   heap ([`exact`]); [`QueryBackend::Lsh`] is seeded random-hyperplane
-//!   signatures with multi-probe buckets and an exact re-rank ([`lsh`]).
+//! * [`QueryEngine`] — batched top-k with two [`QueryBackend`]s, an
+//!   optimized default and the exact reference `recall@k` is measured
+//!   against: [`QueryBackend::Exact`] is a chunked brute-force scan with a
+//!   bounded heap ([`exact`]); [`QueryBackend::Lsh`] is seeded
+//!   random-hyperplane signatures with multi-probe buckets and an exact
+//!   re-rank ([`lsh`]).
 //!   Each engine owns `threads − 1` helper threads for its lifetime
 //!   (`workers`): the caller takes stride 0 of a batch and wakes helpers
 //!   for the rest, and a one-query batch never leaves the calling thread.

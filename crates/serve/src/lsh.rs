@@ -23,14 +23,19 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+/// The most hash tables one index may hold. A LOAD payload's `tables` comes
+/// from a peer and is checked against this before any hyperplane is drawn:
+/// the index draws `tables × bits × dim` of them.
+pub(crate) const MAX_TABLES: usize = 64;
+
 /// Configuration of the LSH backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LshConfig {
     /// Signature width per table in bits (1..=24). More bits → smaller
     /// buckets → fewer candidates but lower recall.
     pub bits: u32,
-    /// Number of independent hash tables. More tables → higher recall,
-    /// linearly more memory and candidate-gathering work.
+    /// Number of independent hash tables (1..=64). More tables → higher
+    /// recall, linearly more memory and candidate-gathering work.
     pub tables: usize,
     /// Extra Hamming-distance-1 buckets probed per table, least-confident
     /// bits first (0 disables multi-probe).
@@ -91,7 +96,7 @@ impl LshIndex {
     /// `index` in all tables.
     ///
     /// # Panics
-    /// Panics if `bits` is outside `1..=24` or `tables` is zero.
+    /// Panics if `bits` is outside `1..=24` or `tables` outside `1..=64`.
     pub fn build(index: &EmbeddingIndex, config: &LshConfig) -> Self {
         let mut lsh = Self::unfilled(index.dim(), config);
         let mut signatures = Vec::new();
@@ -144,7 +149,11 @@ impl LshIndex {
             (1..=24).contains(&config.bits),
             "signature width must be 1..=24 bits"
         );
-        assert!(config.tables > 0, "need at least one hash table");
+        assert!(
+            (1..=MAX_TABLES).contains(&config.tables),
+            "need 1..={MAX_TABLES} hash tables, got {}",
+            config.tables
+        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let plane_count = config.tables * config.bits as usize;
         let mut planes = Vec::with_capacity(plane_count * dim);

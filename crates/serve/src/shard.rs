@@ -60,7 +60,7 @@ use crate::engine::{
     BatchResults, QueryBackend, QueryBatch, QueryEngine, QueryStats, ServeConfig, MAX_THREADS,
 };
 use crate::index::EmbeddingIndex;
-use crate::lsh::LshConfig;
+use crate::lsh::{LshConfig, MAX_TABLES};
 use crate::topk::{Neighbor, TopK};
 use distger_cluster::wire::{invalid_data, put_bytes, put_f32s, put_f64, put_u32, put_u64, put_u8};
 use distger_cluster::{
@@ -250,7 +250,7 @@ fn decode_config(r: &mut WireReader) -> io::Result<ServeConfig> {
             "shard config asks for {threads} query threads, more than {MAX_THREADS}"
         )));
     }
-    if !(1..=24).contains(&lsh.bits) || lsh.tables == 0 {
+    if !(1..=24).contains(&lsh.bits) || !(1..=MAX_TABLES).contains(&lsh.tables) {
         return Err(invalid_data(format!(
             "shard config asks for {} LSH tables of {} bits",
             lsh.tables, lsh.bits
@@ -993,8 +993,9 @@ mod tests {
 
         // Every length field a peer controls, set to all-ones, is an error
         // and not an allocation (or a spawn): LOAD threads (after opcode,
-        // backend and k) and rows (after opcode, config and base), QUERY dim
-        // and count, TOPK query count and first heap length.
+        // backend and k), LSH tables (after bits) and rows (after opcode,
+        // config and base), QUERY dim and count, TOPK query count and first
+        // heap length.
         type Rejects = fn(&[u8]) -> bool;
         let (load_rejects, query_rejects, reply_rejects): (Rejects, Rejects, Rejects) = (
             |bytes| decode_load(bytes).is_err(),
@@ -1003,6 +1004,7 @@ mod tests {
         );
         for (clean, field, rejects) in [
             (&load, 6..10, load_rejects),
+            (&load, 14..18, load_rejects),
             (&load, 38..46, load_rejects),
             (&query, 1..5, query_rejects),
             (&query, 5..13, query_rejects),
@@ -1027,6 +1029,22 @@ mod tests {
         let threads = MAX_THREADS + 1;
         let bad = encode_load(&embeddings, 2..5, &ServeConfig { threads, ..config });
         assert!(decode_load(&bad).is_err(), "{threads} query threads");
+        let tables = MAX_TABLES + 1;
+        let lsh = LshConfig {
+            tables,
+            ..config.lsh
+        };
+        let bad = encode_load(&embeddings, 2..5, &ServeConfig { lsh, ..config });
+        assert!(decode_load(&bad).is_err(), "{tables} LSH tables");
+
+        // An all-ones `k` stays legal — k above the shard's population is
+        // (see `k_larger_than_any_shard_population`) — and every query's heap
+        // reserves the 3 rows, not 2³² slots.
+        let mut huge_k = load.clone();
+        huge_k[2..6].fill(0xff);
+        let shard = decode_load(&huge_k).expect("k above the population is legal");
+        let answers = shard.top_k(&batch).results;
+        assert!(answers.iter().all(|top| top.len() == 3), "{answers:?}");
 
         let err = encode_reply(&Err("shard exploded".into()));
         let decoded = decode_reply(&err).expect("error replies decode");

@@ -96,8 +96,10 @@ impl TopK {
 
 /// A bounded min-heap keeping the best `k` neighbors seen so far.
 ///
-/// `push` is `O(log k)` and only allocates up to `k` slots, so a brute-force
-/// scan over millions of nodes stays `O(n log k)` with constant memory.
+/// `push` is `O(log k)` and the heap reserves `min(k, population) + 1` slots
+/// up front, so a brute-force scan over millions of nodes stays
+/// `O(n log k)` with constant memory, and a `k` far above the population (a
+/// peer-supplied one, say) reserves no more than the population.
 #[derive(Clone, Debug)]
 pub struct BoundedTopK {
     k: usize,
@@ -106,15 +108,16 @@ pub struct BoundedTopK {
 }
 
 impl BoundedTopK {
-    /// An empty collector for the best `k` results.
+    /// An empty collector for the best `k` of at most `population`
+    /// candidates.
     ///
     /// # Panics
     /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
+    pub fn new(k: usize, population: usize) -> Self {
         assert!(k > 0, "top-k needs k >= 1");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(population) + 1),
         }
     }
 
@@ -149,7 +152,7 @@ mod tests {
 
     #[test]
     fn keeps_the_best_k_sorted() {
-        let mut heap = BoundedTopK::new(3);
+        let mut heap = BoundedTopK::new(3, 5);
         for (node, score) in [(0, 0.1), (1, 0.9), (2, 0.5), (3, 0.7), (4, 0.2)] {
             heap.push(n(node, score));
         }
@@ -161,7 +164,7 @@ mod tests {
 
     #[test]
     fn fewer_candidates_than_k() {
-        let mut heap = BoundedTopK::new(10);
+        let mut heap = BoundedTopK::new(10, 1);
         heap.push(n(7, 0.3));
         let top = heap.into_topk();
         assert_eq!(top.len(), 1);
@@ -170,7 +173,7 @@ mod tests {
 
     #[test]
     fn equal_scores_break_ties_by_ascending_node_id() {
-        let mut heap = BoundedTopK::new(2);
+        let mut heap = BoundedTopK::new(2, 4);
         for node in [9, 3, 6, 1] {
             heap.push(n(node, 0.5));
         }
@@ -183,7 +186,7 @@ mod tests {
     fn ordering_is_total_even_for_nan_scores() {
         // total_cmp puts NaN above +inf; the point is no panic and a stable
         // order, not a meaningful rank for NaN.
-        let mut heap = BoundedTopK::new(2);
+        let mut heap = BoundedTopK::new(2, 3);
         heap.push(n(0, f32::NAN));
         heap.push(n(1, 1.0));
         heap.push(n(2, 0.5));
@@ -191,8 +194,20 @@ mod tests {
     }
 
     #[test]
+    fn a_k_above_the_population_reserves_only_the_population() {
+        // `k = u32::MAX` is what an all-ones LOAD field decodes to; the heap
+        // must size itself by the candidates, not by the request.
+        let mut heap = BoundedTopK::new(u32::MAX as usize, 3);
+        assert!(heap.heap.capacity() < 16, "{}", heap.heap.capacity());
+        for node in 0..3 {
+            heap.push(n(node, node as f32));
+        }
+        assert_eq!(heap.into_topk().nodes().collect::<Vec<_>>(), vec![2, 1, 0]);
+    }
+
+    #[test]
     #[should_panic(expected = "k >= 1")]
     fn zero_k_rejected() {
-        BoundedTopK::new(0);
+        BoundedTopK::new(0, 1);
     }
 }

@@ -137,8 +137,10 @@ proptest! {
             .collect();
         // Round-robin assignment (offset by `rotate`) so shard populations
         // are uneven and some shards may be empty when shards > candidates.
-        let mut per_shard: Vec<BoundedTopK> = (0..shards).map(|_| BoundedTopK::new(k)).collect();
-        let mut global = BoundedTopK::new(k);
+        let mut per_shard: Vec<BoundedTopK> = (0..shards)
+            .map(|_| BoundedTopK::new(k, candidates.len()))
+            .collect();
+        let mut global = BoundedTopK::new(k, candidates.len());
         for (i, &candidate) in candidates.iter().enumerate() {
             per_shard[(i + rotate) % shards].push(candidate);
             global.push(candidate);

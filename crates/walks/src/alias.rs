@@ -24,12 +24,14 @@
 //!
 //! | array | bytes/arc | present when |
 //! |---|---|---|
-//! | `prob` + `alias` | 8 | the graph is weighted and the backend is [`SamplingBackend::Alias`] |
+//! | `prob` + `alias` | 8 | the graph is weighted |
 //! | `accept` | 4 | the model is [`WalkModel::Huge`] |
 //!
 //! # Role in the walk models
 //!
-//! * **First order** (DeepWalk): the alias draw *is* the transition.
+//! * **First order** (DeepWalk): the alias draw *is* the transition. On an
+//!   unweighted graph no array is built: the draw is one bounded draw over
+//!   the arc range.
 //! * **Second order** (node2vec, HuGE): both models sample by rejection —
 //!   node2vec against the `max(1/p, 1, 1/q)` envelope, HuGE by
 //!   walking-backtracking (§2.1). The alias table serves as their **proposal
@@ -48,17 +50,13 @@
 //! ([`TransitionTables::sample_slot`]) and one array read — and the step no
 //! longer touches the *candidate's* adjacency at all, only `cur`'s arc range.
 //!
-//! # Choosing a backend
+//! # The reference oracle
 //!
-//! [`SamplingBackend`] mirrors PR 1's `FreqBackend` pattern: the optimized
-//! path is the default and the original implementation is retained as a
-//! reference ([`SamplingBackend::LinearScan`]) for equivalence tests and
-//! benchmarks. On **unweighted** graphs both backends intentionally consume
-//! the same single bounded draw per step, so they produce byte-identical
-//! corpora (a property test asserts this); on weighted graphs they agree in
-//! distribution (a chi-squared test asserts that) but not per-sample, since
-//! the alias draw consumes randomness differently. The backend decides only
-//! whether the alias arrays exist; the acceptance table is built under both.
+//! The seed drew a weighted neighbour by summing `u`'s weights and scanning
+//! to the roll, `O(deg)` per draw. That scan survives only in this module's
+//! tests, as the oracle the alias draw is checked against: equal in
+//! distribution on weighted graphs (by chi-squared), and bit-identical on
+//! unweighted ones, where both are the same single bounded draw.
 
 use crate::models::{huge_arc_acceptance, WalkModel};
 use crate::rng::SplitMix64;
@@ -66,30 +64,16 @@ use distger_graph::{CsrGraph, NodeId};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Which neighbour-sampling implementation backs the walk engine's
-/// transition draws (first-order draws and second-order proposals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SamplingBackend {
-    /// Per-node alias tables built once per run: `O(1)` per draw.
-    #[default]
-    Alias,
-    /// The seed's `O(deg)` sum-then-scan over the adjacency weights,
-    /// retained as the reference path for equivalence tests and benchmarks.
-    LinearScan,
-}
-
 /// The per-arc side tables of one walk job, stored as flat arc-aligned
 /// arrays (see the [module docs](self) for the layout): the alias tables of
 /// every node, and HuGE's acceptance probabilities.
 ///
-/// Without alias arrays a neighbour draw is uniform on **unweighted** graphs
-/// (already `O(1)`, and bit-compatible between the two backends) and the
-/// reference `O(deg)` sum-then-scan on weighted ones — which is all that
-/// [`SamplingBackend::LinearScan`] means.
+/// A weighted graph always gets alias arrays; an unweighted one needs none,
+/// since its uniform draw is already one bounded draw.
 #[derive(Clone, Debug)]
 pub struct TransitionTables {
     /// Probability of keeping the rolled slot, aligned with the CSR arcs.
-    /// Empty unless the graph is weighted and the backend is `Alias`.
+    /// Empty unless the graph is weighted.
     prob: Vec<f32>,
     /// Fallback neighbour (as a *local* adjacency index) when the roll is
     /// rejected, aligned with `prob`.
@@ -107,25 +91,21 @@ impl TransitionTables {
     /// enough (tens of microseconds) that claiming it costs nothing.
     const CHUNK_ARCS: usize = 4096;
 
-    /// Builds the tables a job over `graph` with this backend and model
-    /// needs. Alias arrays: Vose's method, `O(deg)` per node. Acceptance
-    /// array: one common-neighbour intersection per arc, shared out over
-    /// `threads` threads (the caller's included).
+    /// Builds the tables a job over `graph` with this model needs. Alias
+    /// arrays, iff the graph is weighted: Vose's method, `O(deg)` per node.
+    /// Acceptance array, iff the model is HuGE: one common-neighbour
+    /// intersection per arc, shared out over `threads` threads (the caller's
+    /// included).
     ///
     /// Nodes whose weights sum to zero (all-zero adjacency weights) get a
-    /// uniform table, matching the linear scan's documented fallback.
+    /// uniform table.
     /// Negative or non-finite weights cannot occur: `GraphBuilder` and
     /// `CsrGraph::from_parts` reject them at construction time.
-    pub fn build(
-        graph: &CsrGraph,
-        backend: SamplingBackend,
-        model: &WalkModel,
-        threads: usize,
-    ) -> Self {
+    pub fn build(graph: &CsrGraph, model: &WalkModel, threads: usize) -> Self {
         let start_time = Instant::now();
-        let (prob, alias) = match (backend, graph.arc_weights()) {
-            (SamplingBackend::Alias, Some(weights)) => Self::build_weighted(graph, weights),
-            _ => (Vec::new(), Vec::new()),
+        let (prob, alias) = match graph.arc_weights() {
+            Some(weights) => Self::build_weighted(graph, weights),
+            None => (Vec::new(), Vec::new()),
         };
         let accept = match model {
             WalkModel::Huge => Self::build_acceptance(graph, threads),
@@ -216,7 +196,7 @@ impl TransitionTables {
             let ws = &weights[range];
             let total: f64 = ws.iter().map(|&w| w as f64).sum();
             if total <= 0.0 {
-                // All-zero weights: uniform fallback (same as the scan).
+                // All-zero weights: uniform fallback.
                 for (i, (p, a)) in node_prob.iter_mut().zip(node_alias.iter_mut()).enumerate() {
                     *p = 1.0;
                     *a = i as u32;
@@ -260,7 +240,7 @@ impl TransitionTables {
         (prob, alias)
     }
 
-    /// Whether alias arrays are resident (weighted graph, alias backend).
+    /// Whether alias arrays are resident (the graph is weighted).
     pub fn has_alias_arrays(&self) -> bool {
         !self.prob.is_empty()
     }
@@ -287,20 +267,16 @@ impl TransitionTables {
     /// the graph is weighted, and returns its slot in the arc-aligned arrays
     /// (`None` when `u` has no out-neighbours). With alias arrays: roll a
     /// slot uniformly, then keep it or take its alias — one bounded draw and
-    /// one `next_f64`, `O(1)`. Without: one bounded draw on unweighted graphs
-    /// (bit-identical between the backends), the reference sum-then-scan on
-    /// weighted ones.
+    /// one `next_f64`, `O(1)`. Without (an unweighted graph): the bounded
+    /// draw alone.
     #[inline]
     pub fn sample_slot(&self, graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> Option<usize> {
         let range = graph.arc_range(u);
         if range.is_empty() {
             return None;
         }
-        if self.prob.is_empty() {
-            return Some(range.start + linear_scan_index(graph, u, rng));
-        }
         let slot = range.start + rng.next_bounded(range.len());
-        if rng.next_f64() < self.prob[slot] as f64 {
+        if self.prob.is_empty() || rng.next_f64() < self.prob[slot] as f64 {
             Some(slot)
         } else {
             Some(range.start + self.alias[slot] as usize)
@@ -315,31 +291,6 @@ impl TransitionTables {
     }
 }
 
-/// The draw without alias arrays, as an index into `u`'s (non-empty)
-/// adjacency: uniform on unweighted graphs; on weighted ones the reference
-/// `O(deg)` scan — sum the weights, then scan to the roll. Falls back to a
-/// uniform draw when every weight of `u` is zero (negative weights are
-/// rejected at graph-construction time, so `total <= 0` can only mean
-/// all-zero).
-fn linear_scan_index(graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> usize {
-    let deg = graph.degree(u);
-    let Some(weights) = graph.neighbor_weights(u) else {
-        return rng.next_bounded(deg);
-    };
-    let total: f32 = weights.iter().sum();
-    if total <= 0.0 {
-        return rng.next_bounded(deg);
-    }
-    let mut target = rng.next_f64() * total as f64;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= w as f64;
-        if target <= 0.0 {
-            return i;
-        }
-    }
-    deg - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,27 +300,58 @@ mod tests {
         SplitMix64::new(99)
     }
 
-    /// Draw-only tables (no acceptance array) for either backend.
+    /// Draw-only tables (no acceptance array).
     fn alias_tables(graph: &CsrGraph) -> TransitionTables {
-        TransitionTables::build(graph, SamplingBackend::Alias, &WalkModel::DeepWalk, 1)
+        TransitionTables::build(graph, &WalkModel::DeepWalk, 1)
     }
 
-    fn scan_tables(graph: &CsrGraph) -> TransitionTables {
-        TransitionTables::build(graph, SamplingBackend::LinearScan, &WalkModel::DeepWalk, 1)
+    /// The seed's draw, kept as the oracle: an index into `u`'s (non-empty)
+    /// adjacency, uniform on unweighted graphs; on weighted ones, sum the
+    /// weights and scan to the roll, `O(deg)`. Falls back to a uniform draw
+    /// when every weight of `u` is zero (negative weights are rejected at
+    /// graph-construction time, so `total <= 0` can only mean all-zero).
+    fn linear_scan_index(graph: &CsrGraph, u: NodeId, rng: &mut SplitMix64) -> usize {
+        let deg = graph.degree(u);
+        let Some(weights) = graph.neighbor_weights(u) else {
+            return rng.next_bounded(deg);
+        };
+        let total: f32 = weights.iter().sum();
+        if total <= 0.0 {
+            return rng.next_bounded(deg);
+        }
+        let mut target = rng.next_f64() * total as f64;
+        for (i, &w) in weights.iter().enumerate() {
+            target -= w as f64;
+            if target <= 0.0 {
+                return i;
+            }
+        }
+        deg - 1
     }
 
-    /// Draws `n` samples from `sampler` at `u` and returns per-neighbour
-    /// counts indexed like the adjacency list.
-    fn histogram(graph: &CsrGraph, sampler: &TransitionTables, u: NodeId, n: usize) -> Vec<u64> {
-        let neighbors = graph.neighbors(u);
-        let mut counts = vec![0u64; neighbors.len()];
+    /// Draws `n` adjacency indices of `u` with `draw` and returns how often
+    /// each came up.
+    fn histogram(
+        graph: &CsrGraph,
+        u: NodeId,
+        n: usize,
+        mut draw: impl FnMut(&mut SplitMix64) -> usize,
+    ) -> Vec<u64> {
+        let mut counts = vec![0u64; graph.degree(u)];
         let mut r = rng();
         for _ in 0..n {
-            let v = sampler.sample(graph, u, &mut r).unwrap();
-            let idx = neighbors.binary_search(&v).unwrap();
-            counts[idx] += 1;
+            counts[draw(&mut r)] += 1;
         }
         counts
+    }
+
+    /// [`histogram`] of the alias draw.
+    fn alias_histogram(graph: &CsrGraph, u: NodeId, n: usize) -> Vec<u64> {
+        let tables = alias_tables(graph);
+        let base = graph.arc_range(u).start;
+        histogram(graph, u, n, |r| {
+            tables.sample_slot(graph, u, r).unwrap() - base
+        })
     }
 
     /// Pearson chi-squared statistic of `observed` against the distribution
@@ -410,7 +392,6 @@ mod tests {
         let tables = alias_tables(&g);
         let mut r = rng();
         assert_eq!(tables.sample(&g, 2, &mut r), None);
-        assert_eq!(scan_tables(&g).sample(&g, 2, &mut r), None);
     }
 
     #[test]
@@ -422,9 +403,8 @@ mod tests {
             b.add_weighted_edge(0, v, 2.5);
         }
         let g = b.build();
-        let tables = alias_tables(&g);
-        assert!(tables.has_alias_arrays());
-        let counts = histogram(&g, &tables, 0, 60_000);
+        assert!(alias_tables(&g).has_alias_arrays());
+        let counts = alias_histogram(&g, 0, 60_000);
         let weights = g.neighbor_weights(0).unwrap();
         // 5 degrees of freedom; chi² < 20.5 keeps a false-failure rate ~1e-3,
         // and the fixed seed makes the test deterministic anyway.
@@ -443,9 +423,8 @@ mod tests {
             b.add_weighted_edge(0, v, 1.0);
         }
         let g = b.build();
-        let tables = alias_tables(&g);
         let n = 50_000;
-        let counts = histogram(&g, &tables, 0, n);
+        let counts = alias_histogram(&g, 0, n);
         let dominant = counts[0] as f64 / n as f64;
         assert!(
             (dominant - 0.95).abs() < 0.01,
@@ -464,8 +443,7 @@ mod tests {
         // Give the spokes a real edge so the graph stays weighted overall.
         b.add_weighted_edge(1, 2, 3.0);
         let g = b.build();
-        let tables = alias_tables(&g);
-        let counts = histogram(&g, &tables, 0, 40_000);
+        let counts = alias_histogram(&g, 0, 40_000);
         let uniform = vec![1.0f32; counts.len()];
         assert!(
             chi_squared(&counts, &uniform) < 16.3, // df = 3
@@ -476,16 +454,15 @@ mod tests {
     #[test]
     fn alias_matches_linear_scan_distribution_chi_squared() {
         // The headline equivalence check: on a skewed-weight hub, the alias
-        // empirical distribution must match both the exact weights and the
-        // linear scan's empirical distribution.
+        // draw's empirical distribution must match the exact weights, and so
+        // must the oracle scan's.
         let g = barabasi_albert(300, 4, 11).with_skewed_weights(1.5, 7);
-        let tables = alias_tables(&g);
         let hub = g.nodes_by_degree_desc()[0];
         let deg = g.degree(hub);
         assert!(deg >= 10, "hub should be high-degree, got {deg}");
         let n = 3_000 * deg;
-        let alias_counts = histogram(&g, &tables, hub, n);
-        let scan_counts = histogram(&g, &scan_tables(&g), hub, n);
+        let alias_counts = alias_histogram(&g, hub, n);
+        let scan_counts = histogram(&g, hub, n, |r| linear_scan_index(&g, hub, r));
         let weights = g.neighbor_weights(hub).unwrap();
         // Generous df-scaled bound: E[chi²] = df, Var = 2·df; df + 6·sqrt(2·df)
         // is far beyond any plausible statistical fluctuation at fixed seed.
@@ -504,11 +481,13 @@ mod tests {
         assert!(!tables.has_alias_arrays());
         assert_eq!(tables.memory_bytes(), 0);
         assert_eq!(tables.build_secs(), 0.0, "no table, no reported build time");
-        let (alias, scan) = (&tables, scan_tables(&g));
-        let mut ra = rng();
-        let mut rs = rng();
+        // Both draws are the one bounded draw, so they agree draw for draw.
+        let (mut ra, mut rs) = (rng(), rng());
         for u in 0..200u32 {
-            assert_eq!(alias.sample(&g, u, &mut ra), scan.sample(&g, u, &mut rs));
+            assert_eq!(
+                tables.sample_slot(&g, u, &mut ra),
+                Some(g.arc_range(u).start + linear_scan_index(&g, u, &mut rs))
+            );
         }
     }
 

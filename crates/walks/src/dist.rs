@@ -365,8 +365,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
 
     // One thread per local machine: the parallelism the BSP pool is about
     // to run the supersteps with.
-    let tables =
-        TransitionTables::build(graph, config.sampling_backend, &config.model, local.len());
+    let tables = TransitionTables::build(graph, &config.model, local.len());
     let degree_dist = if is_coordinator {
         degree_distribution(graph)
     } else {
@@ -396,10 +395,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
             if attempt > 0 {
                 ctx.restore(config, n);
             }
-            local
-                .clone()
-                .map(|_| MachineState::new(config.freq_backend))
-                .collect()
+            local.clone().map(|_| MachineState::new()).collect()
         },
         config.max_supersteps,
         walker_step(graph, partitioning, config, &tables),
@@ -489,8 +485,7 @@ pub fn run_walks_over<T: Transport<WalkerMessage>>(
 /// Convenience harness: runs [`run_walks_over`] across `endpoints` socket
 /// transports connected over loopback TCP — the coordinator on the calling
 /// thread, one spawned thread per worker endpoint. Real frames, real
-/// sockets, one process; the property tests and the transport-overhead bench
-/// drive exactly this path.
+/// sockets, one process; the property tests drive exactly this path.
 ///
 /// # Panics
 /// Panics on any transport error in any endpoint (the property suite wants
@@ -528,7 +523,6 @@ mod tests {
     use super::*;
     use crate::checkpoint::CheckpointPolicy;
     use crate::engine::run_distributed_walks;
-    use crate::freq::FreqBackend;
     use distger_cluster::{
         FaultPlan, InMemoryTransport, Mailbox, Outbox, RecoveryExhausted, RecoveryPolicy,
     };
@@ -552,13 +546,11 @@ mod tests {
     ) -> (Corpus, CommStats, usize, Vec<f64>) {
         let n = graph.num_nodes();
         let m = partitioning.num_machines();
-        let tables = TransitionTables::build(graph, config.sampling_backend, &config.model, 1);
+        let tables = TransitionTables::build(graph, &config.model, 1);
         let step = walker_step(graph, partitioning, config, &tables);
         let degree_dist = degree_distribution(graph);
         let mut schedule = RoundSchedule::new(config.walks_per_node);
-        let mut states: Vec<MachineState> = (0..m)
-            .map(|_| MachineState::new(config.freq_backend))
-            .collect();
+        let mut states: Vec<MachineState> = (0..m).map(|_| MachineState::new()).collect();
         let mut outboxes: Vec<Outbox<WalkerMessage>> =
             (0..m).map(|machine| Outbox::new(machine, m)).collect();
         let (mut corpus, mut trace, mut rounds) = (Corpus::new(n), Vec::new(), 0usize);
@@ -667,6 +659,17 @@ mod tests {
         assert!(socket.comm.wire.frames_sent > 0);
         assert!(socket.comm.wire.batch_bytes_sent > 0);
         assert!(socket.comm.wire.bytes_sent > socket.comm.wire.batch_bytes_sent);
+        // The analytic byte count the `NetworkModel` prices and the bytes
+        // actually shipped in BATCH frames agree within an order of
+        // magnitude, or the simulated cluster is pricing a fiction.
+        let estimate_over_measured =
+            socket.comm.bytes as f64 / socket.comm.wire.batch_bytes_sent as f64;
+        assert!(
+            (0.1..=10.0).contains(&estimate_over_measured),
+            "CommStats estimates {} bytes, the wire measured {} batch bytes",
+            socket.comm.bytes,
+            socket.comm.wire.batch_bytes_sent
+        );
     }
 
     /// Runs both endpoints of a two-endpoint loopback job and returns
@@ -750,7 +753,7 @@ mod tests {
     /// One machine's honest harvest of round 1 on a 4-node graph: walks 4..8,
     /// walk 5 in two runs.
     fn honest_state() -> MachineState {
-        let mut state = MachineState::new(FreqBackend::Flat);
+        let mut state = MachineState::new();
         let harvest = &mut state.harvest;
         harvest.seg_nodes = vec![0, 1, 2, 1, 3, 2, 3];
         let mut offset = 0;

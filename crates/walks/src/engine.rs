@@ -15,11 +15,11 @@
 //! Routine (fixed `L`, fixed `r`) configurations skip the measurement
 //! entirely and exchange 32-byte messages, reproducing KnightKing.
 //!
-//! Transition draws go through the [`SamplingBackend`] configured in
-//! [`WalkEngineConfig`]: per-node alias tables (built once per run, `O(1)`
-//! per draw — the default) or the reference `O(deg)` linear scan. HuGE's
-//! per-arc acceptance probabilities are built beside them, once per run
-//! under either backend, so a rejected candidate costs one array read.
+//! Transition draws go through [`TransitionTables`], built once per run: an
+//! `O(1)` alias draw on weighted graphs, one bounded draw on unweighted ones,
+//! and HuGE's per-arc acceptance probabilities, so a rejected candidate
+//! costs one array read. InCoM's local frequency lists live in one
+//! [`FreqStore`] per machine.
 
 use std::io;
 use std::ops::Range;
@@ -32,11 +32,11 @@ use distger_cluster::{
 use distger_graph::{CsrGraph, NodeId};
 use distger_partition::Partitioning;
 
-use crate::alias::{SamplingBackend, TransitionTables};
+use crate::alias::TransitionTables;
 use crate::checkpoint::CheckpointPolicy;
 use crate::corpus::Corpus;
 use crate::dist::run_walks_over;
-use crate::freq::{FreqBackend, FreqStore};
+use crate::freq::FreqStore;
 use crate::info::{relative_entropy, FullPathInfo, IncrementalInfo, WalkCountController};
 use crate::message::{InfoPayload, WalkerMessage};
 use crate::models::{propose_next, LengthPolicy, WalkCountPolicy, WalkModel};
@@ -62,16 +62,6 @@ pub struct WalkEngineConfig {
     pub walks_per_node: WalkCountPolicy,
     /// Measurement mode (only relevant when `length` is information-driven).
     pub info_mode: InfoMode,
-    /// Which machine-local frequency-store implementation backs InCoM.
-    /// [`FreqBackend::Flat`] is the optimized default;
-    /// [`FreqBackend::NestedReference`] retains the original nested-`HashMap`
-    /// path for equivalence tests and benchmarks.
-    pub freq_backend: FreqBackend,
-    /// Which neighbour-sampling implementation backs the transition draws.
-    /// [`SamplingBackend::Alias`] (per-node alias tables, `O(1)` per draw)
-    /// is the optimized default; [`SamplingBackend::LinearScan`] retains the
-    /// original `O(deg)` scan for equivalence tests and benchmarks.
-    pub sampling_backend: SamplingBackend,
     /// When the round loop snapshots its coordinator state (cumulative
     /// corpus, entropy trace, comm totals) so a crashed run can resume from
     /// the latest completed round instead of round 0. Disabled by default;
@@ -103,8 +93,6 @@ impl WalkEngineConfig {
             length: LengthPolicy::routine(),
             walks_per_node: WalkCountPolicy::routine(),
             info_mode: InfoMode::Incremental,
-            freq_backend: FreqBackend::Flat,
-            sampling_backend: SamplingBackend::Alias,
             checkpoint: CheckpointPolicy::Disabled,
             recovery: RecoveryPolicy::default(),
             transport: TransportKind::InMemory,
@@ -121,8 +109,6 @@ impl WalkEngineConfig {
             length: LengthPolicy::info_driven_default(),
             walks_per_node: WalkCountPolicy::info_driven_default(),
             info_mode: InfoMode::FullPath,
-            freq_backend: FreqBackend::Flat,
-            sampling_backend: SamplingBackend::Alias,
             checkpoint: CheckpointPolicy::Disabled,
             recovery: RecoveryPolicy::default(),
             transport: TransportKind::InMemory,
@@ -178,18 +164,6 @@ impl WalkEngineConfig {
         self
     }
 
-    /// Builder-style frequency-store backend override.
-    pub fn with_freq_backend(mut self, backend: FreqBackend) -> Self {
-        self.freq_backend = backend;
-        self
-    }
-
-    /// Builder-style transition-sampling backend override.
-    pub fn with_sampling_backend(mut self, backend: SamplingBackend) -> Self {
-        self.sampling_backend = backend;
-        self
-    }
-
     /// Builder-style checkpoint-policy override.
     pub fn with_checkpoint_policy(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
@@ -240,13 +214,13 @@ pub struct WalkResult {
     /// divided evenly over machines).
     pub corpus_shard_bytes: usize,
     /// Wall-clock seconds spent building the arc-aligned transition tables:
-    /// the alias arrays (weighted graph under [`SamplingBackend::Alias`]) and
-    /// HuGE's acceptance array ([`WalkModel::Huge`]). Exactly 0 when the job
-    /// needs neither.
+    /// the alias arrays (weighted graphs) and HuGE's acceptance array
+    /// ([`WalkModel::Huge`]). Exactly 0 when the job needs neither: DeepWalk
+    /// or node2vec on an unweighted graph.
     pub alias_build_secs: f64,
     /// Resident bytes of the transition tables over the whole graph: 8 per
-    /// CSR arc of alias arrays plus 4 per arc of acceptance probabilities,
-    /// each counted only when materialized. The tables are read-only and
+    /// CSR arc of alias arrays when the graph is weighted, plus 4 per arc of
+    /// acceptance probabilities when the model is HuGE. The tables are read-only and
     /// partition-independent, so each machine only needs the slice covering
     /// its own nodes — divide by the machine count for the per-machine share.
     pub alias_table_bytes: usize,
@@ -318,10 +292,10 @@ pub(crate) struct MachineState {
 }
 
 impl MachineState {
-    pub(crate) fn new(backend: FreqBackend) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             harvest: RoundHarvest::default(),
-            freq: FreqStore::new(backend),
+            freq: FreqStore::new(),
         }
     }
 
@@ -794,26 +768,14 @@ mod tests {
     }
 
     #[test]
-    fn sampling_backends_agree_bitwise_on_unweighted_graphs() {
-        // On unweighted graphs both backends take the same single bounded
-        // draw per step, so the corpora must be identical — the strongest
-        // possible equivalence.
+    fn unweighted_huge_runs_build_only_the_acceptance_table() {
+        // Unweighted: the draw is one bounded draw and needs no alias
+        // arrays; HuGE still needs its 4 B/arc acceptance array.
         let g = test_graph();
         let p = workload_balanced_partition(&g, 4);
-        let alias = run_distributed_walks(&g, &p, &WalkEngineConfig::distger().with_seed(13));
-        let scan = run_distributed_walks(
-            &g,
-            &p,
-            &WalkEngineConfig::distger()
-                .with_seed(13)
-                .with_sampling_backend(SamplingBackend::LinearScan),
-        );
-        assert_eq!(alias.corpus, scan.corpus);
-        assert_eq!(alias.comm, scan.comm);
-        // Unweighted: no alias arrays under either backend; HuGE's 4 B/arc
-        // acceptance array under both.
-        assert_eq!(alias.alias_table_bytes, g.num_arcs() * 4);
-        assert_eq!(scan.alias_table_bytes, g.num_arcs() * 4);
+        let huge = run_distributed_walks(&g, &p, &WalkEngineConfig::distger().with_seed(13));
+        assert_eq!(huge.alias_table_bytes, g.num_arcs() * 4);
+        assert!(huge.alias_build_secs > 0.0);
     }
 
     #[test]
@@ -836,19 +798,10 @@ mod tests {
                 assert!(g.has_edge(pair[0], pair[1]));
             }
         }
-        // The reference backend samples the same distribution but consumes
-        // randomness differently; it must still be a valid run of equal shape.
-        let scan = run_distributed_walks(
-            &g,
-            &p,
-            &cfg.with_sampling_backend(SamplingBackend::LinearScan),
-        );
-        assert_eq!(scan.corpus.num_walks(), result.corpus.num_walks());
-        assert_eq!(scan.alias_table_bytes, 0);
-        assert_eq!(
-            scan.alias_build_secs, 0.0,
-            "linear-scan DeepWalk builds nothing"
-        );
+        // Unweighted DeepWalk builds nothing.
+        let plain = run_distributed_walks(&test_graph(), &p, &cfg);
+        assert_eq!(plain.alias_table_bytes, 0);
+        assert_eq!(plain.alias_build_secs, 0.0, "no table, no build time");
     }
 
     #[test]
@@ -1031,8 +984,6 @@ mod tests {
             .with_length(LengthPolicy::routine())
             .with_walks_per_node(WalkCountPolicy::Fixed(3))
             .with_info_mode(InfoMode::FullPath)
-            .with_freq_backend(FreqBackend::NestedReference)
-            .with_sampling_backend(SamplingBackend::LinearScan)
             .with_transport(TransportKind::Socket)
             .with_seed(11)
             .with_max_supersteps(77);
@@ -1040,8 +991,6 @@ mod tests {
         assert_eq!(cfg.length, LengthPolicy::routine());
         assert_eq!(cfg.walks_per_node, WalkCountPolicy::Fixed(3));
         assert_eq!(cfg.info_mode, InfoMode::FullPath);
-        assert_eq!(cfg.freq_backend, FreqBackend::NestedReference);
-        assert_eq!(cfg.sampling_backend, SamplingBackend::LinearScan);
         assert_eq!(cfg.transport, TransportKind::Socket);
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.max_supersteps, 77);

@@ -9,22 +9,21 @@
 //! * `accept(walk, node)` — extremely hot, once per accepted node;
 //! * `release(walk)` — once per walk termination.
 //!
-//! [`FlatFreqStore`] serves this pattern with a single open-addressed
+//! [`FreqStore`] serves this pattern with a single open-addressed
 //! directory (walk id → list handle, hashed with a SplitMix-style finalizer
 //! instead of std's SipHash) over a pool of compact `(node, count)` lists
 //! that are recycled through a free-list when walks terminate. In steady
 //! state `accept` touches one directory slot plus one short contiguous list
 //! and allocates nothing.
 //!
-//! [`NestedFreqStore`] is the seed's original
-//! `HashMap<walk, HashMap<node, count>>` representation, retained as a
-//! reference implementation: property tests assert the two produce
-//! byte-identical corpora, and the throughput benchmark measures the
-//! speedup.
+//! The seed's `HashMap<walk, HashMap<node, count>>` store survives only in
+//! this module's tests, as the oracle a property test drives through random
+//! `accept` / `release` / `clear` sequences next to [`FreqStore`]. Walk-level
+//! equivalence is InCoM ≡ full-path (`prop_walks`): the full-path mode never
+//! consults a frequency store, so equal corpora mean equal counts.
 
 use crate::rng::mix64;
 use distger_graph::NodeId;
-use std::collections::HashMap;
 
 /// Empty-slot marker in the directory. Walk ids are `round · |V| + source`,
 /// which never reaches `u64::MAX` in practice.
@@ -43,7 +42,7 @@ fn mix(walk_id: u64) -> u64 {
 /// Flat per-machine frequency store: open-addressed walk directory plus
 /// recycled compact count lists.
 #[derive(Clone, Debug, Default)]
-pub struct FlatFreqStore {
+pub struct FreqStore {
     /// Directory keys (walk ids), `EMPTY` marks a free slot.
     keys: Vec<u64>,
     /// Directory values: index into `lists`, parallel to `keys`.
@@ -56,7 +55,7 @@ pub struct FlatFreqStore {
     free: Vec<u32>,
 }
 
-impl FlatFreqStore {
+impl FreqStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
@@ -210,132 +209,15 @@ impl FlatFreqStore {
     }
 }
 
-/// The seed's nested-`HashMap` frequency store, retained as the reference
-/// path for equivalence tests and benchmark comparisons.
-#[derive(Clone, Debug, Default)]
-pub struct NestedFreqStore {
-    map: HashMap<u64, HashMap<NodeId, u32>>,
-}
-
-impl NestedFreqStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// See [`FlatFreqStore::accept`].
-    pub fn accept(&mut self, walk_id: u64, node: NodeId) -> u32 {
-        let counts = self.map.entry(walk_id).or_default();
-        let entry = counts.entry(node).or_insert(0);
-        let prev = *entry;
-        *entry += 1;
-        prev
-    }
-
-    /// See [`FlatFreqStore::release`].
-    pub fn release(&mut self, walk_id: u64) {
-        self.map.remove(&walk_id);
-    }
-
-    /// See [`FlatFreqStore::clear`].
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Number of walks with a live frequency list.
-    pub fn active_walks(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Estimated resident bytes (matches the seed's accounting).
-    pub fn memory_bytes(&self) -> usize {
-        self.map
-            .values()
-            .map(|m| m.len() * (std::mem::size_of::<NodeId>() + 4) + 48)
-            .sum()
-    }
-}
-
-/// Which frequency-store implementation the walk engine uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FreqBackend {
-    /// The flat open-addressed store (the optimized hot path).
-    #[default]
-    Flat,
-    /// The seed's nested-`HashMap` store (reference path for tests and
-    /// benchmarks).
-    NestedReference,
-}
-
-/// A frequency store of either backend, dispatching statically per call via
-/// a two-way match (the branch is perfectly predicted in the hot loop).
-#[derive(Clone, Debug)]
-pub enum FreqStore {
-    /// Flat open-addressed backend.
-    Flat(FlatFreqStore),
-    /// Nested-`HashMap` reference backend.
-    Nested(NestedFreqStore),
-}
-
-impl FreqStore {
-    /// Creates an empty store of the requested backend.
-    pub fn new(backend: FreqBackend) -> Self {
-        match backend {
-            FreqBackend::Flat => FreqStore::Flat(FlatFreqStore::new()),
-            FreqBackend::NestedReference => FreqStore::Nested(NestedFreqStore::new()),
-        }
-    }
-
-    /// See [`FlatFreqStore::accept`].
-    #[inline]
-    pub fn accept(&mut self, walk_id: u64, node: NodeId) -> u32 {
-        match self {
-            FreqStore::Flat(s) => s.accept(walk_id, node),
-            FreqStore::Nested(s) => s.accept(walk_id, node),
-        }
-    }
-
-    /// See [`FlatFreqStore::release`].
-    #[inline]
-    pub fn release(&mut self, walk_id: u64) {
-        match self {
-            FreqStore::Flat(s) => s.release(walk_id),
-            FreqStore::Nested(s) => s.release(walk_id),
-        }
-    }
-
-    /// See [`FlatFreqStore::clear`].
-    pub fn clear(&mut self) {
-        match self {
-            FreqStore::Flat(s) => s.clear(),
-            FreqStore::Nested(s) => s.clear(),
-        }
-    }
-
-    /// Number of walks with a live frequency list.
-    pub fn active_walks(&self) -> usize {
-        match self {
-            FreqStore::Flat(s) => s.active_walks(),
-            FreqStore::Nested(s) => s.active_walks(),
-        }
-    }
-
-    /// Estimated resident bytes.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            FreqStore::Flat(s) => s.memory_bytes(),
-            FreqStore::Nested(s) => s.memory_bytes(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn accept_counts_per_walk_and_node() {
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         assert_eq!(s.accept(7, 3), 0);
         assert_eq!(s.accept(7, 3), 1);
         assert_eq!(s.accept(7, 3), 2);
@@ -346,7 +228,7 @@ mod tests {
 
     #[test]
     fn release_forgets_and_recycles() {
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         s.accept(1, 10);
         s.accept(1, 10);
         s.accept(2, 10);
@@ -362,7 +244,7 @@ mod tests {
 
     #[test]
     fn growth_keeps_all_counts() {
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         for walk in 0..1000u64 {
             for node in 0..4u32 {
                 s.accept(walk, node);
@@ -380,7 +262,7 @@ mod tests {
     fn interleaved_release_preserves_probe_chains() {
         // Many walks, released in an order designed to exercise the
         // backward-shift deletion across wrapped probe chains.
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         let walks: Vec<u64> = (0..500).map(|i| i * 17 + 3).collect();
         for &w in &walks {
             s.accept(w, (w % 50) as NodeId);
@@ -396,32 +278,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_matches_nested_reference_on_random_workload() {
-        let mut flat = FlatFreqStore::new();
-        let mut nested = NestedFreqStore::new();
-        let mut state = 42u64;
-        let mut rand = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        for _ in 0..20_000 {
-            let r = rand();
-            let walk = r % 97;
-            let node = (rand() % 13) as NodeId;
-            if r % 31 == 0 {
-                flat.release(walk);
-                nested.release(walk);
-            } else {
-                assert_eq!(flat.accept(walk, node), nested.accept(walk, node));
+    /// The seed's nested-`HashMap` store: the oracle [`FreqStore`] is
+    /// checked against.
+    #[derive(Default)]
+    struct NestedFreqStore {
+        map: HashMap<u64, HashMap<NodeId, u32>>,
+    }
+
+    impl NestedFreqStore {
+        fn accept(&mut self, walk_id: u64, node: NodeId) -> u32 {
+            let entry = self
+                .map
+                .entry(walk_id)
+                .or_default()
+                .entry(node)
+                .or_insert(0);
+            *entry += 1;
+            *entry - 1
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Flat ≡ nested over random `accept` / `release` / `clear`
+        /// sequences: every `accept` returns the oracle's prior count, and
+        /// both agree on the live-walk count after every operation. Few walk
+        /// ids and nodes make repeats, releases of live walks and backward
+        /// shifts across probe chains common.
+        #[test]
+        fn flat_store_matches_the_nested_oracle(
+            ops in prop::collection::vec((0u32..64, 0u64..97, 0u32..13), 0..3000),
+        ) {
+            let (mut flat, mut nested) = (FreqStore::new(), NestedFreqStore::default());
+            for (op, walk, node) in ops {
+                match op {
+                    0 => {
+                        flat.clear();
+                        nested.map.clear();
+                    }
+                    1..=3 => {
+                        flat.release(walk);
+                        nested.map.remove(&walk);
+                    }
+                    _ => prop_assert_eq!(flat.accept(walk, node), nested.accept(walk, node)),
+                }
+                prop_assert_eq!(flat.active_walks(), nested.map.len());
             }
         }
-        assert_eq!(flat.active_walks(), nested.active_walks());
     }
 
     #[test]
     fn clear_forgets_everything_and_recycles_all_lists() {
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         for walk in 0..200u64 {
             s.accept(walk, (walk % 9) as NodeId);
             s.accept(walk, (walk % 9) as NodeId);
@@ -438,48 +347,46 @@ mod tests {
 
     #[test]
     fn round_reset_drops_departed_walks_and_reuses_allocations() {
-        // The round-boundary contract (see `FlatFreqStore::clear`): walks
+        // The round-boundary contract (see `FreqStore::clear`): walks
         // that hop to another machine and terminate there never `release`
         // their local list — only `clear` reclaims it. Simulate several
-        // rounds of that on both backends through the dispatcher.
-        for backend in [FreqBackend::Flat, FreqBackend::NestedReference] {
-            let mut store = FreqStore::new(backend);
-            let mut peak = 0usize;
-            for round in 0..5u64 {
-                for walk in 0..300u64 {
-                    let id = round * 300 + walk;
-                    store.accept(id, (walk % 11) as NodeId);
-                    store.accept(id, (walk % 11) as NodeId);
-                    if walk % 3 == 0 {
-                        // Terminated locally: releases its list.
-                        store.release(id);
-                    }
-                    // walk % 3 != 0: departed mid-walk, no release — the
-                    // round reset must reclaim these.
+        // rounds of that.
+        let mut store = FreqStore::new();
+        let mut peak = 0usize;
+        for round in 0..5u64 {
+            for walk in 0..300u64 {
+                let id = round * 300 + walk;
+                store.accept(id, (walk % 11) as NodeId);
+                store.accept(id, (walk % 11) as NodeId);
+                if walk % 3 == 0 {
+                    // Terminated locally: releases its list.
+                    store.release(id);
                 }
-                assert_eq!(store.active_walks(), 200, "round {round}");
-                store.clear();
-                assert_eq!(store.active_walks(), 0, "round {round} leaked walks");
-                if round == 0 {
-                    peak = store.memory_bytes();
-                } else {
-                    assert!(
-                        store.memory_bytes() <= peak,
-                        "round {round}: resident bytes grew across identical \
-                         fill/clear cycles ({} > {peak}) — allocations are \
-                         not being recycled",
-                        store.memory_bytes()
-                    );
-                }
+                // walk % 3 != 0: departed mid-walk, no release — the round
+                // reset must reclaim these.
             }
-            // Counts restart from zero after a reset.
-            assert_eq!(store.accept(0, 5), 0);
+            assert_eq!(store.active_walks(), 200, "round {round}");
+            store.clear();
+            assert_eq!(store.active_walks(), 0, "round {round} leaked walks");
+            if round == 0 {
+                peak = store.memory_bytes();
+            } else {
+                assert!(
+                    store.memory_bytes() <= peak,
+                    "round {round}: resident bytes grew across identical \
+                     fill/clear cycles ({} > {peak}) — allocations are not \
+                     being recycled",
+                    store.memory_bytes()
+                );
+            }
         }
+        // Counts restart from zero after a reset.
+        assert_eq!(store.accept(0, 5), 0);
     }
 
     #[test]
     fn memory_accounting_is_positive_and_bounded() {
-        let mut s = FlatFreqStore::new();
+        let mut s = FreqStore::new();
         for walk in 0..64u64 {
             for node in 0..8u32 {
                 s.accept(walk, node);

@@ -26,9 +26,11 @@
 //!   alias tables (Vose construction) making every weighted neighbour draw —
 //!   and every second-order rejection *proposal* — constant time regardless
 //!   of degree, and HuGE's per-arc acceptance probabilities (Eq. 3), making
-//!   every rejection *trial* one array read. Both keep the original draw
-//!   selectable as a reference backend ([`FreqBackend`] /
-//!   [`SamplingBackend`]).
+//!   every rejection *trial* one array read.
+//!
+//! Each is the one implementation of its job. The seed's versions (the
+//! nested-`HashMap` store and the `O(deg)` weight scan) survive only as
+//! `#[cfg(test)]` oracles inside those two modules.
 //!
 //! All engines run on the BSP driver of `distger-cluster` through **one**
 //! round loop, [`run_walks_over`]: each endpoint's machines live on one
@@ -51,14 +53,13 @@ pub mod message;
 pub mod models;
 pub mod rng;
 
-pub use alias::{SamplingBackend, TransitionTables};
+pub use alias::TransitionTables;
 pub use checkpoint::{CheckpointPolicy, WalkCheckpoint};
 pub use corpus::{Corpus, CorpusShard};
 pub use dist::{run_walks_over, run_walks_over_loopback};
 pub use engine::{
     run_distributed_walks, run_distributed_walks_supervised, InfoMode, WalkEngineConfig, WalkResult,
 };
-pub use freq::{FlatFreqStore, FreqBackend, NestedFreqStore};
 pub use models::{LengthPolicy, WalkCountPolicy, WalkModel};
 
 /// Re-exports of the fault-tolerance knobs — and the transport layer — so

@@ -26,8 +26,8 @@
 //! The neighbour draw itself — the first-order transition and the proposal
 //! distribution of the two rejection-sampled second-order models — goes
 //! through the job's [`TransitionTables`], so every model transparently
-//! benefits from the `O(1)` alias tables of [`crate::alias`] (or falls back
-//! to the reference `O(deg)` linear scan when they were not materialized).
+//! benefits from the `O(1)` alias tables of [`crate::alias`] on weighted
+//! graphs (an unweighted graph's draw is one bounded draw).
 
 use crate::alias::TransitionTables;
 use crate::rng::SplitMix64;
@@ -265,17 +265,10 @@ pub fn propose_next(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::SamplingBackend;
     use distger_graph::{barabasi_albert, GraphBuilder};
 
     fn rng() -> SplitMix64 {
         SplitMix64::new(42)
-    }
-
-    /// Tables for `model` under both backends, the linear scan first.
-    fn both_backends(g: &CsrGraph, model: &WalkModel) -> [TransitionTables; 2] {
-        [SamplingBackend::LinearScan, SamplingBackend::Alias]
-            .map(|backend| TransitionTables::build(g, backend, model, 1))
     }
 
     #[test]
@@ -324,20 +317,19 @@ mod tests {
             WalkModel::Node2Vec { p: 0.5, q: 2.0 },
             WalkModel::Huge,
         ] {
-            for tables in both_backends(&g, &model) {
-                let mut prev = None;
-                let mut cur: NodeId = 5;
-                for _ in 0..50 {
-                    let next = propose_next(&model, &g, &tables, prev, cur, &mut r)
-                        .expect("connected node must have a next hop");
-                    assert!(
-                        g.has_edge(cur, next),
-                        "{}: {next} is not a neighbour of {cur}",
-                        model.name()
-                    );
-                    prev = Some(cur);
-                    cur = next;
-                }
+            let tables = TransitionTables::build(&g, &model, 1);
+            let mut prev = None;
+            let mut cur: NodeId = 5;
+            for _ in 0..50 {
+                let next = propose_next(&model, &g, &tables, prev, cur, &mut r)
+                    .expect("connected node must have a next hop");
+                assert!(
+                    g.has_edge(cur, next),
+                    "{}: {next} is not a neighbour of {cur}",
+                    model.name()
+                );
+                prev = Some(cur);
+                cur = next;
             }
         }
     }
@@ -350,9 +342,8 @@ mod tests {
         let g = b.build();
         let mut r = rng();
         for model in [WalkModel::DeepWalk, WalkModel::Huge] {
-            for tables in both_backends(&g, &model) {
-                assert_eq!(propose_next(&model, &g, &tables, None, 2, &mut r), None);
-            }
+            let tables = TransitionTables::build(&g, &model, 1);
+            assert_eq!(propose_next(&model, &g, &tables, None, 2, &mut r), None);
         }
     }
 
@@ -367,9 +358,9 @@ mod tests {
         let trials = 4_000;
         let count_returns = |p: f64, q: f64, r: &mut SplitMix64| {
             let model = WalkModel::Node2Vec { p, q };
-            let [scan, _] = both_backends(&g, &model);
+            let tables = TransitionTables::build(&g, &model, 1);
             (0..trials)
-                .filter(|_| propose_next(&model, &g, &scan, Some(0), 1, r) == Some(0))
+                .filter(|_| propose_next(&model, &g, &tables, Some(0), 1, r) == Some(0))
                 .count()
         };
         let returns_low_p = count_returns(0.25, 1.0, &mut r); // strong return bias
@@ -386,15 +377,12 @@ mod tests {
         b.add_weighted_edge(0, 1, 10.0);
         b.add_weighted_edge(0, 2, 0.1);
         let g = b.build();
-        for tables in both_backends(&g, &WalkModel::DeepWalk) {
-            let mut r = rng();
-            let to_1 = (0..2_000)
-                .filter(|_| {
-                    propose_next(&WalkModel::DeepWalk, &g, &tables, None, 0, &mut r) == Some(1)
-                })
-                .count();
-            assert!(to_1 > 1_800, "heavy edge taken only {to_1}/2000 times");
-        }
+        let tables = TransitionTables::build(&g, &WalkModel::DeepWalk, 1);
+        let mut r = rng();
+        let to_1 = (0..2_000)
+            .filter(|_| propose_next(&WalkModel::DeepWalk, &g, &tables, None, 0, &mut r) == Some(1))
+            .count();
+        assert!(to_1 > 1_800, "heavy edge taken only {to_1}/2000 times");
     }
 
     #[test]

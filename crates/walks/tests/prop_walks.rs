@@ -6,8 +6,8 @@ use distger_walks::info::{walk_entropy, FullPathInfo, IncrementalInfo};
 use distger_walks::models::{huge_acceptance, propose_next};
 use distger_walks::rng::SplitMix64;
 use distger_walks::{
-    run_distributed_walks, FreqBackend, LengthPolicy, SamplingBackend, TransitionTables,
-    WalkCountPolicy, WalkEngineConfig, WalkModel,
+    run_distributed_walks, LengthPolicy, TransitionTables, WalkCountPolicy, WalkEngineConfig,
+    WalkModel,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -88,77 +88,30 @@ proptest! {
     }
 
     /// The flat frequency store is a pure representation change: for any
-    /// seed and machine count it must produce corpora and communication
-    /// statistics byte-identical to the seed's nested-HashMap semantics
-    /// (retained as `FreqBackend::NestedReference`) *and* to the FullPath
-    /// mode, which never consults a frequency store at all.
+    /// seed and machine count InCoM, which counts through it, produces the
+    /// corpus and message count of the FullPath mode, which never consults a
+    /// frequency store at all. (The store itself is checked against the
+    /// seed's nested-`HashMap` oracle in `freq.rs`.)
     #[test]
-    fn flat_store_matches_nested_reference_and_full_path(
+    fn flat_store_matches_full_path(
         seed in 0u64..12,
         machines in 1usize..5,
     ) {
         let g = distger_graph::barabasi_albert(160, 3, seed);
         let p = mpgp_partition(&g, machines, MpgpConfig::default());
         let flat = run_distributed_walks(&g, &p, &WalkEngineConfig::distger().with_seed(seed));
-        let nested = run_distributed_walks(
-            &g,
-            &p,
-            &WalkEngineConfig::distger()
-                .with_seed(seed)
-                .with_freq_backend(FreqBackend::NestedReference),
-        );
         let full_path = run_distributed_walks(&g, &p, &WalkEngineConfig::huge_d().with_seed(seed));
-        prop_assert_eq!(&flat.corpus, &nested.corpus);
-        prop_assert_eq!(&flat.comm, &nested.comm);
         prop_assert_eq!(&flat.corpus, &full_path.corpus);
         prop_assert_eq!(flat.comm.messages, full_path.comm.messages);
-        prop_assert_eq!(flat.rounds, nested.rounds);
+        prop_assert_eq!(flat.rounds, full_path.rounds);
     }
 
-    /// The alias-table sampler is a pure representation change on unweighted
-    /// graphs: for any seed and machine count it consumes the same random
-    /// draws as the reference linear scan, so the two backends — crossed with
-    /// either frequency store — must produce byte-identical corpora and
-    /// communication statistics.
+    /// On weighted graphs every walk the alias draw emits must still be a
+    /// real path and cover every source, and the engine must report the
+    /// table residency: 8 bytes per arc of alias arrays, plus 4 per arc of
+    /// acceptance probabilities when the model is HuGE.
     #[test]
-    fn alias_backend_matches_linear_scan_on_unweighted(
-        seed in 0u64..12,
-        machines in 1usize..5,
-    ) {
-        let g = distger_graph::barabasi_albert(160, 3, seed);
-        let p = mpgp_partition(&g, machines, MpgpConfig::default());
-        let runs: Vec<_> = [
-            (SamplingBackend::Alias, FreqBackend::Flat),
-            (SamplingBackend::LinearScan, FreqBackend::Flat),
-            (SamplingBackend::Alias, FreqBackend::NestedReference),
-            (SamplingBackend::LinearScan, FreqBackend::NestedReference),
-        ]
-        .into_iter()
-        .map(|(sampling, freq)| {
-            run_distributed_walks(
-                &g,
-                &p,
-                &WalkEngineConfig::distger()
-                    .with_seed(seed)
-                    .with_sampling_backend(sampling)
-                    .with_freq_backend(freq),
-            )
-        })
-        .collect();
-        for other in &runs[1..] {
-            prop_assert_eq!(&runs[0].corpus, &other.corpus);
-            prop_assert_eq!(&runs[0].comm, &other.comm);
-            prop_assert_eq!(runs[0].rounds, other.rounds);
-        }
-    }
-
-    /// On weighted graphs the alias backend consumes randomness differently,
-    /// so corpora are only equal in distribution — but every walk it emits
-    /// must still be a real path, cover every source, and the engine must
-    /// report the table residency: 8 bytes per arc of alias arrays, plus 4
-    /// per arc of acceptance probabilities when the model is HuGE.
-    #[test]
-    fn alias_backend_weighted_walks_are_paths(
+    fn weighted_walks_are_paths(
         seed in 0u64..10,
         machines in 1usize..4,
     ) {
@@ -186,8 +139,9 @@ proptest! {
     /// Table ≡ formula: on random weighted / unweighted, directed /
     /// undirected graphs — an isolated node and a degree-1 node always
     /// included — every slot of the acceptance table is `huge_acceptance` of
-    /// its arc rounded to `f32`, however many threads split the build, and
-    /// the array is there exactly when the model is HuGE.
+    /// its arc rounded to `f32`, however many threads split the build, the
+    /// array is there exactly when the model is HuGE, and the alias arrays
+    /// exactly when the graph is weighted.
     #[test]
     fn acceptance_table_equals_the_per_arc_formula(
         edges in prop::collection::vec((0u32..30, 0u32..30), 0..150),
@@ -202,23 +156,21 @@ proptest! {
         b.reserve_nodes(32); // node 31: isolated
         let mut g = b.build();
         if weighted { g = g.with_skewed_weights(1.5, seed); }
-        for backend in [SamplingBackend::Alias, SamplingBackend::LinearScan] {
-            let tables = TransitionTables::build(&g, backend, &WalkModel::Huge, threads);
-            let accept = tables.acceptance();
-            prop_assert_eq!(accept.len(), g.num_arcs());
-            for u in 0..g.num_nodes() as NodeId {
-                for (slot, &v) in g.arc_range(u).zip(g.neighbors(u)) {
-                    let want = huge_acceptance(&g, u, v) as f32;
-                    prop_assert!((0.0..=1.0).contains(&want));
-                    prop_assert_eq!(accept[slot].to_bits(), want.to_bits(), "arc {} -> {}", u, v);
-                }
+        let tables = TransitionTables::build(&g, &WalkModel::Huge, threads);
+        let accept = tables.acceptance();
+        prop_assert_eq!(accept.len(), g.num_arcs());
+        for u in 0..g.num_nodes() as NodeId {
+            for (slot, &v) in g.arc_range(u).zip(g.neighbors(u)) {
+                let want = huge_acceptance(&g, u, v) as f32;
+                prop_assert!((0.0..=1.0).contains(&want));
+                prop_assert_eq!(accept[slot].to_bits(), want.to_bits(), "arc {} -> {}", u, v);
             }
-            let alias_bytes = if weighted && backend == SamplingBackend::Alias { 8 } else { 0 };
-            prop_assert_eq!(tables.memory_bytes(), g.num_arcs() * (alias_bytes + 4));
-            let draw_only = TransitionTables::build(&g, backend, &WalkModel::DeepWalk, threads);
-            prop_assert!(draw_only.acceptance().is_empty());
-            prop_assert_eq!(draw_only.memory_bytes(), g.num_arcs() * alias_bytes);
         }
+        let alias_bytes = if weighted { 8 } else { 0 };
+        prop_assert_eq!(tables.memory_bytes(), g.num_arcs() * (alias_bytes + 4));
+        let draw_only = TransitionTables::build(&g, &WalkModel::DeepWalk, threads);
+        prop_assert!(draw_only.acceptance().is_empty());
+        prop_assert_eq!(draw_only.memory_bytes(), g.num_arcs() * alias_bytes);
     }
 }
 
@@ -227,16 +179,17 @@ proptest! {
 /// unvetted — lands on neighbour `v` with probability
 /// `p(v) = q(v)·a(v)·(1 − r⁶⁴)/(1 − r) + r⁶⁴·q(v)`, where `q` is the
 /// weight-proportional proposal, `a` the acceptance-table row and
-/// `r = 1 − Σ q·a` the chance that one trial rejects. 50 k draws per backend
-/// against that exact law, by chi-squared.
+/// `r = 1 − Σ q·a` the chance that one trial rejects. 50 k draws against that
+/// exact law, by chi-squared.
 #[test]
 fn huge_step_matches_its_exact_distribution() {
     let g = distger_graph::planted_partition(300, 4, 0.15, 0.15, 0.0, 23)
         .graph
         .with_skewed_weights(1.5, 8);
-    // `(q, reject)` of a node under a table: the weight-proportional proposal
-    // and the chance that one trial rejects.
-    let trial = |u: NodeId, tables: &TransitionTables| {
+    let tables = TransitionTables::build(&g, &WalkModel::Huge, 1);
+    // `(q, reject)` of a node: the weight-proportional proposal and the chance
+    // that one trial rejects.
+    let trial = |u: NodeId| {
         let weights = g.neighbor_weights(u).unwrap();
         let total: f64 = weights.iter().map(|&w| w as f64).sum();
         let q: Vec<f64> = weights.iter().map(|&w| w as f64 / total).collect();
@@ -246,66 +199,62 @@ fn huge_step_matches_its_exact_distribution() {
     };
     // Of the ten highest-degree nodes, the one that rejects most, so that the
     // fall-through term of the law carries weight.
-    let reference = TransitionTables::build(&g, SamplingBackend::Alias, &WalkModel::Huge, 1);
     let hub = *g.nodes_by_degree_desc()[..10]
         .iter()
-        .max_by(|&&a, &&b| trial(a, &reference).1.total_cmp(&trial(b, &reference).1))
+        .max_by(|&&a, &&b| trial(a).1.total_cmp(&trial(b).1))
         .unwrap();
     let neighbors = g.neighbors(hub);
     let draws = 50_000usize;
-    for backend in [SamplingBackend::Alias, SamplingBackend::LinearScan] {
-        let tables = TransitionTables::build(&g, backend, &WalkModel::Huge, 1);
-        let row = &tables.acceptance()[g.arc_range(hub)];
-        let (q, reject) = trial(hub, &tables);
-        let fall_through = reject.powi(64);
-        assert!(
-            fall_through > 1e-2,
-            "the hub should exercise the MAX_TRIALS fall-through, r^64 = {fall_through}"
-        );
-        let vetted = (1.0 - fall_through) / (1.0 - reject);
-        let law: Vec<f64> = q
-            .iter()
-            .zip(row)
-            .map(|(q, &a)| q * a as f64 * vetted + fall_through * q)
-            .collect();
-        assert!((law.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    let row = &tables.acceptance()[g.arc_range(hub)];
+    let (q, reject) = trial(hub);
+    let fall_through = reject.powi(64);
+    assert!(
+        fall_through > 1e-2,
+        "the hub should exercise the MAX_TRIALS fall-through, r^64 = {fall_through}"
+    );
+    let vetted = (1.0 - fall_through) / (1.0 - reject);
+    let law: Vec<f64> = q
+        .iter()
+        .zip(row)
+        .map(|(q, &a)| q * a as f64 * vetted + fall_through * q)
+        .collect();
+    assert!((law.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
-        let mut counts = vec![0u64; neighbors.len()];
-        let mut rng = SplitMix64::new(2024);
-        for _ in 0..draws {
-            let v = propose_next(&WalkModel::Huge, &g, &tables, None, hub, &mut rng).unwrap();
-            counts[neighbors.binary_search(&v).unwrap()] += 1;
-        }
-        // Cells expecting fewer than 5 draws are pooled into one, the usual
-        // condition for the chi-squared approximation.
-        let (mut chi, mut cells) = (0.0, 0usize);
-        let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
-        for (&obs, &p) in counts.iter().zip(&law) {
-            let expected = p * draws as f64;
-            if expected < 5.0 {
-                pooled_obs += obs as f64;
-                pooled_exp += expected;
-            } else {
-                chi += (obs as f64 - expected).powi(2) / expected;
-                cells += 1;
-            }
-        }
-        if pooled_exp > 0.0 {
-            chi += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+    let mut counts = vec![0u64; neighbors.len()];
+    let mut rng = SplitMix64::new(2024);
+    for _ in 0..draws {
+        let v = propose_next(&WalkModel::Huge, &g, &tables, None, hub, &mut rng).unwrap();
+        counts[neighbors.binary_search(&v).unwrap()] += 1;
+    }
+    // Cells expecting fewer than 5 draws are pooled into one, the usual
+    // condition for the chi-squared approximation.
+    let (mut chi, mut cells) = (0.0, 0usize);
+    let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
+    for (&obs, &p) in counts.iter().zip(&law) {
+        let expected = p * draws as f64;
+        if expected < 5.0 {
+            pooled_obs += obs as f64;
+            pooled_exp += expected;
+        } else {
+            chi += (obs as f64 - expected).powi(2) / expected;
             cells += 1;
         }
-        // E[chi²] = df, Var = 2·df: df + 6·sqrt(2·df) is far beyond any
-        // plausible fluctuation, and the fixed seed makes the test repeat.
-        let df = (cells - 1) as f64;
-        assert!(
-            cells > 20,
-            "the hub should have many neighbours, got {cells} cells"
-        );
-        assert!(
-            chi < df + 6.0 * (2.0 * df).sqrt(),
-            "{backend:?}: chi² {chi:.1} against df {df}"
-        );
     }
+    if pooled_exp > 0.0 {
+        chi += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+        cells += 1;
+    }
+    // E[chi²] = df, Var = 2·df: df + 6·sqrt(2·df) is far beyond any
+    // plausible fluctuation, and the fixed seed makes the test repeat.
+    let df = (cells - 1) as f64;
+    assert!(
+        cells > 20,
+        "the hub should have many neighbours, got {cells} cells"
+    );
+    assert!(
+        chi < df + 6.0 * (2.0 * df).sqrt(),
+        "chi² {chi:.1} against df {df}"
+    );
 }
 
 #[test]

@@ -90,7 +90,6 @@ pub mod prelude {
     };
     pub use distger_walks::{
         run_distributed_walks, run_walks_over, run_walks_over_loopback, CheckpointPolicy, Corpus,
-        FreqBackend, InfoMode, LengthPolicy, SamplingBackend, WalkCountPolicy, WalkEngineConfig,
-        WalkModel, WalkResult,
+        InfoMode, LengthPolicy, WalkCountPolicy, WalkEngineConfig, WalkModel, WalkResult,
     };
 }
