@@ -6,7 +6,7 @@
 //! messages for the next superstep; machines synchronize at the superstep
 //! boundary. [`run_bsp_round_loop`] is the one driver of that scheme. Each
 //! endpoint (process) of a job calls it with its [`Transport`]: the
-//! endpoint's [`local_machines`](Transport::local_machines) run on one
+//! endpoint's [`local_machines`](crate::ControlChannel::local_machines) run on one
 //! persistent worker thread each (see [`pool`](crate::pool)), the superstep
 //! boundary is the transport's [`sync_pending`](Transport::sync_pending) +
 //! [`exchange`](Transport::exchange) pair, and round boundaries hand the
@@ -155,7 +155,7 @@ fn lock_slot<S, M>(slot: &Mutex<MachineSlot<S, M>>) -> MutexGuard<'_, MachineSlo
 /// Runs a **multi-round** BSP computation for the machines this endpoint
 /// hosts: the entire round loop — every superstep of every round — executes
 /// inside a single [`run_rounds`] invocation, one worker thread per
-/// [`local machine`](Transport::local_machines) for the whole run no matter
+/// [`local machine`](crate::ControlChannel::local_machines) for the whole run no matter
 /// how many rounds the caller's convergence logic ends up executing (an
 /// endpoint hosting a single machine steps it on the calling thread). Every
 /// endpoint of the job must call this with the same `max_supersteps` and a
@@ -751,6 +751,12 @@ mod tests {
         fn endpoints(&self) -> usize {
             self.endpoints
         }
+        fn num_machines(&self) -> usize {
+            self.inner.num_machines()
+        }
+        fn local_machines(&self) -> Range<usize> {
+            self.inner.local_machines()
+        }
         fn broadcast(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
             self.inner.broadcast(payload)
         }
@@ -766,12 +772,6 @@ mod tests {
     }
 
     impl Transport<Token> for Flaky {
-        fn num_machines(&self) -> usize {
-            Transport::<Token>::num_machines(&self.inner)
-        }
-        fn local_machines(&self) -> Range<usize> {
-            Transport::<Token>::local_machines(&self.inner)
-        }
         fn exchange(
             &mut self,
             superstep: u64,

@@ -99,6 +99,14 @@ pub trait ControlChannel {
     /// Total number of endpoints (processes) in the job.
     fn endpoints(&self) -> usize;
 
+    /// Total machines in the job (across all endpoints).
+    fn num_machines(&self) -> usize;
+
+    /// The machines hosted by this endpoint, a contiguous [`machine_split`]
+    /// range. `outboxes`/`inboxes` passed to
+    /// [`Transport::exchange`] are indexed relative to this range.
+    fn local_machines(&self) -> Range<usize>;
+
     /// True on the coordinator endpoint.
     fn is_coordinator(&self) -> bool {
         self.endpoint() == 0
@@ -254,13 +262,6 @@ pub fn decode_events(payload: &[u8]) -> io::Result<Vec<TraceEvent>> {
 /// the global "any messages pending?" question that decides whether another
 /// superstep runs.
 pub trait Transport<M: MessageSize>: ControlChannel {
-    /// Total machines in the job (across all endpoints).
-    fn num_machines(&self) -> usize;
-
-    /// The machines hosted by this endpoint. `outboxes`/`inboxes` passed to
-    /// [`exchange`](Transport::exchange) are indexed relative to this range.
-    fn local_machines(&self) -> Range<usize>;
-
     /// Superstep boundary: drains every local outbox queue and delivers all
     /// messages into the destination inboxes, preserving the reference
     /// ascending-source order per inbox. `outboxes[i]` / `inboxes[i]` belong
@@ -305,6 +306,14 @@ impl ControlChannel for InMemoryTransport {
         1
     }
 
+    fn num_machines(&self) -> usize {
+        self.num_machines
+    }
+
+    fn local_machines(&self) -> Range<usize> {
+        0..self.num_machines
+    }
+
     fn broadcast(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
         Ok(payload.to_vec())
     }
@@ -326,14 +335,6 @@ impl ControlChannel for InMemoryTransport {
 }
 
 impl<M: MessageSize> Transport<M> for InMemoryTransport {
-    fn num_machines(&self) -> usize {
-        self.num_machines
-    }
-
-    fn local_machines(&self) -> Range<usize> {
-        0..self.num_machines
-    }
-
     fn exchange(
         &mut self,
         _superstep: u64,
@@ -701,6 +702,14 @@ impl ControlChannel for SocketTransport {
         self.endpoints
     }
 
+    fn num_machines(&self) -> usize {
+        self.num_machines
+    }
+
+    fn local_machines(&self) -> Range<usize> {
+        self.local.clone()
+    }
+
     fn broadcast(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
         if self.endpoint == 0 {
             let me = self.endpoint as u32;
@@ -760,14 +769,6 @@ impl ControlChannel for SocketTransport {
 }
 
 impl<M: Wire + MessageSize> Transport<M> for SocketTransport {
-    fn num_machines(&self) -> usize {
-        self.num_machines
-    }
-
-    fn local_machines(&self) -> Range<usize> {
-        self.local.clone()
-    }
-
     fn exchange(
         &mut self,
         superstep: u64,
@@ -986,7 +987,7 @@ mod tests {
     /// Runs one endpoint's side of a single exchange and returns its local
     /// (machine, inbox) pairs.
     fn run_endpoint(t: &mut SocketTransport, machines: usize) -> Vec<(usize, Vec<TestMsg>)> {
-        let local = Transport::<TestMsg>::local_machines(t);
+        let local = t.local_machines();
         let mut all_outboxes = seed_outboxes(machines);
         let mut outboxes: Vec<Outbox<TestMsg>> = all_outboxes
             .drain(..)

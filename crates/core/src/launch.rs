@@ -241,7 +241,7 @@ pub struct LaunchReport {
     /// The walk phase's result (corpus, comm stats including the walk-phase
     /// wire measurements, entropy trace).
     pub walk: WalkResult,
-    /// The learned embeddings, averaged over the per-process replicas.
+    /// The learned embeddings, averaged over the per-machine replicas.
     pub embeddings: Embeddings,
     /// Training statistics (including synchronization traffic).
     pub train_stats: TrainStats,
@@ -522,9 +522,9 @@ mod tests {
             );
         }
 
-        // The walk phase is bit-identical to the in-process engine (the
-        // trainer is not compared: it averages over `endpoints` replicas
-        // here and `machines` replicas in-process).
+        // The walk phase is bit-identical to the in-process engine, and the
+        // trainer trains one replica per machine either way: 4 machines on 3
+        // processes do the work and the sync traffic of 4 in-process machines.
         let graph = spec.build_graph();
         let config = spec.build_config();
         let partitioning = spec.build_partitioning(&graph, &config);
@@ -533,6 +533,13 @@ mod tests {
         let classic = distger_walks::run_distributed_walks(&graph, &partitioning, &in_process);
         assert_eq!(report.walk.corpus, classic.corpus);
         assert_eq!(report.walk.comm, classic.comm);
+        let (_, twin) = distger_embed::train_distributed(
+            &classic.corpus,
+            spec.machines as usize,
+            &config.training,
+        );
+        assert_eq!(report.train_stats.pairs_processed, twin.pairs_processed);
+        assert_eq!(report.train_stats.sync_comm, twin.sync_comm);
     }
 
     #[test]

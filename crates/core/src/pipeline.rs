@@ -170,16 +170,14 @@ impl DistGerConfig {
         self
     }
 
-    /// Builder-style transport override, applied to both BSP phases — like
-    /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
-    /// consistent. [`run_pipeline`] executes in
-    /// one process and therefore requires the default
+    /// Builder-style transport override for the walk phase. [`run_pipeline`]
+    /// executes in one process and therefore requires the default
     /// [`TransportKind::InMemory`]; the socket transport is served by the
-    /// multi-process drivers ([`distger_walks::run_walks_over`] /
-    /// [`distger_embed::train_distributed_over`]).
+    /// multi-process driver ([`distger_walks::run_walks_over`]). The trainer
+    /// has no such knob: [`distger_embed::train_distributed_over`] speaks
+    /// whatever channel it is handed.
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.walks.transport = transport;
-        self.training.transport = transport;
         self
     }
 
@@ -521,7 +519,6 @@ mod tests {
         assert_eq!(config.training.kind, TrainerKind::Hogwild);
         assert_eq!(config.walks.model, WalkModel::DeepWalk);
         assert_eq!(config.walks.transport, TransportKind::Socket);
-        assert_eq!(config.training.transport, TransportKind::Socket);
         assert_eq!(config.seed, 9);
         assert_eq!(config.walks.seed, 9);
         assert_eq!(config.training.seed, 9);

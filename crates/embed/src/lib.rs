@@ -16,7 +16,13 @@
 //!
 //! Distributed training partitions the corpus across machines, each holding a
 //! model replica, and synchronizes parameters either fully or with the
-//! hotness-block mechanism of Improvement-III ([`SyncStrategy`]).
+//! hotness-block mechanism of Improvement-III ([`SyncStrategy`]). One body
+//! does it, [`train_distributed_over`], over any [`ControlChannel`]: the
+//! in-process entry points ([`train_distributed`],
+//! [`train_distributed_supervised`], [`trainer::train`]) run it on an
+//! [`InMemoryTransport`] that hosts every machine, and a multi-process job
+//! runs it on a [`SocketTransport`]. For a given machine count both train
+//! the same model (see [`dist`]).
 
 pub mod dist;
 pub mod dsgl;
@@ -44,5 +50,5 @@ pub use vocab::Vocab;
 /// directly.
 pub use distger_cluster::{
     ControlChannel, FaultInjector, FaultPlan, InMemoryTransport, RecoveryExhausted, RecoveryPolicy,
-    SocketTransport, TransportKind,
+    SocketTransport,
 };

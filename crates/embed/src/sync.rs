@@ -13,7 +13,6 @@
 
 use crate::hogwild::HogwildMatrix;
 use crate::vocab::Vocab;
-use distger_cluster::CommStats;
 use distger_walks::rng::SplitMix64;
 
 /// Parameter synchronization strategy.
@@ -62,79 +61,6 @@ pub fn select_sync_ranks(strategy: SyncStrategy, vocab: &Vocab, rng: &mut SplitM
     }
 }
 
-/// Averages the selected rows of both matrices across all replicas and writes
-/// the averaged values back to every replica. Records the induced traffic in
-/// `comm`: every synchronized row travels from each machine to the reducer and
-/// back, i.e. `2 · m` messages of `d · 4` bytes per matrix row.
-///
-/// Takes the replicas by shared reference: [`HogwildMatrix`] rows are
-/// interior-mutable by design, which lets the trainer's pooled coordinator
-/// synchronize while its workers still hold `&` borrows of the replica slice
-/// (the pool barrier guarantees the phases never overlap).
-pub fn synchronize_replicas(replicas: &[ModelReplica], ranks: &[u32], comm: &mut CommStats) {
-    let m = replicas.len();
-    if m <= 1 || ranks.is_empty() {
-        return;
-    }
-    let dim = replicas[0].phi_in.dim();
-    let mut buf = vec![0.0f32; dim];
-    let mut avg = vec![0.0f32; dim];
-    for &rank in ranks {
-        for matrix_idx in 0..2 {
-            avg.iter_mut().for_each(|x| *x = 0.0);
-            for replica in replicas.iter() {
-                let matrix = if matrix_idx == 0 {
-                    &replica.phi_in
-                } else {
-                    &replica.phi_out
-                };
-                matrix.copy_row_into(rank as usize, &mut buf);
-                for (a, b) in avg.iter_mut().zip(&buf) {
-                    *a += b;
-                }
-            }
-            for a in avg.iter_mut() {
-                *a /= m as f32;
-            }
-            for replica in replicas.iter() {
-                let matrix = if matrix_idx == 0 {
-                    &replica.phi_in
-                } else {
-                    &replica.phi_out
-                };
-                matrix.store_row(rank as usize, &avg);
-            }
-            // Traffic: each machine uploads and downloads the row once.
-            for _ in 0..(2 * m) {
-                comm.record_message(dim * std::mem::size_of::<f32>());
-            }
-        }
-    }
-}
-
-/// Averages `φ_in` across replicas into a single node-major matrix ordered by
-/// rank (the final model gather; not counted as synchronization traffic).
-pub fn gather_phi_in(replicas: &[ModelReplica]) -> Vec<f32> {
-    assert!(!replicas.is_empty());
-    let rows = replicas[0].phi_in.rows();
-    let dim = replicas[0].phi_in.dim();
-    let mut out = vec![0.0f32; rows * dim];
-    let mut buf = vec![0.0f32; dim];
-    for replica in replicas {
-        for r in 0..rows {
-            replica.phi_in.copy_row_into(r, &mut buf);
-            for (o, b) in out[r * dim..(r + 1) * dim].iter_mut().zip(&buf) {
-                *o += b;
-            }
-        }
-    }
-    let m = replicas.len() as f32;
-    for x in out.iter_mut() {
-        *x /= m;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,31 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn synchronization_averages_rows_and_counts_traffic() {
-        let replicas = vec![ModelReplica::new(4, 2, 7), ModelReplica::new(4, 2, 7)];
-        replicas[0].phi_in.store_row(1, &[1.0, 3.0]);
-        replicas[1].phi_in.store_row(1, &[3.0, 5.0]);
-        let mut comm = CommStats::new();
-        synchronize_replicas(&replicas, &[1], &mut comm);
-        let mut buf = [0.0f32; 2];
-        replicas[0].phi_in.copy_row_into(1, &mut buf);
-        assert_eq!(buf, [2.0, 4.0]);
-        replicas[1].phi_in.copy_row_into(1, &mut buf);
-        assert_eq!(buf, [2.0, 4.0]);
-        // 1 rank × 2 matrices × 2 machines × 2 directions = 8 messages.
-        assert_eq!(comm.messages, 8);
-        assert_eq!(comm.bytes, 8 * 8);
-    }
-
-    #[test]
-    fn single_machine_sync_is_a_no_op() {
-        let replicas = vec![ModelReplica::new(3, 2, 1)];
-        let mut comm = CommStats::new();
-        synchronize_replicas(&replicas, &[0, 1, 2], &mut comm);
-        assert_eq!(comm.messages, 0);
-    }
-
-    #[test]
     fn hotness_traffic_is_much_smaller_than_full() {
         // 1000 nodes whose frequencies take only 10 distinct values.
         let freqs: Vec<u64> = (0..1000u64).map(|i| 1 + (i % 10)).collect();
@@ -199,14 +100,5 @@ mod tests {
         let hot = select_sync_ranks(SyncStrategy::HotnessBlock, &v, &mut rng).len();
         assert_eq!(full, 1000);
         assert_eq!(hot, 10);
-    }
-
-    #[test]
-    fn gather_averages_replicas() {
-        let replicas = vec![ModelReplica::new(2, 2, 1), ModelReplica::new(2, 2, 1)];
-        replicas[0].phi_in.store_row(0, &[2.0, 0.0]);
-        replicas[1].phi_in.store_row(0, &[4.0, 2.0]);
-        let gathered = gather_phi_in(&replicas);
-        assert_eq!(&gathered[0..2], &[3.0, 1.0]);
     }
 }

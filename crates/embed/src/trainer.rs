@@ -1,33 +1,30 @@
-//! End-to-end distributed training orchestration.
+//! Trainer configuration, statistics, the in-process entry points and the
+//! per-machine chunk step.
 //!
 //! The corpus is split into per-machine shards (§4.2-III); every machine owns
 //! a full model replica, trains on its shard with the configured trainer kind
 //! and thread count, and periodically synchronizes parameters with the other
-//! machines (full or hotness-block). The machines of the simulated cluster
-//! run as real concurrent threads on the persistent barrier-coordinated
-//! worker pool of `distger-cluster` (one thread per machine for the whole
-//! run). The synchronization traffic is accounted through [`CommStats`] and
-//! the thread-coordination overhead through
+//! machines (full or hotness-block). The one body that does this is
+//! [`train_distributed_over`](crate::dist::train_distributed_over);
+//! [`train_distributed`], [`train_distributed_supervised`] and [`train`] run
+//! it on an [`InMemoryTransport`] that hosts every machine in this process,
+//! on the persistent worker pool of `distger-cluster` (one thread per
+//! machine). The synchronization traffic is accounted through
+//! [`TrainStats::sync_comm`] and the thread-coordination overhead through
 //! [`TrainStats::superstep_sync_secs`].
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
 use distger_cluster::{
-    panic_message, run_rounds, CommStats, FaultInjector, RecoveryExhausted, RecoveryPolicy,
-    TransportKind,
+    CommStats, FaultInjector, InMemoryTransport, RecoveryExhausted, RecoveryPolicy,
 };
-use distger_walks::rng::SplitMix64;
 use distger_walks::Corpus;
 
+use crate::dist::train_over;
 use crate::dsgl::train_walks_dsgl;
 use crate::embeddings::Embeddings;
 use crate::negative::NegativeTable;
 use crate::pword2vec::train_walks_pword2vec;
 use crate::sgns::{train_walks_hogwild, SigmoidTable, TrainContext};
-use crate::sync::{
-    gather_phi_in, select_sync_ranks, synchronize_replicas, ModelReplica, SyncStrategy,
-};
-use crate::vocab::Vocab;
+use crate::sync::{ModelReplica, SyncStrategy};
 
 /// Which Skip-Gram trainer runs on each machine (Figure 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,13 +83,6 @@ pub struct TrainerConfig {
     /// of its updates, which Hogwild-style training absorbs (at-least-once
     /// chunk execution). Disabled by default.
     pub recovery: RecoveryPolicy,
-    /// How machines talk to each other. [`TransportKind::InMemory`] (the
-    /// default) runs every machine in this process;
-    /// [`TransportKind::Socket`] is served by the multi-process driver
-    /// ([`crate::dist::train_distributed_over`]) — [`train_distributed`]
-    /// rejects it, since a single in-process call cannot span process
-    /// boundaries.
-    pub transport: TransportKind,
     /// Seed for initialization and negative sampling.
     pub seed: u64,
 }
@@ -111,7 +101,6 @@ impl Default for TrainerConfig {
             sync_rounds_per_epoch: 4,
             threads: 2,
             recovery: RecoveryPolicy::default(),
-            transport: TransportKind::InMemory,
             seed: 0,
         }
     }
@@ -196,12 +185,6 @@ impl TrainerConfig {
         self.recovery = recovery;
         self
     }
-
-    /// Builder-style transport override.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
 }
 
 /// Statistics of one distributed training run.
@@ -230,13 +213,18 @@ pub struct TrainStats {
     pub recovered_chunks: u64,
 }
 
-/// Trains node embeddings over `corpus` on `num_machines` simulated machines.
+/// Trains node embeddings over `corpus` on `num_machines` machines in this
+/// process: [`train_distributed_over`](crate::dist::train_distributed_over)
+/// on an [`InMemoryTransport`].
 ///
 /// Returns the embeddings (node-id indexed, averaged over replicas) and the
 /// run statistics. When `config.recovery` is enabled, a worker panic retries
 /// the failed chunk under the policy; an exhausted budget panics with the
 /// last worker panic's message. Use [`train_distributed_supervised`] to
 /// handle exhaustion as an error — and to inject deterministic faults.
+///
+/// # Panics
+/// Panics if `num_machines` is zero.
 pub fn train_distributed(
     corpus: &Corpus,
     num_machines: usize,
@@ -252,185 +240,22 @@ pub fn train_distributed(
 /// a [`FaultInjector`] (fault coordinates are `(machine, chunk, 0)` with
 /// *absolute* chunk indices, stable across retries) and returns a clean
 /// error instead of panicking when the retry budget is exhausted.
+///
+/// # Panics
+/// Panics if `num_machines` is zero.
 pub fn train_distributed_supervised(
     corpus: &Corpus,
     num_machines: usize,
     config: &TrainerConfig,
     faults: Option<&FaultInjector>,
 ) -> Result<(Embeddings, TrainStats), RecoveryExhausted> {
-    assert!(num_machines > 0, "need at least one machine");
-    assert_eq!(
-        config.transport,
-        TransportKind::InMemory,
-        "train_distributed executes every machine in this process; \
-         socket transports are served by embed::dist::train_distributed_over"
-    );
-    let n = corpus.num_nodes();
-    if n == 0 || corpus.total_tokens() == 0 {
-        return Ok((Embeddings::zeros(n, config.dim), TrainStats::default()));
+    let mut transport = InMemoryTransport::new(num_machines);
+    match train_over(&mut transport, Some(corpus), config, faults) {
+        Ok(result) => Ok(result.expect("the only endpoint is the coordinator")),
+        Err(err) => Err(err
+            .downcast::<RecoveryExhausted>()
+            .unwrap_or_else(|err| panic!("{err}"))),
     }
-
-    let vocab = Vocab::from_corpus(corpus);
-    let table = NegativeTable::from_vocab(&vocab);
-    let sigmoid = SigmoidTable::new();
-
-    // Shard the corpus and convert every walk into rank space so that hot
-    // nodes occupy the top rows of the matrices (Improvement-I).
-    let shards: Vec<Vec<Vec<u32>>> = corpus
-        .split(num_machines)
-        .iter()
-        .map(|shard| {
-            shard
-                .walks()
-                .iter()
-                .map(|walk| walk.iter().map(|&v| vocab.rank_of(v)).collect())
-                .collect()
-        })
-        .collect();
-
-    let replicas: Vec<ModelReplica> = (0..num_machines)
-        .map(|_| ModelReplica::new(n, config.dim, config.seed))
-        .collect();
-
-    let mut sync_comm = CommStats::new();
-    let mut sync_rng = SplitMix64::new(config.seed ^ 0x5f3c_9a1d);
-    let total_chunks = (config.epochs * config.sync_rounds_per_epoch).max(1);
-    let mut pairs_processed = 0u64;
-    let mut peak_buffer_bytes = 0usize;
-
-    // The learning-rate schedule is a pure function of the chunk index, so
-    // pooled workers compute it locally without coordinator hand-off.
-    let lr_for = |chunk: usize| {
-        let progress = chunk as f32 / total_chunks as f32;
-        config.learning_rate - (config.learning_rate - config.min_learning_rate) * progress
-    };
-
-    // Whether worker panics are caught and handled (retried or surfaced as a
-    // clean error). When neither faults nor a recovery policy are in play,
-    // panics propagate exactly as before.
-    let supervised = faults.is_some() || config.recovery.is_enabled();
-    let mut recovered_chunks = 0u64;
-
-    let start = std::time::Instant::now();
-    // One persistent worker per machine for the whole run. Workers hold
-    // `&replicas[machine]` (Hogwild matrices are interior-mutable); the
-    // coordinator synchronizes parameters between chunks while the workers
-    // are parked at the barrier.
-    //
-    // Recovery: the live replicas plus `completed_chunks` are the
-    // checkpoint. A crashed attempt loses only the chunk that died — every
-    // earlier chunk was harvested and synchronized at its boundary — so the
-    // retry rebuilds the pool and resumes at `base_chunk = completed_chunks`.
-    // Workers train absolute chunk `base_chunk + generation`, which keeps the
-    // learning-rate schedule and fault coordinates stable across attempts.
-    let mut superstep_sync_secs = 0.0f64;
-    let mut completed_chunks = 0usize;
-    let mut attempt = 0u32;
-    loop {
-        let base_chunk = completed_chunks;
-        // Fresh result slots per attempt: a crashed attempt's partially
-        // written slots are never harvested.
-        let chunk_results: Vec<std::sync::Mutex<(u64, usize)>> = (0..num_machines)
-            .map(|_| std::sync::Mutex::new((0, 0)))
-            .collect();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_rounds(
-                num_machines,
-                |generation| {
-                    if generation > 0 {
-                        for slot in &chunk_results {
-                            let (pairs, buffer_bytes) = *slot.lock().unwrap();
-                            pairs_processed += pairs;
-                            peak_buffer_bytes = peak_buffer_bytes.max(buffer_bytes);
-                        }
-                        // Synchronize parameters across machines.
-                        let _sync_span =
-                            distger_obs::span!("replica_sync", round = completed_chunks);
-                        let ranks = select_sync_ranks(config.sync, &vocab, &mut sync_rng);
-                        synchronize_replicas(&replicas, &ranks, &mut sync_comm);
-                        completed_chunks += 1;
-                    }
-                    completed_chunks < total_chunks
-                },
-                |machine, generation| {
-                    let chunk = base_chunk + generation as usize;
-                    if let Some(injector) = faults {
-                        injector.trip(machine, chunk as u64, 0);
-                    }
-                    let _chunk_span =
-                        distger_obs::span!("train_chunk", machine = machine, round = chunk);
-                    let slice_idx = chunk % config.sync_rounds_per_epoch.max(1);
-                    let slice =
-                        epoch_slice(&shards[machine], slice_idx, config.sync_rounds_per_epoch);
-                    let result = train_machine_chunk(
-                        &replicas[machine],
-                        slice,
-                        &table,
-                        &sigmoid,
-                        config,
-                        lr_for(chunk),
-                        machine as u64,
-                    );
-                    *chunk_results[machine].lock().unwrap() = result;
-                },
-            )
-        }));
-        match run {
-            Ok(pool_stats) => {
-                superstep_sync_secs += pool_stats.sync_secs;
-                break;
-            }
-            Err(payload) => {
-                if !supervised {
-                    resume_unwind(payload);
-                }
-                attempt += 1;
-                recovered_chunks += 1;
-                if attempt > config.recovery.max_retries {
-                    return Err(RecoveryExhausted {
-                        attempts: attempt,
-                        last_panic: panic_message(payload.as_ref()),
-                    });
-                }
-                std::thread::sleep(config.recovery.backoff_for(attempt));
-            }
-        }
-    }
-    let training_secs = start.elapsed().as_secs_f64();
-
-    // Memory accounting (Table 8): replica + table + shard + local buffers.
-    let shard_bytes = shards
-        .iter()
-        .map(|s| s.iter().map(|w| w.len() * 4).sum::<usize>())
-        .max()
-        .unwrap_or(0);
-    let avg_machine_memory_bytes =
-        replicas[0].memory_bytes() + table.memory_bytes() + shard_bytes + peak_buffer_bytes;
-
-    // Gather the final model and map rank-major rows back to node ids.
-    let rank_major = gather_phi_in(&replicas);
-    let mut node_major = vec![0.0f32; n * config.dim];
-    for rank in 0..n as u32 {
-        let node = vocab.node_at(rank) as usize;
-        let src = &rank_major[rank as usize * config.dim..(rank as usize + 1) * config.dim];
-        node_major[node * config.dim..(node + 1) * config.dim].copy_from_slice(src);
-    }
-
-    let stats = TrainStats {
-        pairs_processed,
-        corpus_tokens: corpus.total_tokens() as u64,
-        training_secs,
-        throughput_pairs_per_sec: if training_secs > 0.0 {
-            pairs_processed as f64 / training_secs
-        } else {
-            0.0
-        },
-        sync_comm,
-        superstep_sync_secs,
-        avg_machine_memory_bytes,
-        recovered_chunks,
-    };
-    Ok((Embeddings::from_node_major(node_major, config.dim), stats))
 }
 
 /// Convenience wrapper: single-machine training.
@@ -513,6 +338,7 @@ fn run_kind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distger_walks::rng::SplitMix64;
 
     /// Corpus mimicking two communities: walks stay inside {0..4} or {5..9}.
     fn community_corpus() -> Corpus {

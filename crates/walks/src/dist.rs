@@ -1,7 +1,8 @@
 //! The walk driver: DistGER's round loop over a [`Transport`].
 //!
 //! Every endpoint of a job hosts a contiguous slice of its machines
-//! ([`Transport::local_machines`]) and calls [`run_walks_over`], which runs
+//! ([`ControlChannel::local_machines`](distger_cluster::ControlChannel::local_machines))
+//! and calls [`run_walks_over`], which runs
 //! the per-superstep body (`walker_step`) over them on the BSP driver of
 //! `distger-cluster` ([`run_bsp_supervised`]). Supersteps are separated by
 //! the transport's pending check and message exchange; rounds end in **one**

@@ -201,6 +201,12 @@ impl<F: Fn(&mut Vec<u8>)> ControlChannel for LyingPeer<F> {
     fn endpoints(&self) -> usize {
         1
     }
+    fn num_machines(&self) -> usize {
+        self.inner.num_machines()
+    }
+    fn local_machines(&self) -> std::ops::Range<usize> {
+        self.inner.local_machines()
+    }
     fn broadcast(&mut self, payload: &[u8]) -> std::io::Result<Vec<u8>> {
         self.inner.broadcast(payload)
     }
@@ -221,12 +227,6 @@ impl<F: Fn(&mut Vec<u8>)> ControlChannel for LyingPeer<F> {
 }
 
 impl<F: Fn(&mut Vec<u8>)> Transport<WalkerMessage> for LyingPeer<F> {
-    fn num_machines(&self) -> usize {
-        Transport::<WalkerMessage>::num_machines(&self.inner)
-    }
-    fn local_machines(&self) -> std::ops::Range<usize> {
-        Transport::<WalkerMessage>::local_machines(&self.inner)
-    }
     fn exchange(
         &mut self,
         superstep: u64,
