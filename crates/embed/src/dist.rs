@@ -37,13 +37,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use distger_cluster::wire::{invalid_data, put_f32s, put_u32, put_u64};
+use distger_cluster::wire::{invalid_data, put_f32s, put_u32, put_u32s, put_u64};
 use distger_cluster::{
     gather_trace_events, machine_split, panic_message, run_rounds, CommStats, ControlChannel,
     FaultInjector, RecoveryExhausted, SocketTransport, WireReader,
 };
 use distger_walks::rng::SplitMix64;
-use distger_walks::Corpus;
+use distger_walks::{Corpus, Walks};
 
 use crate::embeddings::Embeddings;
 use crate::hogwild::HogwildMatrix;
@@ -53,38 +53,38 @@ use crate::sync::{select_sync_ranks, ModelReplica};
 use crate::trainer::{epoch_slice, train_machine_chunk, TrainStats, TrainerConfig};
 use crate::vocab::Vocab;
 
-/// One machine's training walks, in rank space.
-type Shard = Vec<Vec<u32>>;
-
 /// Splits `corpus` over `(machines, endpoints)` as
 /// [`Corpus::split_assignment`] does, in rank space and straight from the
-/// corpus: the shards of `endpoint`'s machines are built in place, and every
-/// other endpoint gets one payload holding its machines' shards in order
-/// (`endpoint`'s own payload stays empty). Also returns the token bytes of
-/// the largest shard.
+/// corpus: each machine's shard is one exactly sized [`Walks`]. The shards of
+/// `endpoint`'s machines are returned; every other endpoint gets one payload
+/// holding its machines' shards in order, each as a `u64` walk count, the
+/// `u32` walk lengths, then the `u32` ranks (`endpoint`'s own payload stays
+/// empty). Also returns the bytes of the largest shard.
 fn split_shards(
     corpus: &Corpus,
     vocab: &Vocab,
     (m, endpoints): (usize, usize),
     endpoint: usize,
-) -> (Vec<Shard>, Vec<Vec<u8>>, usize) {
-    let local = machine_split(m, endpoints, endpoint);
+) -> (Vec<Walks>, Vec<Vec<u8>>, usize) {
     let assignment = corpus.split_assignment(m);
-    let mut walks = vec![0usize; m];
-    let mut tokens = vec![0usize; m];
-    for (walk, &machine) in corpus.walks().iter().zip(&assignment) {
+    let (mut walks, mut tokens) = (vec![0usize; m], vec![0usize; m]);
+    for (walk, &machine) in corpus.view().iter().zip(&assignment) {
         walks[machine] += 1;
         tokens[machine] += walk.len();
     }
-    let mut shards: Vec<Shard> = local
-        .clone()
-        .map(|i| Vec::with_capacity(walks[i]))
-        .collect();
-    for (walk, &machine) in corpus.walks().iter().zip(&assignment) {
-        if local.contains(&machine) {
-            shards[machine - local.start].push(walk.iter().map(|&v| vocab.rank_of(v)).collect());
+    let mut largest_shard_bytes = 0;
+    let mut shard_of = |machine: usize| {
+        let mut shard = Walks::with_capacity(walks[machine], tokens[machine]);
+        let owned = corpus.view().iter().zip(&assignment);
+        for (walk, _) in owned.filter(|&(_, &owner)| owner == machine) {
+            shard.push(walk.iter().map(|&node| vocab.rank_of(node)));
         }
-    }
+        largest_shard_bytes = largest_shard_bytes.max(shard.memory_bytes());
+        shard
+    };
+    let shards = machine_split(m, endpoints, endpoint)
+        .map(&mut shard_of)
+        .collect();
     let payloads = (0..endpoints)
         .map(|remote| {
             let machines = machine_split(m, endpoints, remote);
@@ -94,38 +94,38 @@ fn split_shards(
             let bytes = machines.clone().map(|i| 8 + 4 * (walks[i] + tokens[i]));
             let mut out = Vec::with_capacity(bytes.sum());
             for machine in machines {
-                put_u64(&mut out, walks[machine] as u64);
-                let owned = corpus.walks().iter().zip(&assignment);
-                for (walk, _) in owned.filter(|&(_, &owner)| owner == machine) {
+                let owned = shard_of(machine);
+                let shard = owned.view();
+                put_u64(&mut out, shard.len() as u64);
+                for walk in shard.iter() {
                     put_u32(&mut out, walk.len() as u32);
-                    for &node in walk {
-                        put_u32(&mut out, vocab.rank_of(node));
-                    }
                 }
+                put_u32s(&mut out, shard.tokens());
             }
             out
         })
         .collect();
-    let largest_shard_bytes = tokens.iter().max().map_or(0, |&t| t * 4);
     (shards, payloads, largest_shard_bytes)
 }
 
-/// Decodes this endpoint's shard payload: one shard per hosted machine, every
-/// rank below `n`.
-fn decode_shards(payload: &[u8], machines: usize, n: usize) -> io::Result<Vec<Shard>> {
+/// Decodes this endpoint's shard payload: one shard per hosted machine,
+/// every walk non-empty and every rank below `n`.
+fn decode_shards(payload: &[u8], machines: usize, n: usize) -> io::Result<Vec<Walks>> {
     let mut r = WireReader::new(payload);
     let mut shards = Vec::with_capacity(machines);
     for _ in 0..machines {
         let walks = r.count_u64(4)?;
-        let mut shard = Vec::with_capacity(walks);
-        for _ in 0..walks {
-            let len = r.count_u32(4)?;
-            let walk = r.u32s(len)?;
-            if walk.iter().any(|&rank| rank as usize >= n) {
-                return Err(invalid_data(format!("shard rank beyond {n} nodes")));
-            }
-            shard.push(walk);
+        let lengths = r.u32s(walks)?;
+        let total = lengths
+            .iter()
+            .try_fold(0usize, |sum, &len| sum.checked_add(len as usize))
+            .ok_or_else(|| invalid_data("shard walk lengths overflow"))?;
+        let tokens = r.u32s(total)?;
+        if tokens.iter().any(|&rank| rank as usize >= n) {
+            return Err(invalid_data(format!("shard rank beyond {n} nodes")));
         }
+        let shard = Walks::from_lengths(&lengths, tokens)
+            .ok_or_else(|| invalid_data("empty walk in shard"))?;
         shards.push(shard);
     }
     r.finish()?;
@@ -333,7 +333,7 @@ pub(crate) fn train_over<C: ControlChannel + ?Sized>(
         .collect();
     let mut sync_rng = SplitMix64::new(config.seed ^ 0x5f3c_9a1d);
     let slices = config.sync_rounds_per_epoch.max(1);
-    let total_chunks = (config.epochs * config.sync_rounds_per_epoch).max(1);
+    let total_chunks = config.epochs * slices;
     // A pure function of the chunk index, so workers compute it locally.
     let lr_for = |chunk: usize| {
         let progress = chunk as f32 / total_chunks as f32;
@@ -398,7 +398,7 @@ pub(crate) fn train_over<C: ControlChannel + ?Sized>(
                 injector.trip(machine, chunk as u64, 0);
             }
             let _span = distger_obs::span!("train_chunk", machine = machine, round = chunk);
-            let slice = epoch_slice(&shards[index], chunk % slices, slices);
+            let slice = epoch_slice(shards[index].view(), chunk % slices, slices);
             let (replica, lr) = (&replicas[index], lr_for(chunk));
             let result =
                 train_machine_chunk(replica, slice, &table, &sigmoid, config, lr, machine as u64);
@@ -629,10 +629,46 @@ mod tests {
         let vocab = Vocab::from_frequencies(corpus.frequencies());
         // 4 machines on 2 endpoints: the coordinator encodes machines 2 and 3
         // for endpoint 1, which decodes exactly the shards it would build.
-        let (_, payloads, _) = split_shards(&corpus, &vocab, (4, 2), 0);
+        let (mine, payloads, largest) = split_shards(&corpus, &vocab, (4, 2), 0);
         let (own, _, _) = split_shards(&corpus, &vocab, (4, 2), 1);
         assert_eq!(decode_shards(&payloads[1], 2, 30).unwrap(), own);
         assert_total(&payloads[1], |bytes| decode_shards(bytes, 2, 30));
+        // Same bytes as one u32 length prefix per walk: 8 + 4·(walks + tokens).
+        let walks: usize = own.iter().map(|shard| shard.view().len()).sum();
+        let tokens: usize = own.iter().map(|shard| shard.view().tokens().len()).sum();
+        assert_eq!(payloads[1].len(), 2 * 8 + 4 * (walks + tokens));
+        // The largest of all four shards, offsets included.
+        let all = mine.iter().chain(&own);
+        assert_eq!(Some(largest), all.map(Walks::memory_bytes).max());
+
+        // Directed lies, one machine each: the offending field is rejected
+        // before anything is sized by it.
+        let shard = |lengths: &[u32], ranks: &[u32]| {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, lengths.len() as u64);
+            lengths.iter().for_each(|&len| put_u32(&mut payload, len));
+            put_u32s(&mut payload, ranks);
+            decode_shards(&payload, 1, 30)
+        };
+        assert_eq!(shard(&[2, 1], &[4, 5, 6]).unwrap()[0].view().walk(1), [6]);
+        let eof = Some(io::ErrorKind::UnexpectedEof);
+        let overrun = shard(&[2, 3], &[4, 5, 6]);
+        assert_eq!(
+            overrun.err().map(|e| e.kind()),
+            eof,
+            "lengths overrun ranks"
+        );
+        // 2·2^31 wraps to 0 in u32, which would match an empty rank section.
+        let wrapped = shard(&[1 << 31, 1 << 31], &[]);
+        assert_eq!(
+            wrapped.err().map(|e| e.kind()),
+            eof,
+            "length sum overflows u32"
+        );
+        let err = shard(&[2, 1], &[4, 30, 6]).unwrap_err();
+        assert!(err.to_string().contains("rank beyond 30"), "{err}");
+        let err = shard(&[0, 3], &[4, 5, 6]).unwrap_err();
+        assert!(err.to_string().contains("empty walk"), "{err}");
         assert!(decode_shards(&payloads[1], 2, 1).is_err(), "ranks beyond n");
 
         // A worker hosting two machines ships two blocks, then its counters.

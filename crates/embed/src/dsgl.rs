@@ -25,7 +25,7 @@
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, sgns_step};
 use crate::sgns::{sgns_pair_update, TrainContext};
-use distger_walks::rng::SplitMix64;
+use distger_walks::{rng::SplitMix64, WalksView};
 
 /// Thread-local staging of one matrix's rows for the lifetime of a batch: a
 /// direct-mapped rank → slot table validated by an epoch stamp (starting a
@@ -111,7 +111,7 @@ const RNG_STREAM: u64 = 0xd5_61_0f_37;
 /// Returns `(pairs_processed, peak_buffer_bytes)`.
 pub fn train_walks_dsgl(
     ctx: &TrainContext<'_>,
-    walks: &[Vec<u32>],
+    walks: WalksView<'_>,
     multi_windows: usize,
     thread_id: u64,
 ) -> (u64, usize) {
@@ -147,7 +147,7 @@ pub fn train_walks_dsgl(
         // appearing in this batch's walks.
         token_slots.clear();
         walk_starts.clear();
-        for walk in batch {
+        for walk in batch.iter() {
             walk_starts.push(token_slots.len());
             token_slots.extend(walk.iter().map(|&rank| {
                 (
@@ -196,7 +196,7 @@ pub fn train_walks_dsgl(
             for (own, &wi) in step_walks.iter().enumerate() {
                 let start = walk_starts[wi];
                 let lo = step.saturating_sub(ctx.window);
-                let hi = (step + ctx.window).min(batch[wi].len() - 1);
+                let hi = (step + ctx.window).min(batch.walk(wi).len() - 1);
                 for c in (lo..=hi).filter(|&c| c != step) {
                     let input = inputs.row_mut(token_slots[start + c].0);
                     if distinct {
@@ -252,9 +252,10 @@ mod tests {
     use crate::negative::NegativeTable;
     use crate::sgns::SigmoidTable;
     use crate::vocab::Vocab;
+    use distger_walks::Corpus;
 
-    fn two_clique_walks() -> Vec<Vec<u32>> {
-        (0..60)
+    fn two_clique_walks() -> Corpus {
+        let walks = (0..60)
             .map(|i| {
                 if i % 2 == 0 {
                     vec![0, 1, 2, 0, 2, 1, 0, 1, 2, 0]
@@ -262,7 +263,8 @@ mod tests {
                     vec![3, 4, 5, 3, 5, 4, 3, 4, 5, 3]
                 }
             })
-            .collect()
+            .collect();
+        Corpus::from_walks(walks, 6)
     }
 
     fn make_ctx<'a>(
@@ -294,7 +296,7 @@ mod tests {
         let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
         let mut total_pairs = 0;
         for _ in 0..5 {
-            let (pairs, peak) = train_walks_dsgl(&ctx, &walks, 2, 0);
+            let (pairs, peak) = train_walks_dsgl(&ctx, walks.view(), 2, 0);
             total_pairs += pairs;
             assert!(peak > 0);
         }
@@ -312,14 +314,14 @@ mod tests {
     #[test]
     fn multi_window_one_equals_plain_batching() {
         // multi_windows = 1 must still be a valid configuration.
-        let walks = vec![vec![0u32, 1, 2, 3], vec![3u32, 2, 1, 0]];
+        let walks = Corpus::from_walks(vec![vec![0, 1, 2, 3], vec![3, 2, 1, 0]], 4);
         let vocab = Vocab::from_frequencies(&[10; 4]);
         let table = NegativeTable::with_size(&vocab, 256);
         let sig = SigmoidTable::new();
         let phi_in = HogwildMatrix::random_init(4, 8, 1);
         let phi_out = HogwildMatrix::zeros(4, 8);
         let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
-        let (pairs, _) = train_walks_dsgl(&ctx, &walks, 1, 0);
+        let (pairs, _) = train_walks_dsgl(&ctx, walks.view(), 1, 0);
         // window 3 over 4-node walks: every (target, context) ordered pair →
         // 4·3 per walk → 24.
         assert_eq!(pairs, 24);
@@ -362,9 +364,10 @@ mod tests {
         let phi_in = HogwildMatrix::random_init(2, 4, 1);
         let phi_out = HogwildMatrix::zeros(2, 4);
         let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
-        let (pairs, _) = train_walks_dsgl(&ctx, &[], 2, 0);
+        let (pairs, _) = train_walks_dsgl(&ctx, Corpus::new(2).view(), 2, 0);
         assert_eq!(pairs, 0);
-        let (pairs, _) = train_walks_dsgl(&ctx, &[vec![0]], 2, 0);
+        let single = Corpus::from_walks(vec![vec![0]], 2);
+        let (pairs, _) = train_walks_dsgl(&ctx, single.view(), 2, 0);
         assert_eq!(pairs, 0, "a single-node walk has no context pairs");
     }
 
@@ -373,7 +376,7 @@ mod tests {
     /// staging, so every logical row has one copy by construction.
     fn train_walks_oracle(
         ctx: &TrainContext<'_>,
-        walks: &[Vec<u32>],
+        walks: WalksView<'_>,
         multi_windows: usize,
         thread_id: u64,
     ) -> u64 {
@@ -426,7 +429,7 @@ mod tests {
     /// Trains the same corpus with DSGL and with the oracle from identical
     /// matrices (`threads = 1`, several passes): pairs equal, every row of
     /// both matrices within 1e-4.
-    fn assert_matches_oracle(num_ranks: usize, walks: &[Vec<u32>], multi_windows: usize) {
+    fn assert_matches_oracle(num_ranks: usize, walks: WalksView<'_>, multi_windows: usize) {
         let dim = 20; // two whole lane chunks and a tail of four
         let vocab = Vocab::from_frequencies(&vec![10; num_ranks]);
         let table = NegativeTable::with_size(&vocab, 1 << 10);
@@ -465,23 +468,24 @@ mod tests {
     }
 
     /// Ragged walks over `num_ranks` ranks, a single-node walk among them.
-    fn random_walks(num_ranks: usize, count: usize, seed: u64) -> Vec<Vec<u32>> {
+    fn random_walks(num_ranks: usize, count: usize, seed: u64) -> Corpus {
         let mut rng = SplitMix64::new(seed);
-        (0..count)
+        let walks = (0..count)
             .map(|i| {
                 let len = if i == 2 { 1 } else { 1 + rng.next_bounded(12) };
                 (0..len)
                     .map(|_| rng.next_bounded(num_ranks) as u32)
                     .collect()
             })
-            .collect()
+            .collect();
+        Corpus::from_walks(walks, num_ranks)
     }
 
     #[test]
     fn matches_the_scalar_single_copy_oracle() {
         let walks = random_walks(50, 31, 9);
         for multi_windows in [1, 2, 4] {
-            assert_matches_oracle(50, &walks, multi_windows);
+            assert_matches_oracle(50, walks.view(), multi_windows);
         }
     }
 
@@ -493,7 +497,7 @@ mod tests {
     fn a_rank_that_is_target_and_negative_keeps_every_update() {
         let walks = random_walks(3, 20, 10);
         for multi_windows in [1, 2, 4] {
-            assert_matches_oracle(3, &walks, multi_windows);
+            assert_matches_oracle(3, walks.view(), multi_windows);
         }
     }
 }

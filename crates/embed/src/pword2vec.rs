@@ -9,19 +9,19 @@
 
 use crate::kernel::axpy;
 use crate::sgns::{sgns_pair_update, TrainContext};
-use distger_walks::rng::SplitMix64;
+use distger_walks::{rng::SplitMix64, WalksView};
 
 /// Trains one thread's share of walks with per-window shared negatives.
 /// Returns the number of (target, context) pairs processed.
 #[allow(clippy::needless_range_loop)]
-pub fn train_walks_pword2vec(ctx: &TrainContext<'_>, walks: &[Vec<u32>], thread_id: u64) -> u64 {
+pub fn train_walks_pword2vec(ctx: &TrainContext<'_>, walks: WalksView<'_>, thread_id: u64) -> u64 {
     let dim = ctx.phi_in.dim();
     let mut rng = SplitMix64::for_walker(ctx.seed ^ 0x90d2_7ec1, thread_id);
     let mut input_grad = vec![0.0f32; dim];
     let mut negatives = Vec::with_capacity(ctx.negatives);
     let mut pairs = 0u64;
 
-    for walk in walks {
+    for walk in walks.iter() {
         for (j, &target) in walk.iter().enumerate() {
             // One negative set for the whole window.
             negatives.clear();
@@ -80,10 +80,11 @@ mod tests {
     use crate::negative::NegativeTable;
     use crate::sgns::SigmoidTable;
     use crate::vocab::Vocab;
+    use distger_walks::Corpus;
 
     #[test]
     fn pword2vec_training_separates_two_cliques() {
-        let walks: Vec<Vec<u32>> = (0..60)
+        let walks = (0..60)
             .map(|i| {
                 if i % 2 == 0 {
                     vec![0, 1, 2, 0, 2, 1, 0, 1, 2, 0]
@@ -92,6 +93,7 @@ mod tests {
                 }
             })
             .collect();
+        let walks = Corpus::from_walks(walks, 6);
         let vocab = Vocab::from_frequencies(&[100; 6]);
         let table = NegativeTable::with_size(&vocab, 1 << 12);
         let sig = SigmoidTable::new();
@@ -110,7 +112,7 @@ mod tests {
         };
         let mut pairs = 0;
         for _ in 0..5 {
-            pairs += train_walks_pword2vec(&ctx, &walks, 0);
+            pairs += train_walks_pword2vec(&ctx, walks.view(), 0);
         }
         assert!(pairs > 0);
         let dot = |a: usize, b: usize| -> f32 {
@@ -127,7 +129,7 @@ mod tests {
     fn processes_expected_number_of_pairs() {
         // A single walk of 5 nodes with window 1: interior nodes have two
         // context pairs, the ends one each → 8 pairs.
-        let walks = vec![vec![0u32, 1, 2, 3, 4]];
+        let walks = Corpus::from_walks(vec![vec![0, 1, 2, 3, 4]], 5);
         let vocab = Vocab::from_frequencies(&[10; 5]);
         let table = NegativeTable::with_size(&vocab, 256);
         let sig = SigmoidTable::new();
@@ -143,6 +145,6 @@ mod tests {
             learning_rate: 0.025,
             seed: 0,
         };
-        assert_eq!(train_walks_pword2vec(&ctx, &walks, 0), 8);
+        assert_eq!(train_walks_pword2vec(&ctx, walks.view(), 0), 8);
     }
 }

@@ -10,7 +10,7 @@
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, dot};
 use crate::negative::NegativeTable;
-use distger_walks::rng::SplitMix64;
+use distger_walks::{rng::SplitMix64, WalksView};
 
 /// Precomputed sigmoid lookup table (the `expTable` of word2vec).
 #[derive(Clone, Debug)]
@@ -95,13 +95,13 @@ pub struct TrainContext<'a> {
 /// a fresh negative set per (target, context) pair. Returns the number of
 /// (target, context) pairs processed.
 #[allow(clippy::needless_range_loop)]
-pub fn train_walks_hogwild(ctx: &TrainContext<'_>, walks: &[Vec<u32>], thread_id: u64) -> u64 {
+pub fn train_walks_hogwild(ctx: &TrainContext<'_>, walks: WalksView<'_>, thread_id: u64) -> u64 {
     let dim = ctx.phi_in.dim();
     let mut rng = SplitMix64::for_walker(ctx.seed ^ 0x5e15_0a11, thread_id);
     let mut input_grad = vec![0.0f32; dim];
     let mut pairs = 0u64;
 
-    for walk in walks {
+    for walk in walks.iter() {
         for (j, &target) in walk.iter().enumerate() {
             let lo = j.saturating_sub(ctx.window);
             let hi = (j + ctx.window).min(walk.len() - 1);
@@ -154,6 +154,7 @@ pub fn train_walks_hogwild(ctx: &TrainContext<'_>, walks: &[Vec<u32>], thread_id
 mod tests {
     use super::*;
     use crate::vocab::Vocab;
+    use distger_walks::Corpus;
 
     #[test]
     fn sigmoid_table_matches_exact_sigmoid() {
@@ -211,7 +212,7 @@ mod tests {
         // Two "communities" of ranks {0,1,2} and {3,4,5}; walks stay inside a
         // community, so after training, intra-community similarity should
         // exceed inter-community similarity.
-        let walks: Vec<Vec<u32>> = (0..60)
+        let walks = (0..60)
             .map(|i| {
                 if i % 2 == 0 {
                     vec![0, 1, 2, 0, 2, 1, 0, 1, 2, 0]
@@ -220,6 +221,7 @@ mod tests {
                 }
             })
             .collect();
+        let walks = Corpus::from_walks(walks, 6);
         let freqs = vec![100u64; 6];
         let vocab = Vocab::from_frequencies(&freqs);
         let table = NegativeTable::with_size(&vocab, 1 << 12);
@@ -238,7 +240,7 @@ mod tests {
             seed: 3,
         };
         for _ in 0..5 {
-            train_walks_hogwild(&ctx, &walks, 0);
+            train_walks_hogwild(&ctx, walks.view(), 0);
         }
         let dot = |a: usize, b: usize| -> f32 {
             let ra = unsafe { phi_in.row(a) };

@@ -16,7 +16,7 @@
 use distger_cluster::{
     CommStats, FaultInjector, InMemoryTransport, RecoveryExhausted, RecoveryPolicy,
 };
-use distger_walks::Corpus;
+use distger_walks::{Corpus, WalksView};
 
 use crate::dist::train_over;
 use crate::dsgl::train_walks_dsgl;
@@ -263,20 +263,20 @@ pub fn train(corpus: &Corpus, config: &TrainerConfig) -> (Embeddings, TrainStats
     train_distributed(corpus, 1, config)
 }
 
-/// The `slice_idx`-th of `slices` contiguous portions of a shard.
-pub(crate) fn epoch_slice(shard: &[Vec<u32>], slice_idx: usize, slices: usize) -> &[Vec<u32>] {
+/// The `slice_idx`-th of `slices` contiguous runs of a shard's walks.
+pub(crate) fn epoch_slice(shard: WalksView<'_>, slice_idx: usize, slices: usize) -> WalksView<'_> {
     let slices = slices.max(1);
     let per = shard.len().div_ceil(slices);
     let start = (slice_idx * per).min(shard.len());
     let end = ((slice_idx + 1) * per).min(shard.len());
-    &shard[start..end]
+    shard.slice(start..end)
 }
 
 /// Trains one machine's chunk with the configured kind and thread count.
 /// Returns `(pairs, peak_local_buffer_bytes)`.
 pub(crate) fn train_machine_chunk(
     replica: &ModelReplica,
-    walks: &[Vec<u32>],
+    walks: WalksView<'_>,
     table: &NegativeTable,
     sigmoid: &SigmoidTable,
     config: &TrainerConfig,
@@ -322,7 +322,7 @@ pub(crate) fn train_machine_chunk(
 
 fn run_kind(
     ctx: &TrainContext<'_>,
-    walks: &[Vec<u32>],
+    walks: WalksView<'_>,
     kind: TrainerKind,
     thread_id: u64,
 ) -> (u64, usize) {
@@ -489,12 +489,38 @@ mod tests {
 
     #[test]
     fn epoch_slice_partitions_the_shard() {
-        let shard: Vec<Vec<u32>> = (0..10).map(|i| vec![i]).collect();
-        let mut seen = 0;
+        let shard = Corpus::from_walks((0..10).map(|i| vec![i]).collect(), 10);
+        let mut seen = Vec::new();
         for s in 0..3 {
-            seen += epoch_slice(&shard, s, 3).len();
+            let slice = epoch_slice(shard.view(), s, 3);
+            assert!(slice.len() <= 4);
+            seen.extend_from_slice(slice.tokens());
         }
-        assert_eq!(seen, 10);
-        assert!(epoch_slice(&shard, 2, 3).len() <= 4);
+        assert_eq!(
+            seen,
+            (0..10).collect::<Vec<_>>(),
+            "every walk once, in order"
+        );
+        assert!(epoch_slice(shard.view(), 5, 3).is_empty());
+    }
+
+    /// `sync_rounds_per_epoch = 0` still trains one slice per epoch, so the
+    /// epoch count decides how much is trained.
+    #[test]
+    fn zero_sync_rounds_still_trains_every_epoch() {
+        let corpus = community_corpus();
+        let config = TrainerConfig::small()
+            .with_dim(8)
+            .with_threads(1)
+            .with_sync_rounds_per_epoch(0);
+        let pairs = |epochs| {
+            train(&corpus, &config.with_epochs(epochs))
+                .1
+                .pairs_processed
+        };
+        let one = pairs(1);
+        assert!(one > 0);
+        assert_eq!(pairs(2), 2 * one);
+        assert_eq!(pairs(0), 0, "no epoch, no pairs");
     }
 }

@@ -23,8 +23,7 @@ impl Vocab {
     /// corpus are placed after all appearing nodes (frequency 0), so every
     /// node of the graph has a row in the global matrices.
     pub fn from_corpus(corpus: &Corpus) -> Self {
-        let freqs = corpus.node_frequencies();
-        Self::from_frequencies(&freqs)
+        Self::from_frequencies(corpus.frequencies())
     }
 
     /// Builds the vocabulary from explicit per-node frequencies.

@@ -31,12 +31,11 @@
 use std::io;
 use std::path::Path;
 
-use crate::corpus::Corpus;
+use crate::corpus::{Corpus, WalksView};
 use distger_cluster::wire::{
     invalid_data, put_f64, put_u32, put_u32s, put_u64, write_atomically, Checksum,
 };
 use distger_cluster::{CommStats, WireReader};
-use distger_graph::NodeId;
 
 /// Magic bytes identifying a DistGER walk checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGWC";
@@ -119,7 +118,7 @@ impl WalkCheckpoint {
             &self.comm,
             self.peak_round_memory,
             &self.trace,
-            self.corpus.walks(),
+            self.corpus.view(),
         );
         encoder
             .assemble_latest()
@@ -175,13 +174,13 @@ impl WalkCheckpoint {
         let num_walks = r.u64()?;
         r.finish()?;
 
-        // The walk section is read to its end and the count checked after,
-        // so no allocation is ever sized by `num_walks`.
+        // The walk section is read to its end (the arena grows as walks are
+        // read) and the count checked after: nothing is sized by `num_walks`.
         let mut r = WireReader::new(walk_bytes);
         let mut corpus = Corpus::new(num_nodes_usize);
         while !r.is_empty() {
             let len = r.count_u32(4)?;
-            let walk: Vec<NodeId> = r.u32s(len)?;
+            let walk = r.u32s(len)?;
             if let Some(node) = walk.iter().find(|&&node| u64::from(node) >= num_nodes) {
                 return Err(invalid_data(format!(
                     "walk node {node} out of range (num_nodes {num_nodes})"
@@ -270,10 +269,10 @@ impl CheckpointEncoder {
         comm: &CommStats,
         peak_round_memory: u64,
         trace: &[f64],
-        walks: &[Vec<NodeId>],
+        walks: WalksView<'_>,
     ) -> usize {
-        let start = self.walk_bytes.len();
-        append_walk_bytes(&mut self.walk_bytes, &walks[self.encoded_walks..]);
+        let (start, new) = (self.walk_bytes.len(), self.encoded_walks..walks.len());
+        append_walk_bytes(&mut self.walk_bytes, walks.slice(new));
         self.encoded_walks = walks.len();
         self.walk_sum.update(&self.walk_bytes[start..]);
         self.tail.clear();
@@ -340,9 +339,9 @@ fn assemble(num_nodes: u64, walk_bytes: &[u8], tail: &[u8], payload_sum: Checksu
 /// Appends the wire encoding of `walks` (per walk: `u32` length prefix +
 /// `u32` nodes, little-endian) — the payload's leading walk section, ~99% of
 /// every checkpoint.
-fn append_walk_bytes(buf: &mut Vec<u8>, walks: &[Vec<NodeId>]) {
-    buf.reserve(walks.iter().map(|walk| 4 + 4 * walk.len()).sum::<usize>());
-    for walk in walks {
+fn append_walk_bytes(buf: &mut Vec<u8>, walks: WalksView<'_>) {
+    buf.reserve(4 * (walks.len() + walks.tokens().len()));
+    for walk in walks.iter() {
         put_u32(buf, walk.len() as u32);
         put_u32s(buf, walk);
     }
@@ -445,7 +444,9 @@ mod tests {
         partial.rounds = 1;
         partial.trace.truncate(1);
         partial.corpus = Corpus::new(10);
-        partial.corpus.push_walk(full.corpus.walks()[0].clone());
+        partial
+            .corpus
+            .push_walk(full.corpus.view().walk(0).iter().copied());
 
         let mut encoder = CheckpointEncoder::new(10);
         assert!(encoder.assemble_latest().is_none(), "no snapshot yet");
@@ -455,7 +456,7 @@ mod tests {
             &partial.comm,
             partial.peak_round_memory,
             &partial.trace,
-            partial.corpus.walks(),
+            partial.corpus.view(),
         );
         let assembled = encoder.assemble_latest().expect("first snapshot");
         assert_eq!(size, assembled.len());
@@ -467,7 +468,7 @@ mod tests {
             &full.comm,
             full.peak_round_memory,
             &full.trace,
-            full.corpus.walks(),
+            full.corpus.view(),
         );
         assert_eq!(encoder.encoded_walks(), full.corpus.num_walks());
         let assembled = encoder.assemble_latest().expect("second snapshot");
@@ -484,7 +485,7 @@ mod tests {
             &full.comm,
             full.peak_round_memory,
             &full.trace,
-            full.corpus.walks(),
+            full.corpus.view(),
         );
         let assembled = encoder.assemble_latest().expect("post-reset snapshot");
         assert_eq!(assembled, full.encode());
@@ -495,7 +496,7 @@ mod tests {
     /// checks can reject it.
     fn resealed(edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>)) -> Vec<u8> {
         let good = sample_checkpoint();
-        let walks = good.corpus.walks();
+        let walks = good.corpus.view();
         let (mut walk_bytes, mut tail) = (Vec::new(), Vec::new());
         append_walk_bytes(&mut walk_bytes, walks);
         write_checkpoint_tail(

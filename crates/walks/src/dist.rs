@@ -281,10 +281,9 @@ impl BoundaryCtx {
             )));
         }
         let harvests: Vec<&RoundHarvest> = machines.iter().collect();
-        let (round_corpus, peak_memory_sum) = assemble_round_corpus(&harvests, n, round)?;
+        let peak_memory_sum = assemble_round_corpus(&harvests, round, &mut self.corpus)?;
         drop(machines);
         self.peak_round_memory = self.peak_round_memory.max(peak_memory_sum);
-        self.corpus.extend(round_corpus);
         let go_on =
             self.schedule
                 .continue_after(self.rounds, &self.corpus, degree_dist, &mut self.trace);
@@ -299,7 +298,7 @@ impl BoundaryCtx {
                 &comm,
                 self.peak_round_memory as u64,
                 &self.trace,
-                self.corpus.walks(),
+                self.corpus.view(),
             );
             self.checkpoint_secs += timer.elapsed().as_secs_f64();
             self.checkpoint_bytes += encoded as u64;
@@ -578,9 +577,8 @@ mod tests {
             }
             max_round_supersteps = max_round_supersteps.max(supersteps);
             let harvests: Vec<&RoundHarvest> = states.iter().map(|s| &s.harvest).collect();
-            let (round_corpus, _) = assemble_round_corpus(&harvests, n, rounds as u64)
+            assemble_round_corpus(&harvests, rounds as u64, &mut corpus)
                 .expect("honest runs tile their walks");
-            corpus.extend(round_corpus);
             states.iter_mut().for_each(MachineState::reset_round);
             rounds += 1;
             if !schedule.continue_after(rounds, &corpus, &degree_dist, &mut trace) {
@@ -789,7 +787,9 @@ mod tests {
     }
 
     fn assemble(machines: &[RoundHarvest]) -> io::Result<(Corpus, usize)> {
-        assemble_round_corpus(&machines.iter().collect::<Vec<_>>(), 4, 1)
+        let mut corpus = Corpus::new(4);
+        let peak = assemble_round_corpus(&machines.iter().collect::<Vec<_>>(), 1, &mut corpus)?;
+        Ok((corpus, peak))
     }
 
     #[test]
@@ -800,10 +800,8 @@ mod tests {
         assert_eq!(machines[0].peak_memory_bytes, 640);
         let (corpus, peak) = assemble(&machines).unwrap();
         assert_eq!(peak, 640);
-        assert_eq!(
-            corpus.walks(),
-            [vec![0, 1], vec![2, 3, 2], vec![1], vec![3]]
-        );
+        let want = Corpus::from_walks(vec![vec![0, 1], vec![2, 3, 2], vec![1], vec![3]], 4);
+        assert_eq!(corpus, want);
     }
 
     #[test]

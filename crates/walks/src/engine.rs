@@ -522,23 +522,25 @@ pub(crate) fn seed_round_inboxes(
     inboxes
 }
 
-/// Assembles one round's corpus from the per-machine harvests (machines
-/// `0..m` in order) with a counting sort over walk ids: count tokens and
-/// runs per walk, prefix-sum into bucket offsets, scatter run references,
-/// then concatenate each walk's few runs ordered by start step. No per-step
-/// tuples, no per-token sort. Also returns the machine-summed peak
-/// transient-memory watermark.
+/// Appends one round's walks to `corpus` from the per-machine harvests
+/// (machines `0..m` in order) with a counting sort over walk ids: count
+/// tokens and runs per walk, prefix-sum into bucket offsets, scatter run
+/// references, then write each walk's few runs, ordered by start step,
+/// straight into the corpus arena. No per-step tuples, no per-token sort.
+/// Returns the machine-summed peak transient-memory watermark.
 ///
 /// The harvests come from `dist::decode_harvest`, which guarantees every
 /// run lies inside its arena and names a walk of this round; that the
 /// runs of each walk tile it from step 0 without gap or overlap is checked
 /// here, so a peer that lies about `start_step` is an
-/// [`io::ErrorKind::InvalidData`] error, not a scrambled corpus.
+/// [`io::ErrorKind::InvalidData`] error (which fails the run), not a
+/// scrambled corpus.
 pub(crate) fn assemble_round_corpus(
     harvests: &[&RoundHarvest],
-    n: usize,
     round: u64,
-) -> io::Result<(Corpus, usize)> {
+    corpus: &mut Corpus,
+) -> io::Result<usize> {
+    let n = corpus.num_nodes();
     let mut peak_memory_sum = 0usize;
     let mut token_counts = vec![0u32; n];
     let mut run_counts = vec![0u32; n];
@@ -569,35 +571,35 @@ pub(crate) fn assemble_round_corpus(
         }
     }
 
-    let mut corpus = Corpus::new(n);
+    // The nodes of a bucketed run.
+    let nodes = |machine: u32, run_idx: u32| {
+        let state = harvests[machine as usize];
+        let run = &state.seg_runs[run_idx as usize];
+        &state.seg_nodes[run.offset..run.offset + run.len as usize]
+    };
     for w in 0..n {
         let bucket = &mut buckets[run_offsets[w] as usize..run_offsets[w + 1] as usize];
         // A walk's run count equals its machine-hop count + 1 — a handful,
         // for which sort_unstable already degenerates to insertion sort.
         bucket.sort_unstable_by_key(|run| run.0);
-        let mut walk = Vec::with_capacity(token_counts[w] as usize);
+        let (walk_id, mut tiled) = (round * n as u64 + w as u64, 0);
         for &(start_step, machine, run_idx) in bucket.iter() {
-            let state = harvests[machine as usize];
-            let run = &state.seg_runs[run_idx as usize];
-            if start_step as usize != walk.len() {
+            if start_step as usize != tiled {
                 return Err(invalid_data(format!(
-                    "runs of walk {} do not tile it: run at step {start_step} follows {} nodes",
-                    run.walk_id,
-                    walk.len()
+                    "runs of walk {walk_id} do not tile it: run at step {start_step} follows {tiled} nodes"
                 )));
             }
-            walk.extend_from_slice(&state.seg_nodes[run.offset..run.offset + run.len as usize]);
+            tiled += nodes(machine, run_idx).len();
         }
-        if walk.is_empty() {
-            return Err(invalid_data(format!(
-                "no machine harvested walk {}",
-                round * n as u64 + w as u64
-            )));
+        if tiled == 0 {
+            return Err(invalid_data(format!("no machine harvested walk {walk_id}")));
         }
-        corpus.push_walk(walk);
+        let runs = bucket
+            .iter()
+            .flat_map(|&(_, machine, run_idx)| nodes(machine, run_idx));
+        corpus.push_walk(runs.copied());
     }
-
-    Ok((corpus, peak_memory_sum))
+    Ok(peak_memory_sum)
 }
 
 /// Processes one walker on `machine` until it terminates or hops away.
@@ -703,9 +705,9 @@ mod tests {
         let result = run_distributed_walks(&g, &p, &config);
         assert_eq!(result.rounds, 2);
         assert_eq!(result.corpus.num_walks(), 600);
-        assert!(result.corpus.walks().iter().all(|w| w.len() == 20));
+        assert!(result.corpus.view().iter().all(|w| w.len() == 20));
         // Every consecutive pair must be an edge.
-        for walk in result.corpus.walks() {
+        for walk in result.corpus.view().iter() {
             for pair in walk.windows(2) {
                 assert!(g.has_edge(pair[0], pair[1]));
             }
@@ -793,7 +795,7 @@ mod tests {
         let huge = run_distributed_walks(&g, &p, &cfg.with_model(WalkModel::Huge));
         assert_eq!(huge.alias_table_bytes, g.num_arcs() * 12);
         assert!(result.avg_machine_memory_bytes >= result.alias_table_bytes / 4);
-        for walk in result.corpus.walks() {
+        for walk in result.corpus.view().iter() {
             for pair in walk.windows(2) {
                 assert!(g.has_edge(pair[0], pair[1]));
             }
@@ -836,12 +838,7 @@ mod tests {
         let p = Partitioning::single_machine(4);
         let cfg = WalkEngineConfig::knightking_routine(WalkModel::DeepWalk);
         let result = run_distributed_walks(&g, &p, &cfg);
-        let singleton_walks = result
-            .corpus
-            .walks()
-            .iter()
-            .filter(|w| w.len() == 1)
-            .count();
+        let singleton_walks = result.corpus.view().iter().filter(|w| w.len() == 1).count();
         assert!(
             singleton_walks >= 2 * 10,
             "each isolated node yields singleton walks"
@@ -858,13 +855,13 @@ mod tests {
         cfg.length = LengthPolicy::Fixed(10);
         cfg.walks_per_node = WalkCountPolicy::Fixed(1);
         let result = run_distributed_walks(&g, &p, &cfg);
-        for walk in result.corpus.walks() {
+        for walk in result.corpus.view().iter() {
             for pair in walk.windows(2) {
                 assert!(g.has_edge(pair[0], pair[1]), "directed arc must exist");
             }
         }
         // Node 3 is a sink: walks reaching it must stop there.
-        assert!(result.corpus.walks().iter().all(|w| w
+        assert!(result.corpus.view().iter().all(|w| w
             .iter()
             .position(|&v| v == 3)
             .is_none_or(|i| i == w.len() - 1)));

@@ -55,7 +55,7 @@ pub mod rng;
 
 pub use alias::TransitionTables;
 pub use checkpoint::{CheckpointPolicy, WalkCheckpoint};
-pub use corpus::{Corpus, CorpusShard};
+pub use corpus::{Corpus, Walks, WalksView};
 pub use dist::{run_walks_over, run_walks_over_loopback};
 pub use engine::{
     run_distributed_walks, run_distributed_walks_supervised, InfoMode, WalkEngineConfig, WalkResult,

@@ -22,7 +22,7 @@ use distger_walks::{run_distributed_walks, Corpus, WalkEngineConfig};
 /// tokens and the walk boundaries are covered.
 fn corpus_checksum(corpus: &Corpus) -> u64 {
     let mut bytes = Vec::with_capacity(4 * (corpus.total_tokens() + corpus.num_walks()));
-    for walk in corpus.walks() {
+    for walk in corpus.view().iter() {
         put_u32(&mut bytes, walk.len() as u32);
         put_u32s(&mut bytes, walk);
     }

@@ -68,7 +68,7 @@ proptest! {
         cfg.walks_per_node = WalkCountPolicy::Fixed(1);
         let result = run_distributed_walks(&g, &p, &cfg);
         prop_assert_eq!(result.corpus.num_walks(), g.num_nodes());
-        for walk in result.corpus.walks() {
+        for walk in result.corpus.view().iter() {
             prop_assert!(walk.len() <= 12);
             for pair in walk.windows(2) {
                 prop_assert!(g.has_edge(pair[0], pair[1]), "non-edge in walk");
@@ -124,7 +124,7 @@ proptest! {
             let result = run_distributed_walks(&g, &p, &cfg.with_model(model));
             prop_assert_eq!(result.corpus.num_walks(), g.num_nodes());
             prop_assert_eq!(result.alias_table_bytes, g.num_arcs() * bytes_per_arc);
-            for walk in result.corpus.walks() {
+            for walk in result.corpus.view().iter() {
                 for pair in walk.windows(2) {
                     prop_assert!(g.has_edge(pair[0], pair[1]), "non-edge in weighted walk");
                 }
@@ -273,43 +273,41 @@ fn single_machine_and_multi_machine_walks_agree() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Corpus::split`'s heap-based least-loaded assignment is bit-identical
-    /// to the reference greedy `O(parts)` scan it replaced (same shards, same
-    /// walk order), and shard load balance obeys the greedy invariant: the
-    /// spread between the heaviest and lightest shard never exceeds the
-    /// longest walk.
+    /// `Corpus::split_assignment`'s heap-based least-loaded assignment is
+    /// bit-identical to the reference greedy `O(parts)` scan it replaced
+    /// (same part for every walk, in walk order), and shard load balance
+    /// obeys the greedy invariant: the spread between the heaviest and
+    /// lightest shard never exceeds the longest walk.
     #[test]
     fn heap_split_matches_greedy_scan_and_balances(
         lengths in prop::collection::vec(1usize..40, 0..120),
         parts in 1usize..9,
     ) {
         let num_nodes = 4;
-        let walks: Vec<Vec<distger_graph::NodeId>> = lengths
+        let walks: Vec<Vec<NodeId>> = lengths
             .iter()
             .enumerate()
-            .map(|(i, &len)| vec![(i % num_nodes) as distger_graph::NodeId; len])
+            .map(|(i, &len)| vec![(i % num_nodes) as NodeId; len])
             .collect();
         let corpus = distger_walks::Corpus::from_walks(walks.clone(), num_nodes);
-        let shards = corpus.split(parts);
+        let assignment = corpus.split_assignment(parts);
 
         // Reference: the former sequential least-loaded scan (first minimum
         // wins ties, i.e. the smallest part index).
-        let mut expected: Vec<Vec<&Vec<distger_graph::NodeId>>> = vec![Vec::new(); parts];
+        let mut expected = Vec::with_capacity(walks.len());
         let mut loads = vec![0usize; parts];
         for walk in &walks {
             let target = (0..parts).min_by_key(|&i| loads[i]).unwrap();
             loads[target] += walk.len();
-            expected[target].push(walk);
+            expected.push(target);
         }
-        for (shard, reference) in shards.iter().zip(&expected) {
-            prop_assert_eq!(shard.num_walks(), reference.len());
-            for (got, &want) in shard.walks().iter().zip(reference) {
-                prop_assert_eq!(got, want);
-            }
-        }
+        prop_assert_eq!(&assignment, &expected);
 
         // Balance: max − min shard tokens ≤ the longest single walk.
-        let token_counts: Vec<usize> = shards.iter().map(|s| s.total_tokens()).collect();
+        let mut token_counts = vec![0usize; parts];
+        for (walk, &part) in corpus.view().iter().zip(&assignment) {
+            token_counts[part] += walk.len();
+        }
         let spread = token_counts.iter().max().unwrap() - token_counts.iter().min().unwrap();
         prop_assert!(
             spread <= lengths.iter().copied().max().unwrap_or(0),
@@ -320,5 +318,34 @@ proptest! {
             corpus.total_tokens(),
             "split lost or duplicated tokens"
         );
+    }
+
+    /// The arena is a pure representation change: building a corpus from
+    /// per-walk vecs and reading them back is the identity once empty walks
+    /// are dropped, every sub-range view reads the matching slice of the
+    /// source, and `chunks` tiles the walks in order.
+    #[test]
+    fn walks_arena_round_trips_and_views_match_slices(
+        source in prop::collection::vec(prop::collection::vec(0u32..50, 0..12), 0..40),
+        cut in (0usize..40, 0usize..40),
+        chunk in 1usize..6,
+    ) {
+        let corpus = distger_walks::Corpus::from_walks(source.clone(), 50);
+        prop_assert_eq!(corpus.walks(), source.iter().filter(|w| !w.is_empty()).cloned().collect::<Vec<_>>());
+        let kept: Vec<&[NodeId]> = source.iter().filter(|w| !w.is_empty()).map(|w| &w[..]).collect();
+        let view = corpus.view();
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), kept.clone());
+        prop_assert_eq!(view.len(), kept.len());
+        prop_assert_eq!(view.tokens(), kept.concat());
+        let (lo, hi) = (cut.0.min(cut.1).min(kept.len()), cut.0.max(cut.1).min(kept.len()));
+        let sub = view.slice(lo..hi);
+        prop_assert_eq!(sub.iter().collect::<Vec<_>>(), kept[lo..hi].to_vec());
+        prop_assert_eq!(sub.tokens(), kept[lo..hi].concat());
+        for (i, walk) in kept[lo..hi].iter().enumerate() {
+            prop_assert_eq!(sub.walk(i), *walk);
+        }
+        let chunks: Vec<Vec<&[NodeId]>> = view.chunks(chunk).map(|c| c.iter().collect()).collect();
+        prop_assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= chunk));
+        prop_assert_eq!(chunks.concat(), kept);
     }
 }

@@ -86,7 +86,7 @@ fn general_api_shortens_routine_walks() {
             model.name()
         );
         // Every node still appears in the corpus.
-        let freq = info.corpus.node_frequencies();
+        let freq = info.corpus.frequencies();
         assert!(freq.iter().all(|&f| f > 0));
     }
 }
