@@ -14,14 +14,11 @@
 use std::time::Instant;
 
 use distger_bench::{bench_dataset, labelled_dataset, BenchScale, Report};
-use distger_core::{
-    baselines::{run_gnn_like, run_pbg_like, GnnLikeConfig, PbgLikeConfig},
-    run_pipeline, run_system, DistGerConfig, RunScale, SystemKind,
-};
+use distger_core::{run_pipeline, DistGerConfig, PipelineResult, SystemKind};
 use distger_embed::{train_distributed, SyncStrategy, TrainerConfig, TrainerKind};
 use distger_eval::{evaluate_classification, evaluate_link_prediction, split_edges};
 use distger_graph::generate::PaperDataset;
-use distger_graph::{rmat, GraphStats};
+use distger_graph::{rmat, CsrGraph, GraphStats};
 use distger_obs::Stopwatch;
 use distger_partition::{
     balanced::workload_balanced_partition,
@@ -42,29 +39,30 @@ const CORE_DATASETS: [PaperDataset; 3] = [
     PaperDataset::LiveJournal,
 ];
 
-fn harness_scale(scale: BenchScale) -> RunScale {
-    let _ = scale;
-    RunScale {
-        dim: 32,
-        epochs: 1,
-        seed: SEED,
-    }
+/// `system` at the harness's shared effort scale (dimension 32, fixed seed),
+/// so comparisons stay fair at laptop scale.
+fn system_config(system: SystemKind, machines: usize, epochs: usize) -> DistGerConfig {
+    let mut config = system.config(machines).with_seed(SEED);
+    config.training.dim = 32;
+    config.training.epochs = epochs;
+    config
+}
+
+fn run_preset(
+    system: SystemKind,
+    graph: &CsrGraph,
+    machines: usize,
+    epochs: usize,
+) -> PipelineResult {
+    run_pipeline(graph, &system_config(system, machines, epochs))
 }
 
 fn distger_config(machines: usize) -> DistGerConfig {
-    let mut config = DistGerConfig::distger(machines).with_seed(SEED);
-    config.training.dim = 32;
-    config.training.epochs = 1;
-    config.training.sync_rounds_per_epoch = 2;
-    config
+    system_config(SystemKind::DistGer, machines, 1)
 }
 
 fn knightking_config(machines: usize) -> DistGerConfig {
-    let mut config = DistGerConfig::knightking(machines).with_seed(SEED);
-    config.training.dim = 32;
-    config.training.epochs = 1;
-    config.training.sync_rounds_per_epoch = 2;
-    config
+    system_config(SystemKind::KnightKing, machines, 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -142,15 +140,14 @@ fn fig5(scale: BenchScale) -> Vec<Report> {
     let mut report = Report::new(
         "figure5",
         "end-to-end running time (s) per system and dataset",
-        &["PBG", "DistDGL", "KnightKing", "HuGE-D", "DistGER"],
+        &["KnightKing", "HuGE-D", "DistGER"],
     );
     for ds in CORE_DATASETS {
         let g = bench_dataset(ds, scale, SEED);
-        let mut row = Vec::new();
-        for system in SystemKind::ALL {
-            let run = run_system(system, &g, MACHINES, harness_scale(scale));
-            row.push(run.end_to_end_secs());
-        }
+        let row = SystemKind::ALL
+            .iter()
+            .map(|&system| run_preset(system, &g, MACHINES, 1).end_to_end_secs())
+            .collect();
         report.push(ds.short_name(), row);
     }
     vec![report]
@@ -166,14 +163,10 @@ fn fig6(scale: BenchScale) -> Vec<Report> {
         "end-to-end time (s) on the LJ stand-in vs number of machines",
         &["1", "2", "4", "8"],
     );
-    for system in [
-        SystemKind::KnightKing,
-        SystemKind::HugeD,
-        SystemKind::DistGer,
-    ] {
+    for system in SystemKind::ALL {
         let mut row = Vec::new();
         for machines in [1usize, 2, 4, 8] {
-            let run = run_system(system, &g, machines, harness_scale(scale));
+            let run = run_preset(system, &g, machines, 1);
             row.push(run.end_to_end_secs());
         }
         report.push(system.name(), row);
@@ -223,18 +216,10 @@ fn fig8(scale: BenchScale) -> Vec<Report> {
             "time@1ep", "AUC@1ep", "time@2ep", "AUC@2ep", "time@4ep", "AUC@4ep",
         ],
     );
-    for system in [SystemKind::KnightKing, SystemKind::DistGer, SystemKind::Pbg] {
+    for system in [SystemKind::KnightKing, SystemKind::DistGer] {
         let mut row = Vec::new();
         for epochs in [1usize, 2, 4] {
-            let run = run_system(
-                system,
-                &split.train_graph,
-                MACHINES,
-                RunScale {
-                    epochs,
-                    ..harness_scale(scale)
-                },
-            );
+            let run = run_preset(system, &split.train_graph, MACHINES, epochs);
             row.push(run.end_to_end_secs());
             row.push(evaluate_link_prediction(&run.embeddings, &split));
         }
@@ -250,29 +235,18 @@ fn table4(scale: BenchScale) -> Vec<Report> {
     let mut report = Report::new(
         "table4",
         "link-prediction AUC per system and dataset",
-        &["PBG", "DistDGL", "KnightKing", "DistGER"],
+        &["KnightKing", "DistGER"],
     );
     for ds in CORE_DATASETS {
         let g = bench_dataset(ds, scale, SEED);
         let split = split_edges(&g, 0.5, SEED);
-        let mut row = Vec::new();
-        for system in [
-            SystemKind::Pbg,
-            SystemKind::DistDgl,
-            SystemKind::KnightKing,
-            SystemKind::DistGer,
-        ] {
-            let run = run_system(
-                system,
-                &split.train_graph,
-                MACHINES,
-                RunScale {
-                    epochs: 3,
-                    ..harness_scale(scale)
-                },
-            );
-            row.push(evaluate_link_prediction(&run.embeddings, &split));
-        }
+        let row = [SystemKind::KnightKing, SystemKind::DistGer]
+            .iter()
+            .map(|&system| {
+                let run = run_preset(system, &split.train_graph, MACHINES, 3);
+                evaluate_link_prediction(&run.embeddings, &split)
+            })
+            .collect();
         report.push(ds.short_name(), row);
     }
     vec![report]
@@ -296,15 +270,7 @@ fn fig9(scale: BenchScale) -> Vec<Report> {
             &["10%", "30%", "50%", "70%", "90%"],
         );
         for system in [SystemKind::KnightKing, SystemKind::DistGer] {
-            let run = run_system(
-                system,
-                &labelled.graph,
-                MACHINES,
-                RunScale {
-                    epochs: 3,
-                    ..harness_scale(scale)
-                },
-            );
+            let run = run_preset(system, &labelled.graph, MACHINES, 3);
             let mut micro_row = Vec::new();
             let mut macro_row = Vec::new();
             for ratio in [0.1, 0.3, 0.5, 0.7, 0.9] {
@@ -718,43 +684,14 @@ fn ablation(scale: BenchScale) -> Vec<Report> {
 }
 
 // ---------------------------------------------------------------------------
-// PBG / DistDGL traits (supporting evidence for the substitution notes)
+// PBG / DistDGL: the paper's parameter-server and GNN baselines
 // ---------------------------------------------------------------------------
-fn baseline_traits(scale: BenchScale) -> Vec<Report> {
-    let g = bench_dataset(PaperDataset::Flickr, scale, SEED);
-    let mut report = Report::new(
-        "baseline-traits",
-        "baseline communication profiles on the FL stand-in",
-        &["messages", "MB", "time (s)"],
+fn baselines(_: BenchScale) -> Vec<Report> {
+    println!(
+        "PBG and DistDGL (figures 5 and 8, table 4; the 2.33x-129x speed-up claim): \
+         not reproduced: no faithful implementation"
     );
-    let pbg = run_pbg_like(&g, MACHINES, &PbgLikeConfig::default());
-    let gnn = run_gnn_like(&g, MACHINES, &GnnLikeConfig::default());
-    let dg = run_pipeline(&g, &distger_config(MACHINES));
-    report.push(
-        "PBG-like (param server)",
-        vec![
-            pbg.comm.messages as f64,
-            pbg.comm.bytes as f64 / 1e6,
-            pbg.times.end_to_end_secs(),
-        ],
-    );
-    report.push(
-        "DistDGL-like (per-batch sync)",
-        vec![
-            gnn.comm.messages as f64,
-            gnn.comm.bytes as f64 / 1e6,
-            gnn.times.end_to_end_secs(),
-        ],
-    );
-    report.push(
-        "DistGER (walk msgs + hotness sync)",
-        vec![
-            dg.total_messages() as f64,
-            (dg.walk_comm.bytes + dg.train_stats.sync_comm.bytes) as f64 / 1e6,
-            dg.end_to_end_secs(),
-        ],
-    );
-    vec![report]
+    Vec::new()
 }
 
 // ---------------------------------------------------------------------------
@@ -779,7 +716,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("table6", table6),
     ("table7", table7),
     ("ablation", ablation),
-    ("baselines", baseline_traits),
+    ("baselines", baselines),
 ];
 
 fn main() {

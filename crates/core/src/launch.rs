@@ -1,21 +1,13 @@
 //! Multi-process launcher: one coordinator plus `n` worker processes run the
-//! walk→train pipeline over a [`SocketTransport`].
+//! walk → train → serve job, one [`SocketTransport`] each.
 //!
-//! The unit that crosses the process boundary is a [`JobSpec`]: a small,
-//! versioned, hand-encoded description of the job (graph generator
-//! parameters plus the knobs the launcher exposes). The coordinator
-//! broadcasts it during start-up and *every* process rebuilds the graph,
-//! the partitioning, and the [`DistGerConfig`] from it deterministically —
-//! shipping a few scalars instead of the graph keeps the handshake tiny and
-//! makes the whole job reproducible from the spec alone.
-//!
-//! Phases share one transport: the walk phase drives it as a full
-//! [`Transport`](distger_cluster::Transport) (superstep message batches),
-//! the training phase as a
-//! [`ControlChannel`] (parameter rows), and the serve phase as the scatter
-//! channel of a [`ShardedQueryEngine`] — the trained embeddings never leave
-//! the cluster; each process keeps serving only its own shard of them.
-//! The final [`LaunchReport::wire`] therefore measures the whole run.
+//! The unit that crosses the process boundary is a [`JobSpec`]: a few
+//! versioned scalars (graph generator parameters plus the launcher's knobs).
+//! The coordinator broadcasts it during start-up and *every* process
+//! rebuilds the graph and the [`DistGerConfig`] from it, then runs the one
+//! body, [`run_job`] — the trained embeddings never leave the cluster; each
+//! process serves only its own shard of them. [`LaunchReport::wire`]
+//! measures the whole run.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -23,22 +15,16 @@ use std::time::Duration;
 
 use distger_cluster::wire::{invalid_data, put_u16, put_u32, put_u64, put_u8};
 use distger_cluster::{ControlChannel, SocketTransport, TransportKind, WireReader, WireStats};
-use distger_embed::{train_distributed_over, Embeddings, TrainStats};
+use distger_embed::{Embeddings, TrainStats};
 use distger_graph::{barabasi_albert, CsrGraph};
-use distger_partition::Partitioning;
-use distger_serve::{
-    receive_shard, serve_shard, Scheduler, SchedulerConfig, SchedulerStats, ServeConfig,
-    ShardStats, ShardedQueryEngine, TopK,
-};
-use distger_walks::{run_walks_over, WalkResult};
+use distger_serve::ServeConfig;
+use distger_walks::WalkResult;
 
+use crate::job::{run_job, JobOutput, ServeSummary};
 use crate::pipeline::DistGerConfig;
 
-/// Everything a process needs to participate in a multi-process run.
-///
-/// The spec is deliberately scalar-only: both sides regenerate the graph and
-/// partitioning from the same seeds, so only these few bytes travel during
-/// the handshake.
+/// Everything a process needs to participate in a multi-process run: only
+/// these few scalar bytes travel during the handshake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobSpec {
     /// Nodes of the generated Barabási–Albert graph.
@@ -56,21 +42,18 @@ pub struct JobSpec {
     pub epochs: u32,
     /// Embedding dimension.
     pub dim: u32,
-    /// Enable span tracing on every process of the job. Workers ship their
-    /// event buffers to the coordinator at round boundaries, and the
-    /// coordinator's [`LaunchReport::trace`] carries the merged timeline.
+    /// Enable span tracing on every process of the job;
+    /// [`LaunchReport::trace`] carries the merged timeline.
     pub trace: bool,
-    /// Self-queries served through the sharded engine after training
-    /// (spread deterministically over the node range). `0` skips the serve
-    /// phase entirely on every process.
+    /// Self-queries served through the sharded engine after training, spread
+    /// over the node range; `0` skips the serve phase on every process.
     pub serve_queries: u32,
     /// `k` of each serve-phase top-k query.
     pub serve_k: u32,
 }
 
-/// Spec wire version, bumped on any layout change.
-/// v2 added the `trace` flag; v3 the serve phase (`serve_queries`,
-/// `serve_k`).
+/// Spec wire version, bumped on any layout change: v2 added the `trace`
+/// flag, v3 the serve phase (`serve_queries`, `serve_k`).
 const JOB_SPEC_VERSION: u16 = 3;
 
 impl Default for JobSpec {
@@ -141,24 +124,19 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Checks the rules the graph generator, the partitioner and the
-    /// embedding matrix would otherwise assert — in every process of the
-    /// job: at least one machine, a positive dimension, a positive attachment
-    /// count below the node count, and a positive `k` when the serve phase
-    /// is on. [`io::ErrorKind::InvalidInput`] otherwise.
+    /// Checks, in every process, the rules the graph generator would assert
+    /// (a positive attachment count below the node count), a positive `k`
+    /// when the serve phase is on, then [`DistGerConfig::validate`].
+    /// [`io::ErrorKind::InvalidInput`] otherwise.
     pub fn validate(&self) -> io::Result<()> {
-        let broken = if self.machines == 0 {
-            "a job needs at least one machine"
-        } else if self.dim == 0 {
-            "the embedding dimension must be positive"
-        } else if self.graph_attachment == 0 {
+        let broken = if self.graph_attachment == 0 {
             "the graph attachment count must be at least 1"
         } else if self.graph_nodes <= self.graph_attachment {
             "the graph must have more nodes than the attachment count"
         } else if self.serve_queries > 0 && self.serve_k == 0 {
             "serve phase enabled with k = 0"
         } else {
-            return Ok(());
+            return self.build_config().validate();
         };
         Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -175,23 +153,19 @@ impl JobSpec {
         )
     }
 
-    /// Rebuilds the job's configuration — a pure function of the spec.
+    /// Rebuilds the job's configuration — a pure function of the spec. The
+    /// machine count is assigned, not passed to a constructor, so a spec
+    /// without machines reaches [`DistGerConfig::validate`] rather than an
+    /// assert.
     pub fn build_config(&self) -> DistGerConfig {
-        let mut config = DistGerConfig::distger(self.machines as usize)
+        let mut config = DistGerConfig::distger(1)
             .small()
             .with_transport(TransportKind::Socket)
             .with_seed(self.seed);
+        config.cluster.num_machines = self.machines as usize;
         config.training.epochs = self.epochs as usize;
         config.training.dim = self.dim as usize;
         config
-    }
-
-    /// Rebuilds the job's partitioning — a pure function of the spec, so
-    /// every process computes an identical assignment without shipping it.
-    pub fn build_partitioning(&self, graph: &CsrGraph, config: &DistGerConfig) -> Partitioning {
-        config
-            .partitioner
-            .partition(graph, self.machines as usize, self.seed)
     }
 
     /// The serve phase's engine configuration — a pure function of the spec,
@@ -217,29 +191,10 @@ impl JobSpec {
     }
 }
 
-/// What the serve phase measured at the coordinator.
-#[derive(Clone, Debug)]
-pub struct ServeSummary {
-    /// The nodes self-queried ([`JobSpec::serve_query_nodes`]).
-    pub query_nodes: Vec<u32>,
-    /// `k` of each query.
-    pub k: u32,
-    /// One answer per query node, in `query_nodes` order — bit-identical to
-    /// a single-process engine over the same embeddings and
-    /// [`JobSpec::build_serve_config`].
-    pub results: Vec<TopK>,
-    /// Per-endpoint shard accounting (row counts, batches, scan time,
-    /// candidates scored, reply bytes), coordinator's own shard first.
-    pub shard_stats: Vec<ShardStats>,
-    /// The fronting scheduler's request statistics.
-    pub scheduler: SchedulerStats,
-}
-
 /// What the coordinator measured over a full multi-process run.
 #[derive(Clone, Debug)]
 pub struct LaunchReport {
-    /// The walk phase's result (corpus, comm stats including the walk-phase
-    /// wire measurements, entropy trace).
+    /// The walk phase's result (corpus, comm stats, entropy trace).
     pub walk: WalkResult,
     /// The learned embeddings, averaged over the per-machine replicas.
     pub embeddings: Embeddings,
@@ -254,15 +209,16 @@ pub struct LaunchReport {
     pub serve: Option<ServeSummary>,
     /// The merged trace timeline when [`JobSpec::trace`] was set: every
     /// process's span events, clock-aligned to the coordinator and sorted by
-    /// `(pid, tid, ts)`. Empty when tracing was off. Feed it to
+    /// `(pid, tid, ts)`; empty otherwise. Feed it to
     /// [`distger_obs::chrome_trace_json`] for a Perfetto-loadable file.
     pub trace: Vec<distger_obs::TraceEvent>,
 }
 
 /// Runs the coordinator endpoint: accepts `workers` connections on
-/// `listener`, broadcasts `spec`, and drives walks then training. A spec
-/// that fails [`JobSpec::validate`] is [`io::ErrorKind::InvalidInput`]
-/// before any worker is contacted.
+/// `listener`, broadcasts `spec`, runs its share of the job, and adds the
+/// whole-run wire counters and the merged trace. A spec that fails
+/// [`JobSpec::validate`] is [`io::ErrorKind::InvalidInput`] before any
+/// worker is contacted.
 pub fn run_coordinator(
     listener: &TcpListener,
     workers: usize,
@@ -277,22 +233,8 @@ pub fn run_coordinator(
         distger_obs::set_tracing(true);
     }
     transport.broadcast(&spec.encode())?;
-
-    let graph = spec.build_graph();
-    let config = spec.build_config();
-    let partitioning = spec.build_partitioning(&graph, &config);
-    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks, None)?
-        .expect("coordinator returns the walk result");
-    let (embeddings, train_stats) =
-        train_distributed_over(&mut transport, Some(&walk.corpus), &config.training)?
-            .expect("coordinator returns the training result");
-    let (serve, transport) = if spec.serve_queries > 0 {
-        let (serve, transport) = serve_over(transport, spec, &embeddings)?;
-        (Some(serve), transport)
-    } else {
-        (None, transport)
-    };
-    let wire = transport.wire_stats();
+    let (transport, output) = run_spec(transport, spec)?;
+    let output = output.expect("the coordinator returns the job's output");
     // The workers' round-boundary batches were absorbed during the phases;
     // draining everything here adds the coordinator's own leftover events
     // (plus any in-process pool threads') and sorts the merged timeline.
@@ -302,84 +244,38 @@ pub fn run_coordinator(
         Vec::new()
     };
     Ok(LaunchReport {
-        walk,
-        embeddings,
-        train_stats,
-        wire,
-        serve,
+        walk: output.walk,
+        embeddings: output.embeddings,
+        train_stats: output.train_stats,
+        wire: transport.wire_stats(),
+        serve: output.serve,
         trace,
     })
 }
 
-/// Coordinator serve phase: shards the freshly averaged embeddings over the
-/// transport (each endpoint receives only its [`machine_split`]
-/// rows), fronts the sharded engine with a dynamic-batching [`Scheduler`],
-/// submits the spec's deterministic self-queries through a [`RequestClient`],
-/// and hands the transport back for the whole-run wire accounting.
-///
-/// [`machine_split`]: distger_cluster::machine_split
-/// [`RequestClient`]: distger_serve::RequestClient
-fn serve_over(
-    transport: SocketTransport,
-    spec: &JobSpec,
-    embeddings: &Embeddings,
-) -> io::Result<(ServeSummary, SocketTransport)> {
-    let engine = ShardedQueryEngine::new(transport, embeddings, spec.build_serve_config())?;
-    let scheduler = Scheduler::new(engine, SchedulerConfig::default());
-    let client = scheduler.client();
-    let query_nodes = spec.serve_query_nodes();
-    let rejected =
-        |e: distger_serve::Rejected| io::Error::other(format!("serve request rejected: {e:?}"));
-    // Submit everything before waiting so the dispatcher actually batches.
-    let pending: Vec<_> = query_nodes
-        .iter()
-        .map(|&node| client.submit(embeddings.vector(node)).map_err(rejected))
-        .collect::<io::Result<_>>()?;
-    let results: Vec<TopK> = pending
-        .into_iter()
-        .map(|p| p.wait().map_err(rejected))
-        .collect::<io::Result<_>>()?;
-    let scheduler_stats = scheduler.stats();
-    drop(client);
-    let engine = scheduler.into_engine();
-    let shard_stats = engine.shard_stats();
-    let transport = engine.shutdown()?;
-    Ok((
-        ServeSummary {
-            query_nodes,
-            k: spec.serve_k,
-            results,
-            shard_stats,
-            scheduler: scheduler_stats,
-        },
-        transport,
-    ))
-}
-
 /// Runs one worker endpoint: connects to the coordinator at `addr`, receives
-/// the spec, and serves walks then training.
+/// the spec, and runs its share of the job.
 pub fn run_worker(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
     let mut transport = SocketTransport::worker(addr, timeout)?;
-    let payload = transport.broadcast(&[])?;
-    let spec = JobSpec::decode(&payload)?;
+    let spec = JobSpec::decode(&transport.broadcast(&[])?)?;
     if spec.trace {
         distger_obs::set_tracing(true);
     }
-
-    let graph = spec.build_graph();
-    let config = spec.build_config();
-    let partitioning = spec.build_partitioning(&graph, &config);
-    let walk = run_walks_over(&mut transport, &graph, &partitioning, &config.walks, None)?;
-    debug_assert!(walk.is_none(), "workers return no walk result");
-    let trained = train_distributed_over(&mut transport, None, &config.training)?;
-    debug_assert!(trained.is_none(), "workers return no training result");
-    if spec.serve_queries > 0 {
-        // Serve phase: receive this endpoint's shard of the trained
-        // embeddings, then answer scattered query batches until SHUTDOWN.
-        let shard = receive_shard(&mut transport)?;
-        serve_shard(&mut transport, &shard, None)?;
-    }
+    let (_, output) = run_spec(transport, &spec)?;
+    debug_assert!(output.is_none(), "workers return no output");
     Ok(())
+}
+
+/// Both endpoint kinds: the graph, the config and the serve phase are pure
+/// functions of the spec, so every process rebuilds them identically.
+fn run_spec(
+    transport: SocketTransport,
+    spec: &JobSpec,
+) -> io::Result<(SocketTransport, Option<JobOutput>)> {
+    let serve_config = spec.build_serve_config();
+    let query_nodes = spec.serve_query_nodes();
+    let serve = (spec.serve_queries > 0).then_some((&serve_config, &query_nodes[..]));
+    run_job(transport, &spec.build_graph(), &spec.build_config(), serve)
 }
 
 /// Test/bench harness: a full multi-process-shaped run over real loopback
@@ -401,6 +297,7 @@ pub fn launch_over_loopback(spec: &JobSpec, workers: usize) -> LaunchReport {
 mod tests {
     use super::*;
     use crate::pipeline::run_pipeline;
+    use distger_cluster::InMemoryTransport;
 
     #[test]
     fn job_spec_round_trips_and_rejects_corruption() {
@@ -433,8 +330,13 @@ mod tests {
         assert!(JobSpec::decode(&bad_trace).is_err(), "bad trace flag byte");
         // One case per validation rule, at decode (the worker side) and at
         // the coordinator's front door — where no worker is ever contacted,
-        // so the listener needs no peer.
+        // so the listener needs no peer. The config's own rules also stop
+        // the one body on an in-memory transport before it partitions or
+        // walks: the error is the validation's, not the walk's machine-count
+        // mismatch (5 machines on a 2-machine transport).
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let graph = spec.build_graph();
+        let mut config_rules = 0;
         type Break = fn(&mut JobSpec);
         let rules: [(&str, Break); 5] = [
             ("no machine", |s| s.machines = 0),
@@ -450,7 +352,16 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{rule}: {err}");
             let err = run_coordinator(&listener, 2, &broken).expect_err(rule);
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rule}: {err}");
+            let config = broken.build_config();
+            if let Err(expected) = config.validate() {
+                config_rules += 1;
+                let err =
+                    run_job(InMemoryTransport::new(2), &graph, &config, None).expect_err(rule);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rule}: {err}");
+                assert_eq!(err.to_string(), expected.to_string(), "{rule}");
+            }
         }
+        assert_eq!(config_rules, 2, "no machine and zero dim are config rules");
         let err = run_coordinator(&listener, 5, &spec).expect_err("5 machines, 6 processes");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let disabled = JobSpec {
@@ -521,25 +432,6 @@ mod tests {
                 "query node {node} diverged from the single-process oracle"
             );
         }
-
-        // The walk phase is bit-identical to the in-process engine, and the
-        // trainer trains one replica per machine either way: 4 machines on 3
-        // processes do the work and the sync traffic of 4 in-process machines.
-        let graph = spec.build_graph();
-        let config = spec.build_config();
-        let partitioning = spec.build_partitioning(&graph, &config);
-        let mut in_process = config.walks;
-        in_process.transport = TransportKind::InMemory;
-        let classic = distger_walks::run_distributed_walks(&graph, &partitioning, &in_process);
-        assert_eq!(report.walk.corpus, classic.corpus);
-        assert_eq!(report.walk.comm, classic.comm);
-        let (_, twin) = distger_embed::train_distributed(
-            &classic.corpus,
-            spec.machines as usize,
-            &config.training,
-        );
-        assert_eq!(report.train_stats.pairs_processed, twin.pairs_processed);
-        assert_eq!(report.train_stats.sync_comm, twin.sync_comm);
     }
 
     #[test]
@@ -556,23 +448,34 @@ mod tests {
     }
 
     #[test]
-    fn single_process_launch_matches_pipeline_corpus() {
-        // workers = 0: the coordinator is the whole cluster, still speaking
-        // the socket protocol to itself (degenerate star).
+    fn launch_matches_the_in_process_pipeline() {
+        // The same body on sockets and in memory: the walk phase is
+        // bit-identical, and the trainer trains one replica per machine
+        // either way — 4 machines on 1 or 3 processes do the work and the
+        // sync traffic of 4 in-process machines. workers = 0 is the
+        // coordinator as the whole cluster, still speaking the socket
+        // protocol to itself (degenerate star).
         let spec = JobSpec {
-            graph_nodes: 120,
-            machines: 2,
+            graph_nodes: 150,
+            machines: 4,
+            serve_queries: 0,
             ..JobSpec::default()
         };
-        let report = launch_over_loopback(&spec, 0);
         let graph = spec.build_graph();
-        let mut config = spec.build_config();
-        config = config.with_transport(TransportKind::InMemory);
+        let config = spec.build_config();
         let pipeline = run_pipeline(&graph, &config);
-        assert_eq!(
-            report.walk.corpus.total_tokens(),
-            pipeline.corpus_tokens,
-            "walk phase must agree with the in-process pipeline"
-        );
+        // `PipelineResult` keeps no corpus; the in-memory body it wraps does.
+        let (_, in_memory) =
+            run_job(InMemoryTransport::new(4), &graph, &config, None).expect("in-memory job");
+        let corpus = in_memory.expect("the only endpoint").walk.corpus;
+        for workers in [0, 2] {
+            let report = launch_over_loopback(&spec, workers);
+            assert_eq!(report.walk.corpus, corpus, "{workers} workers");
+            assert_eq!(report.walk.corpus.total_tokens(), pipeline.corpus_tokens);
+            assert_eq!(report.walk.comm, pipeline.walk_comm, "{workers} workers");
+            let train = &report.train_stats;
+            assert_eq!(train.pairs_processed, pipeline.train_stats.pairs_processed);
+            assert_eq!(train.sync_comm, pipeline.train_stats.sync_comm);
+        }
     }
 }

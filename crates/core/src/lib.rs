@@ -1,29 +1,19 @@
-//! End-to-end DistGER pipeline and comparison baselines.
+//! One DistGER job and the systems it is compared with.
 //!
-//! [`pipeline::run_pipeline`] chains the three components of Figure 1 —
-//! multi-proximity-aware streaming partitioning (MPGP), the
-//! information-centric distributed walk engine (InCoM sampler), and the
-//! distributed Skip-Gram learner (DSGL) — over the simulated cluster, and
-//! reports per-phase times, communication statistics and memory footprints.
-//!
-//! [`baselines`] provides the comparison systems used throughout §6:
-//! a KnightKing-style routine-walk configuration, the HuGE-D full-path
-//! baseline, a PyTorch-BigGraph-like edge-partitioned trainer with a
-//! parameter server, and a DistDGL-like sampling-dominated GNN trainer.
-//! The latter two are intentionally simplified stand-ins (see DESIGN.md's
-//! substitution table) that preserve the performance traits the paper's
-//! analysis attributes to those systems.
-//!
-//! [`system`] wraps all five systems behind one interface for the experiment
-//! harness.
+//! [`job::run_job`] is the one body that runs a job: MPGP partitioning, the
+//! InCoM walk engine and the DSGL learner of Figure 1, then, when asked,
+//! sharded top-k serving — over any channel. [`pipeline::run_pipeline`]
+//! wraps it on one in-memory endpoint; [`launch::run_coordinator`] and
+//! [`launch::run_worker`] on one socket per process, from a broadcast
+//! [`launch::JobSpec`]. [`system::SystemKind`] names the three compared walk
+//! systems of §6 — KnightKing, HuGE-D and DistGER — as configuration presets.
 
-pub mod baselines;
+pub mod job;
 pub mod launch;
 pub mod pipeline;
 pub mod system;
 
-pub use launch::{
-    launch_over_loopback, run_coordinator, run_worker, JobSpec, LaunchReport, ServeSummary,
-};
+pub use job::{run_job, JobOutput, ServeSummary};
+pub use launch::{launch_over_loopback, run_coordinator, run_worker, JobSpec, LaunchReport};
 pub use pipeline::{run_pipeline, DistGerConfig, PartitionerChoice, PipelineResult};
-pub use system::{run_system, RunScale, SystemKind, SystemRun};
+pub use system::SystemKind;

@@ -1,9 +1,13 @@
-//! The end-to-end DistGER pipeline: partition → sample → learn.
+//! A job's configuration and the in-process pipeline over it.
 
-use distger_cluster::{ClusterConfig, CommStats, MemoryEstimate, RecoveryPolicy, TransportKind};
-use distger_embed::{train_distributed, Embeddings, TrainStats, TrainerConfig, TrainerKind};
+use std::io;
+
+use distger_cluster::{
+    ClusterConfig, CommStats, InMemoryTransport, MemoryEstimate, RecoveryPolicy, TransportKind,
+};
+use distger_embed::{Embeddings, TrainStats, TrainerConfig, TrainerKind};
 use distger_graph::CsrGraph;
-use distger_obs::{PhaseTimes, Stopwatch};
+use distger_obs::PhaseTimes;
 use distger_partition::{
     balanced::workload_balanced_partition,
     fennel::{fennel_partition, FennelConfig},
@@ -12,7 +16,9 @@ use distger_partition::{
     mpgp_partition, parallel_mpgp_partition, MpgpConfig, Partitioning,
 };
 use distger_serve::{EmbeddingIndex, QueryEngine, Scheduler, SchedulerConfig, ServeConfig};
-use distger_walks::{run_distributed_walks, CheckpointPolicy, WalkEngineConfig, WalkModel};
+use distger_walks::{CheckpointPolicy, WalkEngineConfig, WalkModel};
+
+use crate::job::{run_job, JobOutput};
 
 /// Which partitioner feeds the walk engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,6 +143,21 @@ impl DistGerConfig {
         self
     }
 
+    /// Checks the rules the phases would otherwise assert: at least one
+    /// machine and a positive embedding dimension.
+    /// [`io::ErrorKind::InvalidInput`] otherwise. [`run_job`] checks it
+    /// first on every endpoint.
+    pub fn validate(&self) -> io::Result<()> {
+        let broken = if self.cluster.num_machines == 0 {
+            "a job needs at least one machine"
+        } else if self.training.dim == 0 {
+            "the embedding dimension must be positive"
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, broken))
+    }
+
     /// Builder-style seed override applied to all stochastic phases.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -145,58 +166,26 @@ impl DistGerConfig {
         self
     }
 
-    /// Builder-style partitioner override.
-    pub fn with_partitioner(mut self, partitioner: PartitionerChoice) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
-    /// Builder-style cluster-description override. The machine count feeds
-    /// every phase; the network model prices the measured traffic.
-    pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
-    /// Builder-style trainer-kind override (Hogwild / Pword2vec / DSGL).
-    pub fn with_trainer_kind(mut self, kind: TrainerKind) -> Self {
-        self.training.kind = kind;
-        self
-    }
-
-    /// Builder-style walk-model override (the general API of §6.6).
-    pub fn with_walk_model(mut self, model: WalkModel) -> Self {
-        self.walks.model = model;
-        self
-    }
-
-    /// Builder-style transport override for the walk phase. [`run_pipeline`]
-    /// executes in one process and therefore requires the default
-    /// [`TransportKind::InMemory`]; the socket transport is served by the
-    /// multi-process driver ([`distger_walks::run_walks_over`]). The trainer
-    /// has no such knob: [`distger_embed::train_distributed_over`] speaks
-    /// whatever channel it is handed.
+    /// Builder-style override of the walk config's transport label, which
+    /// [`run_job`] never reads: the channel handed to it is the transport.
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.walks.transport = transport;
         self
     }
 
     /// Builder-style checkpoint-policy override for the walk phase: the
-    /// round loop snapshots its coordinator state every `n`-th
-    /// round so a crashed run resumes from the latest completed round. The
-    /// training phase needs no checkpoint policy — its live replicas plus
-    /// the completed-chunk counter are the recovery state (see
-    /// [`TrainerConfig::recovery`]).
+    /// round loop snapshots its coordinator state every `n`-th round so a
+    /// crashed run resumes from the latest completed round. The training
+    /// phase needs none — its live replicas plus the completed-chunk counter
+    /// are the recovery state (see [`TrainerConfig::recovery`]).
     pub fn with_checkpoint_policy(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.walks.checkpoint = checkpoint;
         self
     }
 
     /// Builder-style recovery-policy override, applied to both BSP phases
-    /// (walk engine and trainer) — like
-    /// [`with_seed`](DistGerConfig::with_seed), one call keeps the phases
-    /// consistent, while directly assigned
-    /// `walks.recovery` / `training.recovery` fields are honored per phase.
+    /// (walk engine and trainer) so one call keeps them consistent; directly
+    /// assigned `walks.recovery` / `training.recovery` are honored per phase.
     pub fn with_recovery_policy(mut self, recovery: RecoveryPolicy) -> Self {
         self.walks.recovery = recovery;
         self.training.recovery = recovery;
@@ -217,21 +206,17 @@ pub struct PipelineResult {
     pub local_edge_fraction: f64,
     /// Cross-machine traffic of the random-walk phase.
     pub walk_comm: CommStats,
-    /// BSP superstep coordination overhead of the walk phase in seconds (see
-    /// [`distger_walks::WalkResult::superstep_sync_secs`]); the training
-    /// phase's equivalent lives in
+    /// BSP superstep coordination overhead of the walk phase in seconds; the
+    /// training phase's equivalent lives in
     /// [`TrainStats::superstep_sync_secs`](distger_embed::TrainStats).
     pub walk_superstep_sync_secs: f64,
     /// Number of walks per node actually executed.
     pub walk_rounds: usize,
     /// Walk rounds re-executed by supervised recovery (0 on a fault-free
-    /// run; see [`distger_walks::WalkResult::recovered_rounds`]). The
-    /// training phase's equivalent lives in
+    /// run); the training phase's equivalent lives in
     /// [`TrainStats::recovered_chunks`](distger_embed::TrainStats).
     pub walk_recovered_rounds: u64,
-    /// Wall-clock seconds the walk phase spent encoding round-boundary
-    /// checkpoints (0 when [`DistGerConfig::with_checkpoint_policy`] leaves
-    /// checkpointing disabled).
+    /// Wall-clock seconds the walk phase spent encoding checkpoints.
     pub walk_checkpoint_secs: f64,
     /// Total encoded checkpoint bytes the walk phase produced.
     pub walk_checkpoint_bytes: u64,
@@ -260,71 +245,52 @@ impl PipelineResult {
     }
 
     /// Builds the serving layer over the learned embeddings: a read-optimized
-    /// [`EmbeddingIndex`] wrapped in a batched top-k [`QueryEngine`] —
-    /// train → serve in one call. For the export path between processes, go
-    /// through [`Embeddings::save_binary`](distger_embed::Embeddings::save_binary)
-    /// / `load_binary` and build the engine from the loaded embeddings (see
-    /// `examples/serve_queries.rs`).
+    /// [`EmbeddingIndex`] wrapped in a batched top-k [`QueryEngine`]. Between
+    /// processes, go through [`Embeddings::save_binary`] / `load_binary`
+    /// instead (see `examples/serve_queries.rs`).
     pub fn query_engine(&self, config: ServeConfig) -> QueryEngine {
         QueryEngine::new(EmbeddingIndex::build(&self.embeddings), config)
     }
 
-    /// Builds the full serving front door over the learned embeddings: the
-    /// [`QueryEngine`] of [`query_engine`](Self::query_engine) behind a
-    /// dynamic-batching [`Scheduler`] — independent callers then submit
-    /// single queries through [`Scheduler::client`] handles instead of
-    /// assembling batches themselves.
+    /// The [`QueryEngine`] of [`query_engine`](Self::query_engine) behind a
+    /// dynamic-batching [`Scheduler`], for callers submitting single queries.
     pub fn request_scheduler(&self, serve: ServeConfig, scheduler: SchedulerConfig) -> Scheduler {
         Scheduler::new(self.query_engine(serve), scheduler)
     }
 }
 
-/// Runs the full pipeline on `graph` under `config`.
+/// Runs the full pipeline on `graph` under `config`: [`run_job`] on one
+/// [`InMemoryTransport`] endpoint hosting every machine, without a serve
+/// phase.
+///
+/// # Panics
+/// Panics with the validation message if [`DistGerConfig::validate`]
+/// rejects `config`.
 pub fn run_pipeline(graph: &CsrGraph, config: &DistGerConfig) -> PipelineResult {
     let num_machines = config.cluster.num_machines;
-    let mut times = PhaseTimes::default();
+    // Validated before the transport exists, which asserts on zero machines.
+    let (_, output) = config
+        .validate()
+        .and_then(|()| run_job(InMemoryTransport::new(num_machines), graph, config, None))
+        .unwrap_or_else(|err| panic!("{err}"));
+    let JobOutput {
+        partitioning,
+        walk,
+        embeddings,
+        train_stats,
+        times,
+        ..
+    } = output.expect("the only endpoint is the coordinator");
 
-    // Phase 1: partitioning.
-    let mut watch = Stopwatch::start();
-    let partitioning = {
-        let _span = distger_obs::span!("partition");
-        config
-            .partitioner
-            .partition(graph, num_machines, config.seed)
-    };
-    times.partition_secs = watch.lap();
-
-    // Phase 2: distributed information-centric random walks.
-    let walk_result = {
-        let _span = distger_obs::span!("sampling");
-        run_distributed_walks(graph, &partitioning, &config.walks)
-    };
-    times.sampling_secs = watch.lap();
-
-    // Phase 3: distributed Skip-Gram learning.
-    let (embeddings, train_stats) = {
-        let _span = distger_obs::span!("training");
-        train_distributed(&walk_result.corpus, num_machines, &config.training)
-    };
-    times.training_secs = watch.lap();
-
-    // Modelled cross-machine communication time.
-    let mut total_comm = walk_result.comm.clone();
-    total_comm.merge(&train_stats.sync_comm);
-    times.modelled_comm_secs = config.cluster.network.comm_time_secs(&total_comm);
-
-    // Memory accounting (Tables 3 and 8).
+    // Memory accounting (Tables 3 and 8), modelled per machine.
     let mut sampling_memory = MemoryEstimate::new();
     sampling_memory
-        .add(
-            "graph partition",
-            graph.memory_bytes() / num_machines.max(1),
-        )
-        .add("walker state", walk_result.walker_peak_bytes)
-        .add("corpus shard", walk_result.corpus_shard_bytes)
+        .add("graph partition", graph.memory_bytes() / num_machines)
+        .add("walker state", walk.walker_peak_bytes)
+        .add("corpus shard", walk.corpus_shard_bytes)
         .add(
             "transition tables (alias + HuGE acceptance)",
-            walk_result.alias_table_bytes / num_machines.max(1),
+            walk.alias_table_bytes / num_machines,
         );
     let mut training_memory = MemoryEstimate::new();
     training_memory
@@ -332,24 +298,21 @@ pub fn run_pipeline(graph: &CsrGraph, config: &DistGerConfig) -> PipelineResult 
             "model replica + buffers",
             train_stats.avg_machine_memory_bytes,
         )
-        .add(
-            "corpus shard",
-            walk_result.corpus.memory_bytes() / num_machines.max(1),
-        );
+        .add("corpus shard", walk.corpus.memory_bytes() / num_machines);
 
     PipelineResult {
         embeddings,
         times,
         local_edge_fraction: partitioning.local_edge_fraction(graph),
         partitioning,
-        walk_comm: walk_result.comm.clone(),
-        walk_superstep_sync_secs: walk_result.superstep_sync_secs,
-        walk_rounds: walk_result.rounds,
-        walk_recovered_rounds: walk_result.recovered_rounds,
-        walk_checkpoint_secs: walk_result.checkpoint_secs,
-        walk_checkpoint_bytes: walk_result.checkpoint_bytes,
-        avg_walk_length: walk_result.avg_walk_length(),
-        corpus_tokens: walk_result.corpus.total_tokens(),
+        walk_superstep_sync_secs: walk.superstep_sync_secs,
+        walk_rounds: walk.rounds,
+        walk_recovered_rounds: walk.recovered_rounds,
+        walk_checkpoint_secs: walk.checkpoint_secs,
+        walk_checkpoint_bytes: walk.checkpoint_bytes,
+        avg_walk_length: walk.avg_walk_length(),
+        corpus_tokens: walk.corpus.total_tokens(),
+        walk_comm: walk.comm,
         train_stats,
         sampling_memory,
         training_memory,
@@ -415,10 +378,8 @@ mod tests {
     fn general_api_runs_deepwalk_and_node2vec() {
         let g = barabasi_albert(200, 3, 7);
         for model in [WalkModel::DeepWalk, WalkModel::Node2Vec { p: 4.0, q: 1.0 }] {
-            let config = DistGerConfig::distger(2)
-                .small()
-                .with_seed(5)
-                .with_walk_model(model);
+            let mut config = DistGerConfig::distger(2).small().with_seed(5);
+            config.walks.model = model;
             let result = run_pipeline(&g, &config);
             assert!(
                 result.corpus_tokens > 0,
@@ -508,16 +469,8 @@ mod tests {
     #[test]
     fn builders_cover_every_field() {
         let config = DistGerConfig::distger(2)
-            .with_partitioner(PartitionerChoice::Hash)
-            .with_cluster(ClusterConfig::new(3))
-            .with_trainer_kind(TrainerKind::Hogwild)
-            .with_walk_model(WalkModel::DeepWalk)
             .with_transport(TransportKind::Socket)
             .with_seed(9);
-        assert_eq!(config.partitioner, PartitionerChoice::Hash);
-        assert_eq!(config.cluster.num_machines, 3);
-        assert_eq!(config.training.kind, TrainerKind::Hogwild);
-        assert_eq!(config.walks.model, WalkModel::DeepWalk);
         assert_eq!(config.walks.transport, TransportKind::Socket);
         assert_eq!(config.seed, 9);
         assert_eq!(config.walks.seed, 9);

@@ -1,21 +1,12 @@
-//! A uniform interface over the five compared systems, used by the
-//! experiment harness (Figures 5, 6, 8 and Table 4).
+//! The three compared walk systems (Figures 5, 6, 8 and Table 4) as
+//! [`DistGerConfig`] presets; run one with
+//! [`run_pipeline`](crate::run_pipeline).
 
-use distger_cluster::CommStats;
-use distger_embed::Embeddings;
-use distger_graph::CsrGraph;
-use distger_obs::PhaseTimes;
+use crate::pipeline::DistGerConfig;
 
-use crate::baselines::{run_gnn_like, run_pbg_like, GnnLikeConfig, PbgLikeConfig};
-use crate::pipeline::{run_pipeline, DistGerConfig};
-
-/// The systems compared in the paper's evaluation.
+/// The systems of the paper's evaluation that this repository implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SystemKind {
-    /// PyTorch-BigGraph-like baseline (parameter server).
-    Pbg,
-    /// DistDGL-like baseline (sampling-dominated GNN).
-    DistDgl,
     /// KnightKing: routine random walks + Pword2vec.
     KnightKing,
     /// HuGE-D: information-oriented walks with full-path computation.
@@ -26,9 +17,7 @@ pub enum SystemKind {
 
 impl SystemKind {
     /// All systems in the order Figure 5 plots them.
-    pub const ALL: [SystemKind; 5] = [
-        SystemKind::Pbg,
-        SystemKind::DistDgl,
+    pub const ALL: [SystemKind; 3] = [
         SystemKind::KnightKing,
         SystemKind::HugeD,
         SystemKind::DistGer,
@@ -37,141 +26,41 @@ impl SystemKind {
     /// Display name matching the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
-            SystemKind::Pbg => "PBG",
-            SystemKind::DistDgl => "DistDGL",
             SystemKind::KnightKing => "KnightKing",
             SystemKind::HugeD => "HuGE-D",
             SystemKind::DistGer => "DistGER",
         }
     }
-}
 
-/// Uniform result of running one system on one graph.
-#[derive(Clone, Debug)]
-pub struct SystemRun {
-    /// Which system produced this run.
-    pub system: SystemKind,
-    /// Learned embeddings.
-    pub embeddings: Embeddings,
-    /// Per-phase wall-clock times.
-    pub times: PhaseTimes,
-    /// Cross-machine traffic.
-    pub comm: CommStats,
-}
-
-impl SystemRun {
-    /// End-to-end running time in seconds.
-    pub fn end_to_end_secs(&self) -> f64 {
-        self.times.end_to_end_secs()
-    }
-}
-
-/// Effort scaling shared by all systems so that comparisons stay fair at
-/// laptop scale: embedding dimension and passes over the data.
-#[derive(Clone, Copy, Debug)]
-pub struct RunScale {
-    /// Embedding dimension.
-    pub dim: usize,
-    /// Epochs / passes over the training data.
-    pub epochs: usize,
-    /// Random seed.
-    pub seed: u64,
-}
-
-impl Default for RunScale {
-    fn default() -> Self {
-        Self {
-            dim: 64,
-            epochs: 2,
-            seed: 0,
-        }
-    }
-}
-
-/// Runs `system` on `graph` with `num_machines` simulated machines.
-pub fn run_system(
-    system: SystemKind,
-    graph: &CsrGraph,
-    num_machines: usize,
-    scale: RunScale,
-) -> SystemRun {
-    match system {
-        SystemKind::Pbg => {
-            let result = run_pbg_like(
-                graph,
-                num_machines,
-                &PbgLikeConfig {
-                    dim: scale.dim,
-                    epochs: scale.epochs * 3,
-                    seed: scale.seed,
-                    ..PbgLikeConfig::default()
-                },
-            );
-            SystemRun {
-                system,
-                embeddings: result.embeddings,
-                times: result.times,
-                comm: result.comm,
-            }
-        }
-        SystemKind::DistDgl => {
-            let result = run_gnn_like(
-                graph,
-                num_machines,
-                &GnnLikeConfig {
-                    dim: scale.dim,
-                    epochs: scale.epochs * 2,
-                    seed: scale.seed,
-                    ..GnnLikeConfig::default()
-                },
-            );
-            SystemRun {
-                system,
-                embeddings: result.embeddings,
-                times: result.times,
-                comm: result.comm,
-            }
-        }
-        SystemKind::KnightKing | SystemKind::HugeD | SystemKind::DistGer => {
-            let mut config = match system {
-                SystemKind::KnightKing => DistGerConfig::knightking(num_machines),
-                SystemKind::HugeD => DistGerConfig::huge_d(num_machines),
-                _ => DistGerConfig::distger(num_machines),
-            }
-            .with_seed(scale.seed);
-            config.training.dim = scale.dim;
-            config.training.epochs = scale.epochs;
-            config.training.sync_rounds_per_epoch = 2;
-            let result = run_pipeline(graph, &config);
-            let mut comm = result.walk_comm.clone();
-            comm.merge(&result.train_stats.sync_comm);
-            SystemRun {
-                system,
-                embeddings: result.embeddings,
-                times: result.times,
-                comm,
-            }
-        }
+    /// The system on `num_machines` machines, synchronizing replicas twice
+    /// per epoch. Callers set the seed, dimension and epochs.
+    pub fn config(&self, num_machines: usize) -> DistGerConfig {
+        let mut config = match self {
+            SystemKind::KnightKing => DistGerConfig::knightking(num_machines),
+            SystemKind::HugeD => DistGerConfig::huge_d(num_machines),
+            SystemKind::DistGer => DistGerConfig::distger(num_machines),
+        };
+        config.training.sync_rounds_per_epoch = 2;
+        config
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_pipeline;
     use distger_graph::barabasi_albert;
 
     #[test]
     fn every_system_produces_embeddings() {
         let g = barabasi_albert(150, 3, 2);
-        let scale = RunScale {
-            dim: 16,
-            epochs: 1,
-            seed: 1,
-        };
         for system in SystemKind::ALL {
-            let run = run_system(system, &g, 2, scale);
-            assert_eq!(run.embeddings.num_nodes(), 150, "{}", system.name());
-            assert!(run.end_to_end_secs() >= 0.0);
+            let mut config = system.config(2).with_seed(1);
+            config.training.dim = 16;
+            config.training.epochs = 1;
+            let result = run_pipeline(&g, &config);
+            assert_eq!(result.embeddings.num_nodes(), 150, "{}", system.name());
+            assert!(result.end_to_end_secs() >= 0.0);
         }
     }
 
@@ -179,6 +68,6 @@ mod tests {
     fn names_are_distinct() {
         let names: std::collections::HashSet<_> =
             SystemKind::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), 5);
+        assert_eq!(names.len(), 3);
     }
 }

@@ -102,7 +102,7 @@ impl LengthPolicy {
     /// behaviour: walks that keep discovering new nodes run to ≈25–40 steps
     /// while walks trapped in small neighbourhoods stop at ≈10–15, matching
     /// the ≈63 % average-length reduction the paper reports against the
-    /// routine `L = 80`. See DESIGN.md ("calibration notes") for the analysis.
+    /// routine `L = 80`.
     pub fn info_driven_default() -> Self {
         LengthPolicy::InfoDriven {
             mu: 0.87,

@@ -31,24 +31,18 @@ fn main() {
         );
     }
 
-    // All five systems at the same scale (Table 4 style).
+    // The three walk systems at the same scale (Table 4 style).
     for system in SystemKind::ALL {
-        let run = run_system(
-            system,
-            &split.train_graph,
-            4,
-            RunScale {
-                dim: 64,
-                epochs: 3,
-                seed: 7,
-            },
-        );
-        let auc = evaluate_link_prediction(&run.embeddings, &split);
+        let mut config = system.config(4).with_seed(7);
+        config.training.dim = 64;
+        config.training.epochs = 3;
+        let result = run_pipeline(&split.train_graph, &config);
+        let auc = evaluate_link_prediction(&result.embeddings, &split);
         println!(
             "{:<11} AUC={auc:.3}  end-to-end={:.2}s  messages={}",
-            run.system.name(),
-            run.end_to_end_secs(),
-            run.comm.messages
+            system.name(),
+            result.end_to_end_secs(),
+            result.total_messages()
         );
     }
 }

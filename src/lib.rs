@@ -18,7 +18,8 @@
 //!   LSH batched top-k engines, and the dynamic-batching request scheduler
 //!   front door;
 //! * [`eval`] — link prediction, node classification and serving recall@k;
-//! * [`core`] — the end-to-end pipeline and the comparison baselines.
+//! * [`core`] — the one job body (partition → walk → train → serve), its
+//!   in-process and multi-process wrappers, and the compared system presets.
 //!
 //! ## Quickstart
 //!
@@ -63,8 +64,8 @@ pub mod prelude {
         SocketTransport, Transport, TransportKind, WireStats,
     };
     pub use distger_core::{
-        launch_over_loopback, run_coordinator, run_pipeline, run_system, run_worker, DistGerConfig,
-        JobSpec, LaunchReport, PartitionerChoice, PipelineResult, RunScale, ServeSummary,
+        launch_over_loopback, run_coordinator, run_job, run_pipeline, run_worker, DistGerConfig,
+        JobOutput, JobSpec, LaunchReport, PartitionerChoice, PipelineResult, ServeSummary,
         SystemKind,
     };
     pub use distger_embed::{

@@ -91,23 +91,17 @@ fn general_api_shortens_routine_walks() {
     }
 }
 
-/// Every compared system runs end to end through the uniform harness API and
+/// Every compared system runs end to end from its configuration preset and
 /// produces embeddings of the right shape.
 #[test]
 fn all_systems_run_via_uniform_interface() {
     let graph = distger::graph::community_powerlaw(240, 6, 4, 0.1, 5);
     for system in SystemKind::ALL {
-        let run = distger::core::run_system(
-            system,
-            &graph,
-            2,
-            RunScale {
-                dim: 16,
-                epochs: 1,
-                seed: 2,
-            },
-        );
-        assert_eq!(run.embeddings.num_nodes(), 240, "{}", run.system.name());
+        let mut config = system.config(2).with_seed(2);
+        config.training.dim = 16;
+        config.training.epochs = 1;
+        let result = run_pipeline(&graph, &config);
+        assert_eq!(result.embeddings.num_nodes(), 240, "{}", system.name());
     }
 }
 
