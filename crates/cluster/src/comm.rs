@@ -4,8 +4,8 @@
 //! the number of cross-machine messages `N`, their sizes `M(·)`, and the
 //! network bandwidth `B`; the experiments report message counts directly
 //! (Figure 10(c)) and communication-bound running times. [`CommStats`]
-//! captures exactly these quantities, and [`NetworkModel`] converts them into
-//! modelled communication time `N·M/B + N·latency`.
+//! counts the messages and bytes of the algorithm, and [`WireStats`] the
+//! frames, bytes and seconds a socket transport measured on the wire.
 
 /// Types that know their own serialized size on the wire.
 ///
@@ -18,7 +18,7 @@ pub trait MessageSize {
 }
 
 /// Measured on-the-wire traffic of a socket transport, reported next to the
-/// *modelled* numbers so estimate and measurement can be compared directly.
+/// accounted [`CommStats`] bytes so the two can be compared directly.
 /// All-zero for in-memory runs (nothing crossed a wire).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
@@ -33,8 +33,7 @@ pub struct WireStats {
     /// Payload bytes of superstep batch/delivery frames only — the measured
     /// counterpart of [`CommStats::bytes`] (control traffic excluded).
     pub batch_bytes_sent: u64,
-    /// Wall-clock nanoseconds spent blocked in socket sends/receives — the
-    /// measured counterpart of [`NetworkModel::comm_time_secs`].
+    /// Wall-clock nanoseconds spent blocked in socket sends/receives.
     pub wire_nanos: u64,
 }
 
@@ -144,43 +143,6 @@ impl CommStats {
     }
 }
 
-/// Analytic interconnect model: `time = bytes / bandwidth + messages · latency`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetworkModel {
-    /// Usable bandwidth in bytes per second.
-    pub bandwidth_bytes_per_sec: f64,
-    /// Per-message latency in seconds.
-    pub latency_sec: f64,
-}
-
-impl NetworkModel {
-    /// Creates a model from raw bandwidth (bytes/s) and latency (s).
-    pub fn new(bandwidth_bytes_per_sec: f64, latency_sec: f64) -> Self {
-        assert!(bandwidth_bytes_per_sec > 0.0);
-        assert!(latency_sec >= 0.0);
-        Self {
-            bandwidth_bytes_per_sec,
-            latency_sec,
-        }
-    }
-
-    /// The paper's testbed: 100 Gbps ≈ 12.5 GB/s, a few microseconds latency.
-    pub fn paper_testbed() -> Self {
-        Self::new(12.5e9, 5e-6)
-    }
-
-    /// Modelled time to deliver the traffic described by `stats`.
-    pub fn comm_time_secs(&self, stats: &CommStats) -> f64 {
-        stats.bytes as f64 / self.bandwidth_bytes_per_sec + stats.messages as f64 * self.latency_sec
-    }
-}
-
-impl Default for NetworkModel {
-    fn default() -> Self {
-        Self::paper_testbed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,15 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn network_model_time() {
-        let m = NetworkModel::new(1e6, 1e-3);
-        let mut s = CommStats::new();
-        s.record_message(500_000); // 0.5 s transfer + 1 ms latency
-        let t = m.comm_time_secs(&s);
-        assert!((t - 0.501).abs() < 1e-9);
-    }
-
-    #[test]
     fn equality_is_logical_and_ignores_wire_measurements() {
         let mut a = CommStats::new();
         a.record_message(80);
@@ -238,13 +191,5 @@ mod tests {
         assert_eq!(a.wire.frames_sent, 12);
         assert_eq!(a.wire.bytes_sent, 4096);
         assert!((a.wire.wire_secs() - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_testbed_is_fast() {
-        let m = NetworkModel::paper_testbed();
-        let mut s = CommStats::new();
-        s.record_message(1_000_000);
-        assert!(m.comm_time_secs(&s) < 1e-3);
     }
 }

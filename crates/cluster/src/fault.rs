@@ -1,9 +1,9 @@
 //! Deterministic fault injection and recovery policies for the BSP runtime.
 //!
 //! The reproduction's failure story used to end at "a worker panic poisons
-//! the [`EpochBarrier`](crate::EpochBarrier) and the run dies". Before the
-//! simulated machines become real processes that genuinely crash, the
-//! runtime needs a *tested* recovery protocol — and testing recovery needs
+//! the [`EpochBarrier`](crate::EpochBarrier) and the run dies". Machines
+//! that run as real processes genuinely crash, so the runtime needs a
+//! *tested* recovery protocol — and testing recovery needs
 //! crashes that happen exactly where the test says, every time. This module
 //! provides both halves:
 //!
@@ -220,7 +220,7 @@ pub struct RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// A policy allowing `max_retries` immediate retries (no backoff —
-    /// right for the in-process simulation, where there is no external
+    /// right for an in-process transport, where there is no external
     /// resource to wait out).
     pub fn retries(max_retries: u32) -> Self {
         Self {

@@ -1,8 +1,11 @@
-//! Simulated distributed runtime for the DistGER reproduction.
+//! Distributed runtime for the DistGER reproduction.
 //!
 //! The paper evaluates on a physical 8-machine cluster connected by a
-//! 100 Gbps network. This crate replaces that hardware with an in-process
-//! simulation that preserves every quantity the paper's analysis depends on:
+//! 100 Gbps network. Here a machine is a logical partition owner hosted by a
+//! [`Transport`] endpoint: every machine in one process over an
+//! [`InMemoryTransport`], or spread over OS processes that exchange framed
+//! batches over TCP through a [`SocketTransport`]. Either way the crate keeps
+//! every quantity the paper's analysis depends on:
 //!
 //! * a fixed set of logical **machines**, each owning the nodes assigned to it
 //!   by a `distger-partition` [`Partitioning`](distger_partition::Partitioning);
@@ -14,9 +17,10 @@
 //!   *every* round of a run, executing round boundaries (harvesting,
 //!   convergence checks, next-round seeding) as coordinator-exclusive
 //!   control phases;
-//! * per-machine **communication accounting** ([`comm`]): every cross-machine
-//!   message is counted with an explicit byte size, and an analytic
-//!   [`NetworkModel`] converts the traffic into modelled communication time;
+//! * **communication accounting** ([`comm`]): every cross-machine message is
+//!   counted with an explicit byte size ([`CommStats`]), and a socket
+//!   transport also measures the frames, bytes and seconds that actually
+//!   crossed the wire ([`WireStats`]);
 //! * **memory accounting** ([`memory`]) for the Table 3 / Table 8 footprints;
 //! * **fault tolerance** ([`fault`]): deterministic fault injection
 //!   ([`FaultPlan`] / [`FaultInjector`]) threaded through the BSP driver as
@@ -26,7 +30,6 @@
 
 pub mod bsp;
 pub mod comm;
-pub mod config;
 pub mod fault;
 pub mod memory;
 pub mod pool;
@@ -34,8 +37,7 @@ pub mod transport;
 pub mod wire;
 
 pub use bsp::{run_bsp_round_loop, run_bsp_supervised, BspOutcome, Mailbox, Outbox};
-pub use comm::{CommStats, MessageSize, NetworkModel, WireStats};
-pub use config::ClusterConfig;
+pub use comm::{CommStats, MessageSize, WireStats};
 pub use fault::{
     panic_message, FaultInjector, FaultKind, FaultPlan, FaultPoint, RecoveryExhausted,
     RecoveryPolicy,
@@ -48,6 +50,6 @@ pub use transport::{
 };
 pub use wire::{read_frame, write_frame, Frame, Wire, WireReader};
 
-/// Identifier of a simulated machine (re-exported from `distger-partition` so
+/// Identifier of a logical machine (re-exported from `distger-partition` so
 /// downstream crates see a single definition).
 pub use distger_partition::MachineId;

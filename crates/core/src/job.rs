@@ -30,7 +30,7 @@ pub struct JobOutput {
     pub embeddings: Embeddings,
     /// Training statistics (including synchronization traffic).
     pub train_stats: TrainStats,
-    /// The coordinator's wall time per phase plus modelled comm time.
+    /// The coordinator's wall time per phase.
     pub times: PhaseTimes,
     /// Serve-phase results; `None` when the job ran no serve phase.
     pub serve: Option<ServeSummary>,
@@ -76,7 +76,7 @@ where
         let _span = distger_obs::span!("partition");
         config
             .partitioner
-            .partition(graph, config.cluster.num_machines, config.seed)
+            .partition(graph, config.num_machines, config.seed)
     };
     times.partition_secs = watch.lap();
     let walk = {
@@ -100,9 +100,6 @@ where
         }
         return Ok((channel, None));
     };
-    let mut comm = walk.comm.clone();
-    comm.merge(&train_stats.sync_comm);
-    times.modelled_comm_secs = config.cluster.network.comm_time_secs(&comm);
     let (channel, serve) = match serve {
         Some((serve_config, nodes)) => serve_over(channel, &embeddings, serve_config, nodes)?,
         None => (channel, None),

@@ -153,16 +153,13 @@ impl JobSpec {
         )
     }
 
-    /// Rebuilds the job's configuration — a pure function of the spec. The
-    /// machine count is assigned, not passed to a constructor, so a spec
-    /// without machines reaches [`DistGerConfig::validate`] rather than an
-    /// assert.
+    /// Rebuilds the job's configuration — a pure function of the spec. A
+    /// spec without machines is caught by [`DistGerConfig::validate`].
     pub fn build_config(&self) -> DistGerConfig {
-        let mut config = DistGerConfig::distger(1)
+        let mut config = DistGerConfig::distger(self.machines as usize)
             .small()
             .with_transport(TransportKind::Socket)
             .with_seed(self.seed);
-        config.cluster.num_machines = self.machines as usize;
         config.training.epochs = self.epochs as usize;
         config.training.dim = self.dim as usize;
         config

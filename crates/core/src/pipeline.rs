@@ -3,7 +3,7 @@
 use std::io;
 
 use distger_cluster::{
-    ClusterConfig, CommStats, InMemoryTransport, MemoryEstimate, RecoveryPolicy, TransportKind,
+    CommStats, InMemoryTransport, MemoryEstimate, RecoveryPolicy, TransportKind,
 };
 use distger_embed::{Embeddings, TrainStats, TrainerConfig, TrainerKind};
 use distger_graph::CsrGraph;
@@ -80,8 +80,8 @@ impl PartitionerChoice {
 /// Full configuration of an end-to-end run.
 #[derive(Clone, Copy, Debug)]
 pub struct DistGerConfig {
-    /// Simulated cluster description.
-    pub cluster: ClusterConfig,
+    /// Number of logical machines the graph is partitioned over.
+    pub num_machines: usize,
     /// Partitioner choice.
     pub partitioner: PartitionerChoice,
     /// Random-walk engine configuration (the sampler).
@@ -96,7 +96,7 @@ impl DistGerConfig {
     /// The full DistGER system: MPGP + InCoM + DSGL with hotness-block sync.
     pub fn distger(num_machines: usize) -> Self {
         Self {
-            cluster: ClusterConfig::new(num_machines),
+            num_machines,
             partitioner: PartitionerChoice::Mpgp(MpgpConfig::default()),
             walks: WalkEngineConfig::distger(),
             training: TrainerConfig {
@@ -111,7 +111,7 @@ impl DistGerConfig {
     /// (`L = 80`, `r = 10`), Pword2vec training with full synchronization.
     pub fn knightking(num_machines: usize) -> Self {
         Self {
-            cluster: ClusterConfig::new(num_machines),
+            num_machines,
             partitioner: PartitionerChoice::WorkloadBalanced,
             walks: WalkEngineConfig::knightking_routine(WalkModel::Huge),
             training: TrainerConfig {
@@ -148,7 +148,7 @@ impl DistGerConfig {
     /// [`io::ErrorKind::InvalidInput`] otherwise. [`run_job`] checks it
     /// first on every endpoint.
     pub fn validate(&self) -> io::Result<()> {
-        let broken = if self.cluster.num_machines == 0 {
+        let broken = if self.num_machines == 0 {
             "a job needs at least one machine"
         } else if self.training.dim == 0 {
             "the embedding dimension must be positive"
@@ -198,7 +198,7 @@ impl DistGerConfig {
 pub struct PipelineResult {
     /// The learned node embeddings.
     pub embeddings: Embeddings,
-    /// Wall-clock per-phase times plus modelled communication time.
+    /// Wall-clock per-phase times.
     pub times: PhaseTimes,
     /// The partitioning that was used.
     pub partitioning: Partitioning,
@@ -267,7 +267,7 @@ impl PipelineResult {
 /// Panics with the validation message if [`DistGerConfig::validate`]
 /// rejects `config`.
 pub fn run_pipeline(graph: &CsrGraph, config: &DistGerConfig) -> PipelineResult {
-    let num_machines = config.cluster.num_machines;
+    let num_machines = config.num_machines;
     // Validated before the transport exists, which asserts on zero machines.
     let (_, output) = config
         .validate()

@@ -143,25 +143,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Builder-style window-size override.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Builder-style negative-sample count override.
-    pub fn with_negatives(mut self, negatives: usize) -> Self {
-        self.negatives = negatives;
-        self
-    }
-
-    /// Builder-style learning-rate override (initial and final).
-    pub fn with_learning_rate(mut self, learning_rate: f32, min_learning_rate: f32) -> Self {
-        self.learning_rate = learning_rate;
-        self.min_learning_rate = min_learning_rate;
-        self
-    }
-
     /// Builder-style synchronization-strategy override.
     pub fn with_sync(mut self, sync: SyncStrategy) -> Self {
         self.sync = sync;

@@ -98,12 +98,6 @@ impl GraphBuilder {
         self.edges.is_empty()
     }
 
-    /// Marks the graph as weighted even if every weight is `1.0`.
-    pub fn force_weighted(&mut self) -> &mut Self {
-        self.weighted = true;
-        self
-    }
-
     /// Consumes the builder and produces the CSR graph.
     pub fn build(&self) -> CsrGraph {
         let n = self.max_node.map_or(0, |m| m as usize + 1);

@@ -76,21 +76,13 @@ pub struct PhaseTimes {
     pub sampling_secs: f64,
     /// Embedding training time.
     pub training_secs: f64,
-    /// Modelled additional communication time (from the network model).
-    pub modelled_comm_secs: f64,
 }
 
 impl PhaseTimes {
-    /// End-to-end wall-clock total (excluding the modelled communication
-    /// component, which is reported separately because the computation here
-    /// runs on one physical host).
+    /// End-to-end wall-clock total; communication is inside each phase's
+    /// wall time.
     pub fn end_to_end_secs(&self) -> f64 {
         self.partition_secs + self.sampling_secs + self.training_secs
-    }
-
-    /// End-to-end total including the modelled cross-machine communication.
-    pub fn end_to_end_with_comm_secs(&self) -> f64 {
-        self.end_to_end_secs() + self.modelled_comm_secs
     }
 
     /// Component-wise sum of two phase breakdowns.
@@ -99,7 +91,6 @@ impl PhaseTimes {
             partition_secs: self.partition_secs + other.partition_secs,
             sampling_secs: self.sampling_secs + other.sampling_secs,
             training_secs: self.training_secs + other.training_secs,
-            modelled_comm_secs: self.modelled_comm_secs + other.modelled_comm_secs,
         }
     }
 }
@@ -123,10 +114,8 @@ mod tests {
             partition_secs: 1.0,
             sampling_secs: 2.0,
             training_secs: 3.0,
-            modelled_comm_secs: 0.5,
         };
         assert!((a.end_to_end_secs() - 6.0).abs() < 1e-12);
-        assert!((a.end_to_end_with_comm_secs() - 6.5).abs() < 1e-12);
         let b = a.add(&a);
         assert!((b.training_secs - 6.0).abs() < 1e-12);
     }

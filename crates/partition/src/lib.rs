@@ -28,7 +28,7 @@ pub use order::StreamingOrder;
 
 use distger_graph::{CsrGraph, NodeId};
 
-/// Identifier of a (simulated) computing machine.
+/// Identifier of a logical computing machine.
 pub type MachineId = usize;
 
 /// A node-to-machine assignment, the output of every partitioner.

@@ -85,12 +85,6 @@ impl ServeConfig {
         self.backend = backend;
         self
     }
-
-    /// Builder-style k override.
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
 }
 
 /// A batch of query vectors, row-major.

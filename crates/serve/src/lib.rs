@@ -29,10 +29,10 @@
 //!   callers submit single queries through cloneable [`RequestClient`]s; a
 //!   dispatcher thread dynamically batches them under a [`BatchPolicy`]
 //!   (size or deadline, whichever trips first), sheds load beyond
-//!   `max_inflight`, serves hot queries from an LRU cache, and reports
-//!   latency/batch/shed statistics ([`SchedulerStats`]). Time is injected
-//!   through the [`Clock`] trait ([`clock`]) so deadline behavior is
-//!   deterministically testable on a [`VirtualClock`]. The scheduler fronts
+//!   `max_inflight`, and reports latency/batch/shed statistics
+//!   ([`SchedulerStats`]). Time is injected through the [`Clock`] trait
+//!   ([`clock`]) so deadline behavior is deterministically testable on a
+//!   [`VirtualClock`]. The scheduler fronts
 //!   any [`ServeEngine`] — the in-process [`QueryEngine`] or the sharded
 //!   engine below.
 //!
@@ -50,7 +50,6 @@
 //! `distger-eval`'s `recall` module and enforced (together with the LSH QPS
 //! advantage) by the bench regression gate.
 
-mod cache;
 pub mod clock;
 pub mod engine;
 pub mod exact;

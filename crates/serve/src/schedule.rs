@@ -29,14 +29,12 @@
 //! of age, and a lone request flushes exactly at its deadline, never before
 //! (property-tested on [`VirtualClock`](crate::VirtualClock)).
 //!
-//! # Admission, shedding, caching
+//! # Admission and shedding
 //!
 //! Submits are bounded by `max_inflight` (accepted-but-unanswered
 //! requests): beyond it, [`submit`](RequestClient::submit) fails fast with
 //! [`Rejected::Overloaded`] instead of growing an unbounded queue — counted
-//! in [`SchedulerStats::shed`]. In front of admission sits a hot-query LRU
-//! cache (`cache` module — key: exact bits of the *normalized*
-//! query, so hits are bit-identical to engine answers by construction).
+//! in [`SchedulerStats::shed`].
 //!
 //! # Shutdown and failure
 //!
@@ -47,10 +45,8 @@
 //! to the same error. The engine-panic payload is preserved in
 //! [`Scheduler::failure`].
 
-use crate::cache::QueryCache;
 use crate::clock::{Clock, SystemClock, IDLE};
 use crate::engine::{QueryBatch, QueryEngine, ServeEngine};
-use crate::index::normalize_into;
 use crate::topk::TopK;
 use distger_cluster::{panic_message, FaultInjector};
 use distger_obs::Log2Histogram;
@@ -88,8 +84,6 @@ pub struct SchedulerConfig {
     /// Admission bound: accepted-but-unanswered requests beyond this are
     /// shed with [`Rejected::Overloaded`].
     pub max_inflight: usize,
-    /// Hot-query LRU cache capacity in entries (0 = disabled, the default).
-    pub cache_capacity: usize,
     /// Deterministic fault-injection seam (tests only): tripped once per
     /// batch as `(machine 0, round = batch index, superstep 0)` right before
     /// the engine call, so an injected panic exercises the shutdown path.
@@ -101,7 +95,6 @@ impl Default for SchedulerConfig {
         Self {
             batch: BatchPolicy::default(),
             max_inflight: 1024,
-            cache_capacity: 0,
             faults: None,
         }
     }
@@ -117,12 +110,6 @@ impl SchedulerConfig {
     /// Builder-style admission-bound override.
     pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight;
-        self
-    }
-
-    /// Builder-style cache-capacity override.
-    pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity;
         self
     }
 }
@@ -153,27 +140,24 @@ impl std::error::Error for Rejected {}
 ///
 /// Counter identities (always true at a quiescent point — no submit racing
 /// the read, no batch mid-flight):
-/// `submitted == shed + cache_hits + cache_misses` and
-/// `cache_misses == completed + shutdown_errors + still-pending`.
+/// `submitted == shed + accepted` and
+/// `accepted == completed + shutdown_errors + still-pending`.
 #[derive(Clone, Debug, Default)]
 pub struct SchedulerStats {
     /// Submit calls that reached admission (everything except
     /// post-shutdown fast-fails).
     pub submitted: u64,
-    /// Requests answered by the engine (excludes cache hits).
+    /// Requests answered by the engine.
     pub completed: u64,
-    /// Requests answered straight from the hot-query cache.
-    pub cache_hits: u64,
-    /// Requests that missed the cache and were enqueued.
-    pub cache_misses: u64,
+    /// Requests admitted and enqueued.
+    pub accepted: u64,
     /// Requests shed by admission control ([`Rejected::Overloaded`]).
     pub shed: u64,
     /// Queued or in-flight requests errored by shutdown or engine failure.
     pub shutdown_errors: u64,
     /// Batches flushed to the engine.
     pub batches: u64,
-    /// Per-request latency in nanoseconds, submit → answer (cache hits
-    /// record 0).
+    /// Per-request latency in nanoseconds, submit → answer.
     pub latency: Log2Histogram,
     /// Flushed batch sizes.
     pub batch_sizes: Log2Histogram,
@@ -182,7 +166,7 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Answered requests (engine + cache) per second of scheduler lifetime.
+    /// Answered requests per second of scheduler lifetime.
     /// Returns 0.0 at zero elapsed time — which a [`VirtualClock`] that was
     /// never advanced reports; wall-clock QPS gates must divide by a
     /// measured positive wall time instead (the bench asserts this).
@@ -191,19 +175,9 @@ impl SchedulerStats {
     pub fn qps(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            (self.completed + self.cache_hits) as f64 / secs
+            self.completed as f64 / secs
         } else {
             0.0
-        }
-    }
-
-    /// Cache hits over cache lookups (0.0 before any lookup).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
         }
     }
 
@@ -226,8 +200,7 @@ impl SchedulerStats {
     pub fn merge(&mut self, other: &SchedulerStats) {
         self.submitted += other.submitted;
         self.completed += other.completed;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
+        self.accepted += other.accepted;
         self.shed += other.shed;
         self.shutdown_errors += other.shutdown_errors;
         self.batches += other.batches;
@@ -244,8 +217,6 @@ struct Request {
     /// uses is what makes scheduler answers bit-identical by construction
     /// (renormalizing an already-normalized vector is not bit-stable).
     query: Vec<f32>,
-    /// Cache key (present only when the cache is enabled).
-    key: Option<Vec<u32>>,
     /// Completion channel back to the caller's [`PendingQuery`].
     tx: Sender<Result<TopK, Rejected>>,
     /// Clock time the request was accepted.
@@ -255,7 +226,6 @@ struct Request {
 /// Dispatcher-owned mutable state, behind the one scheduler lock.
 struct SchedState {
     queue: VecDeque<Request>,
-    cache: QueryCache,
     /// Accepted-but-unanswered requests (queued + mid-batch).
     inflight: usize,
     shutdown: bool,
@@ -276,7 +246,7 @@ struct Shared<C: Clock, E: ServeEngine> {
 
 impl<C: Clock, E: ServeEngine> Shared<C, E> {
     /// State lock, poison-recovering like `cluster::pool`: every field is
-    /// valid in any state (counters, a queue, a cache), and the shutdown
+    /// valid in any state (counters, a queue), and the shutdown
     /// path *must* acquire this lock after a dispatcher panic to drain the
     /// queue — unwrapping would trade a panic for hung callers.
     fn lock(&self) -> MutexGuard<'_, SchedState> {
@@ -345,9 +315,6 @@ fn dispatch<C: Clock, E: ServeEngine>(shared: &Shared<C, E>) {
                     state.stats.completed += 1;
                     let waited = done.saturating_sub(request.submitted_at);
                     state.stats.latency.record(waited.as_nanos() as u64);
-                    if let Some(key) = request.key {
-                        state.cache.insert(key, top.clone());
-                    }
                     let _ = request.tx.send(Ok(top));
                 }
             }
@@ -402,7 +369,6 @@ impl<C: Clock, E: ServeEngine> Scheduler<C, E> {
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
-                cache: QueryCache::new(config.cache_capacity),
                 inflight: 0,
                 shutdown: false,
                 failure: None,
@@ -511,46 +477,22 @@ impl<C: Clock, E: ServeEngine> RequestClient<C, E> {
     pub fn submit(&self, query: &[f32]) -> Result<PendingQuery, Rejected> {
         let dim = self.shared.engine.dim();
         assert_eq!(query.len(), dim, "query dimension does not match the index");
-        // The cache key is the bit image of the *normalized* query (see
-        // `cache`); the raw query is what gets enqueued for the engine.
-        let key_bits = if self.shared.config.cache_capacity > 0 {
-            let mut unit_query = vec![0.0; dim];
-            normalize_into(query, &mut unit_query);
-            Some(QueryCache::key_of(&unit_query))
-        } else {
-            None
-        };
-
         let (tx, rx) = channel();
         let mut state = self.shared.lock();
         if state.shutdown {
             return Err(Rejected::Shutdown);
         }
         state.stats.submitted += 1;
-        let key = if let Some(key) = key_bits {
-            if let Some(answer) = state.cache.get(&key) {
-                state.stats.cache_hits += 1;
-                state.stats.latency.record(0);
-                drop(state);
-                distger_obs::instant("cache_hit", -1, -1);
-                let _ = tx.send(Ok(answer));
-                return Ok(PendingQuery { rx });
-            }
-            Some(key)
-        } else {
-            None
-        };
         if state.inflight >= self.shared.config.max_inflight {
             state.stats.shed += 1;
             drop(state);
             distger_obs::instant("request_shed", -1, -1);
             return Err(Rejected::Overloaded);
         }
-        state.stats.cache_misses += 1;
+        state.stats.accepted += 1;
         state.inflight += 1;
         state.queue.push_back(Request {
             query: query.to_vec(),
-            key,
             tx,
             submitted_at: self.shared.clock.now(),
         });
@@ -772,32 +714,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_are_bit_identical_and_counted() {
-        let engine = engine(QueryBackend::Lsh);
-        let expected = engine.top_k_one(&query_of(&engine, 9));
-        let scheduler = Scheduler::new(engine, SchedulerConfig::default().with_cache_capacity(8));
-        let client = scheduler.client();
-        let query = query_of(scheduler.engine(), 9);
-        let first = client.submit(&query).unwrap().wait().unwrap();
-        let second = client.submit(&query).unwrap().wait().unwrap();
-        assert_eq!(first, expected);
-        assert_eq!(second, expected);
-        let stats = scheduler.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn stats_identities_hold_after_a_mixed_run() {
         let scheduler = Scheduler::new(
             engine(QueryBackend::Exact),
-            SchedulerConfig::default()
-                .with_cache_capacity(4)
-                .with_batch(BatchPolicy {
-                    max_batch: 3,
-                    max_delay: Duration::from_micros(200),
-                }),
+            SchedulerConfig::default().with_batch(BatchPolicy {
+                max_batch: 3,
+                max_delay: Duration::from_micros(200),
+            }),
         );
         let client = scheduler.client();
         let pending: Vec<PendingQuery> = (0..20u32)
@@ -811,15 +734,12 @@ mod tests {
         }
         let stats = scheduler.stats();
         assert_eq!(stats.submitted, 20);
-        assert_eq!(
-            stats.submitted,
-            stats.shed + stats.cache_hits + stats.cache_misses
-        );
+        assert_eq!(stats.submitted, stats.shed + stats.accepted);
         // Everything waited on: nothing still pending.
-        assert_eq!(stats.cache_misses, stats.completed + stats.shutdown_errors);
+        assert_eq!(stats.accepted, stats.completed + stats.shutdown_errors);
         assert_eq!(stats.batch_sizes.total(), stats.batches);
         assert_eq!(stats.batch_sizes.sum(), stats.completed);
-        assert_eq!(stats.latency.total(), stats.completed + stats.cache_hits);
+        assert_eq!(stats.latency.total(), stats.completed);
         assert!(stats.qps() > 0.0);
         assert!(stats.latency_quantile(0.99) >= stats.latency_quantile(0.50));
     }

@@ -299,6 +299,17 @@ fn decode_load(payload: &[u8]) -> io::Result<EngineShard> {
     let base = NodeId::try_from(base).map_err(|_| invalid_data(format!("shard base {base}")))?;
     let data = r.f32s(rows.saturating_mul(dim))?;
     r.finish()?;
+    // Only the rows check `dim` against the payload, and LSH sizes its
+    // hyperplanes by `dim`: an empty shard scans exactly, answering the same
+    // empty lists without an allocation a peer's `dim` could size.
+    let config = if rows == 0 {
+        ServeConfig {
+            backend: QueryBackend::Exact,
+            ..config
+        }
+    } else {
+        config
+    };
     let local = Embeddings::from_node_major(data, dim);
     Ok(EngineShard::new(
         QueryEngine::new(EmbeddingIndex::build(&local), config),
@@ -548,11 +559,6 @@ impl<C: ControlChannel> ShardedQueryEngine<C> {
     /// Results per query.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The coordinator's own shard.
-    pub fn local_shard(&self) -> &EngineShard {
-        &self.shard
     }
 
     /// Per-shard cumulative accounting, indexed by endpoint.
@@ -991,6 +997,23 @@ mod tests {
         assert_total(&reply, decode_reply);
         assert!(decode_reply(&[7]).is_err(), "bad reply tag accepted");
 
+        // A zero-row LOAD has no row to check its `dim` against, so an
+        // all-ones `dim` must not size an LSH index: the empty shard decodes
+        // and answers empty lists.
+        let lsh = ServeConfig {
+            backend: QueryBackend::Lsh,
+            ..config
+        };
+        let empty = encode_load(&embeddings, 2..2, &lsh);
+        assert_total(&empty, decode_load);
+        let mut huge_dim = empty.clone();
+        huge_dim[46..50].fill(0xff);
+        assert_total(&huge_dim, decode_load);
+        let shard = decode_load(&empty).expect("an empty LSH shard");
+        assert_eq!(shard.num_nodes(), 0);
+        let answers = shard.top_k(&batch).results;
+        assert!(answers.iter().all(|top| top.is_empty()), "{answers:?}");
+
         // Every length field a peer controls, set to all-ones, is an error
         // and not an allocation (or a spawn): LOAD threads (after opcode,
         // backend and k), LSH tables (after bits) and rows (after opcode,
@@ -1063,21 +1086,19 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("loopback addr");
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Endpoint 1 panics on its first batch (the injector trips
-                // as (endpoint, batch_index, superstep 0)).
-                let mut channel =
-                    SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
-                let shard = receive_shard(&mut channel).expect("receive shard");
-                let faults = FaultPlan::new().panic_at(1, 0, 0).build();
-                serve_shard(&mut channel, &shard, Some(&faults)).expect("serve loop");
-            });
-            scope.spawn(move || {
-                let mut channel =
-                    SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
-                let shard = receive_shard(&mut channel).expect("receive shard");
-                serve_shard(&mut channel, &shard, None).expect("serve loop");
-            });
+            // Endpoint 1 panics on its first batch (the injector trips as
+            // (endpoint, batch_index, superstep 0)). Endpoint ids follow
+            // accept order, so both workers carry the plan and only the one
+            // that became endpoint 1 fires it.
+            for _ in 0..2 {
+                scope.spawn(move || {
+                    let mut channel =
+                        SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
+                    let shard = receive_shard(&mut channel).expect("receive shard");
+                    let faults = FaultPlan::new().panic_at(1, 0, 0).build();
+                    serve_shard(&mut channel, &shard, Some(&faults)).expect("serve loop");
+                });
+            }
             let channel = SocketTransport::coordinator(&listener, 3, 3).expect("coordinator");
             let engine = ShardedQueryEngine::new(channel, &embeddings, config).expect("load");
             let scheduler = Scheduler::new(

@@ -1,7 +1,7 @@
 //! Property-based tests for the request scheduler.
 //!
 //! The scheduler's headline contract is **transparency**: batching,
-//! caching, shedding and clock injection may change *when* a query is
+//! shedding and clock injection may change *when* a query is
 //! answered, but never *what* the answer is — every completed request must
 //! be bit-identical to a direct `QueryEngine::top_k` call on the same
 //! query. The suite checks that over randomized (callers × queries ×
@@ -11,8 +11,7 @@
 //! sleep-based assertions), and stresses the two ways a scheduler dies:
 //! dropping it and an engine panic through the `FaultInjector` seam. Both
 //! must error every in-flight request with [`Rejected::Shutdown`] rather
-//! than hang a caller. The LRU cache is checked against a serial-replay
-//! oracle and under concurrent repeated queries.
+//! than hang a caller.
 
 use distger_cluster::FaultPlan;
 use distger_serve::{
@@ -234,107 +233,10 @@ proptest! {
         }
         let stats = scheduler.stats();
         prop_assert_eq!(
-            stats.cache_misses,
+            stats.accepted,
             stats.completed + stats.shutdown_errors,
             "every accepted request resolved exactly once"
         );
-    }
-
-    /// LRU cache vs a serial-replay oracle: a single caller replays a
-    /// random repeated-query sequence; every answer (cached or not) is
-    /// bit-identical to the direct engine call, and the hit counter and
-    /// eviction behavior match a reference LRU model replaying the same
-    /// sequence.
-    #[test]
-    fn cache_matches_a_serial_replay_oracle(
-        capacity in 1usize..6,
-        sequence in proptest::collection::vec(0u32..8, 1..40),
-        k in 1usize..6,
-        seed in 0u64..64,
-    ) {
-        let engine = engine(40, QueryBackend::Lsh, k, seed);
-        let expected: Vec<TopK> = (0..8u32)
-            .map(|node| engine.top_k_one(&query_of(&engine, node)))
-            .collect();
-        let scheduler = Scheduler::new(
-            engine,
-            SchedulerConfig::default()
-                .with_cache_capacity(capacity)
-                // max_batch 1 + zero delay: each miss flushes (and caches)
-                // before the next submit, so the serial oracle is exact.
-                .with_batch(BatchPolicy { max_batch: 1, max_delay: Duration::ZERO }),
-        );
-        let client = scheduler.client();
-        // Reference LRU model: most-recently-used at the back.
-        let mut model: Vec<u32> = Vec::new();
-        let mut model_hits = 0u64;
-        for &node in &sequence {
-            let query = query_of(scheduler.engine(), node);
-            let answer = client.submit(&query).unwrap().wait().unwrap();
-            prop_assert_eq!(&answer, &expected[node as usize], "node {} diverged", node);
-            if let Some(pos) = model.iter().position(|&n| n == node) {
-                model.remove(pos);
-                model_hits += 1;
-            } else if model.len() == capacity {
-                model.remove(0);
-            }
-            model.push(node);
-        }
-        let stats = scheduler.stats();
-        prop_assert_eq!(stats.cache_hits, model_hits, "hit counter diverged from the oracle");
-        prop_assert_eq!(stats.cache_hits + stats.cache_misses, sequence.len() as u64);
-    }
-
-    /// Cache under concurrency: many callers hammer a small key set with
-    /// the cache on; every response — served from cache or not — is
-    /// bit-identical to the direct engine call, and the counters still
-    /// account for every submission.
-    #[test]
-    fn concurrent_cached_responses_stay_bit_identical(
-        callers in 2usize..5,
-        queries_per_caller in 2usize..15,
-        capacity in 1usize..10,
-        k in 1usize..6,
-        seed in 0u64..64,
-    ) {
-        let nodes = 40;
-        let engine = engine(nodes, QueryBackend::Lsh, k, seed);
-        let expected: Vec<TopK> = (0..8u32)
-            .map(|node| engine.top_k_one(&query_of(&engine, node)))
-            .collect();
-        let scheduler = Scheduler::new(
-            engine,
-            SchedulerConfig::default()
-                .with_cache_capacity(capacity)
-                .with_batch(BatchPolicy {
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(100),
-                }),
-        );
-        std::thread::scope(|scope| {
-            for caller in 0..callers {
-                let client = scheduler.client();
-                let engine = scheduler.engine();
-                let expected = &expected;
-                scope.spawn(move || {
-                    for i in 0..queries_per_caller {
-                        let node = caller_node(8, caller, i);
-                        let query = query_of(engine, node);
-                        let answer = client.submit(&query).unwrap().wait().unwrap();
-                        assert_eq!(
-                            answer, expected[node as usize],
-                            "caller {caller} query {i} (node {node}) diverged"
-                        );
-                    }
-                });
-            }
-        });
-        let stats = scheduler.stats();
-        let total = (callers * queries_per_caller) as u64;
-        prop_assert_eq!(stats.submitted, total);
-        prop_assert_eq!(stats.cache_hits + stats.cache_misses, total);
-        prop_assert_eq!(stats.completed, stats.cache_misses);
-        prop_assert_eq!(stats.latency.total(), total);
     }
 }
 

@@ -658,9 +658,9 @@ mod tests {
         assert!(socket.comm.wire.frames_sent > 0);
         assert!(socket.comm.wire.batch_bytes_sent > 0);
         assert!(socket.comm.wire.bytes_sent > socket.comm.wire.batch_bytes_sent);
-        // The analytic byte count the `NetworkModel` prices and the bytes
-        // actually shipped in BATCH frames agree within an order of
-        // magnitude, or the simulated cluster is pricing a fiction.
+        // The bytes `CommStats` accounts and the bytes actually shipped in
+        // BATCH frames agree within an order of magnitude, or the accounting
+        // describes a fiction.
         let estimate_over_measured =
             socket.comm.bytes as f64 / socket.comm.wire.batch_bytes_sent as f64;
         assert!(

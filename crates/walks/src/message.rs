@@ -1,4 +1,4 @@
-//! Walker messages exchanged between simulated machines.
+//! Walker messages exchanged between machines.
 //!
 //! Message sizes follow the paper's accounting (§2.2, §2.3, §3.1, Example 1),
 //! with 8 bytes per scalar field:

@@ -111,17 +111,6 @@ impl LengthPolicy {
         }
     }
 
-    /// The literal thresholds quoted by the paper (`μ = 0.995`, see
-    /// [`LengthPolicy::info_driven_default`] for why the reproduction uses a
-    /// recalibrated default).
-    pub fn info_driven_paper() -> Self {
-        LengthPolicy::InfoDriven {
-            mu: 0.995,
-            min_len: 5,
-            max_len: 80,
-        }
-    }
-
     /// Whether per-step information measurements are required.
     pub fn needs_info(&self) -> bool {
         matches!(self, LengthPolicy::InfoDriven { .. })

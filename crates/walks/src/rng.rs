@@ -1,6 +1,6 @@
 //! Small deterministic per-walker random number generator.
 //!
-//! Walkers hop between simulated machines whose threads interleave
+//! Walkers hop between machines whose threads interleave
 //! non-deterministically, so each walker carries its own tiny RNG state in its
 //! message. A SplitMix64 generator keeps the state to a single `u64`, makes
 //! every walk reproducible given `(seed, walk_id)` regardless of thread

@@ -21,7 +21,7 @@ fn main() {
     let split = split_edges(&graph, 0.5, 7);
 
     // 3. Run the full DistGER pipeline (MPGP + InCoM walks + DSGL) on a
-    //    simulated 4-machine cluster.
+    //    4-machine cluster hosted in this process.
     let mut config = DistGerConfig::distger(4).with_seed(7);
     config.training.dim = 64;
     config.training.epochs = 3;

@@ -1,5 +1,5 @@
 //! Scale-out behaviour: end-to-end time and cross-machine traffic as the
-//! number of simulated machines grows (the workload behind Figure 6), plus a
+//! number of in-process machines grows (the workload behind Figure 6), plus a
 //! comparison of the MPGP partitioner against KnightKing's workload-balancing
 //! scheme (Figure 10(c)/(d)).
 //!

@@ -8,7 +8,7 @@
 use distger::prelude::*;
 
 fn main() {
-    // 1. Train: the full DistGER pipeline on a simulated 4-machine cluster.
+    // 1. Train: the full DistGER pipeline on 4 machines hosted in this process.
     let graph = powerlaw_cluster(2_000, 6, 0.6, 42);
     let mut config = DistGerConfig::distger(4).with_seed(7);
     config.training.dim = 64;
@@ -88,12 +88,10 @@ fn main() {
             k: 10,
             ..ServeConfig::default()
         },
-        SchedulerConfig::default()
-            .with_batch(BatchPolicy {
-                max_batch: 64,
-                max_delay: std::time::Duration::from_micros(300),
-            })
-            .with_cache_capacity(64),
+        SchedulerConfig::default().with_batch(BatchPolicy {
+            max_batch: 64,
+            max_delay: std::time::Duration::from_micros(300),
+        }),
     );
     let callers = 4;
     let queries_per_caller = 100;
@@ -117,13 +115,11 @@ fn main() {
     let stats = scheduler.stats();
     println!(
         "scheduler: {:.0} queries/s across {callers} callers \
-         (p99 {:.2}ms, avg batch {:.1} over {} batches, \
-         cache hit rate {:.0}%, {} shed)",
+         (p99 {:.2}ms, avg batch {:.1} over {} batches, {} shed)",
         stats.qps(),
         stats.latency_quantile(0.99).as_secs_f64() * 1e3,
         stats.avg_batch(),
         stats.batches,
-        stats.cache_hit_rate() * 100.0,
         stats.shed,
     );
     std::fs::remove_file(&path).ok();

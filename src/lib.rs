@@ -9,8 +9,9 @@
 //!   Chrome-trace (Perfetto) and Prometheus exporters;
 //! * [`graph`] — CSR graph storage, synthetic generators and loaders;
 //! * [`partition`] — streaming partitioners, including the paper's MPGP;
-//! * [`cluster`] — the simulated distributed runtime (machines, BSP,
-//!   communication accounting);
+//! * [`cluster`] — the distributed runtime: machines hosted by in-memory or
+//!   TCP socket transport endpoints, BSP supersteps, communication
+//!   accounting and wire measurement;
 //! * [`walks`] — routine and information-oriented random-walk engines
 //!   (KnightKing-style, HuGE-D, InCoM);
 //! * [`embed`] — distributed Skip-Gram trainers (Hogwild, Pword2vec, DSGL);
@@ -29,7 +30,7 @@
 //! // A small power-law-cluster graph standing in for a social network.
 //! let graph = distger::graph::powerlaw_cluster(300, 4, 0.6, 42);
 //!
-//! // The full DistGER system on 4 simulated machines, scaled down.
+//! // The full DistGER system on 4 in-process machines, scaled down.
 //! let config = DistGerConfig::distger(4).small().with_seed(7);
 //! let result = run_pipeline(&graph, &config);
 //!
@@ -60,8 +61,8 @@ pub use distger_walks as walks;
 /// the bundled `examples/` compile against this module alone.
 pub mod prelude {
     pub use distger_cluster::{
-        ClusterConfig, CommStats, ControlChannel, InMemoryTransport, NetworkModel, RecoveryPolicy,
-        SocketTransport, Transport, TransportKind, WireStats,
+        CommStats, ControlChannel, InMemoryTransport, RecoveryPolicy, SocketTransport, Transport,
+        TransportKind, WireStats,
     };
     pub use distger_core::{
         launch_over_loopback, run_coordinator, run_job, run_pipeline, run_worker, DistGerConfig,
