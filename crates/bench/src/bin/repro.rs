@@ -633,7 +633,7 @@ fn table7(scale: BenchScale) -> Vec<Report> {
 }
 
 // ---------------------------------------------------------------------------
-// Extra ablation: DSGL design choices (local buffers / multi-window / sync)
+// Extra ablation: Figure 3 (a)→(d), the trainer kinds as settings of one body
 // ---------------------------------------------------------------------------
 fn ablation(scale: BenchScale) -> Vec<Report> {
     let g = bench_dataset(PaperDataset::Youtube, scale, SEED);
@@ -641,33 +641,25 @@ fn ablation(scale: BenchScale) -> Vec<Report> {
     let walks = run_distributed_walks(&g, &p, &WalkEngineConfig::distger().with_seed(SEED));
     let mut report = Report::new(
         "ablation-dsgl",
-        "DSGL ablation on the YT stand-in corpus",
+        "Figure 3 (a)→(d) on the YT stand-in corpus, every row under hotness-block sync",
         &["throughput (M pairs/s)", "sync MB"],
     );
-    let variants: [(&str, TrainerKind, SyncStrategy); 4] = [
-        ("SGNS + full sync", TrainerKind::Hogwild, SyncStrategy::Full),
-        (
-            "Pword2vec + full sync",
-            TrainerKind::Pword2vec,
-            SyncStrategy::Full,
-        ),
-        (
-            "DSGL (mw=1) + hotness",
-            TrainerKind::Dsgl { multi_windows: 1 },
-            SyncStrategy::HotnessBlock,
-        ),
-        (
-            "DSGL (mw=4) + hotness",
-            TrainerKind::Dsgl { multi_windows: 4 },
-            SyncStrategy::HotnessBlock,
-        ),
+    // One sync strategy for every row, so the rows differ in the trainer's
+    // settings alone: per-pair negatives (a), window-shared negatives (b),
+    // rows staged for a batch (c), several windows in lockstep (d).
+    let variants: [(&str, TrainerKind); 5] = [
+        ("SGNS", TrainerKind::Hogwild),
+        ("Pword2vec", TrainerKind::Pword2vec),
+        ("DSGL (mw=1)", TrainerKind::Dsgl { multi_windows: 1 }),
+        ("DSGL (mw=2)", TrainerKind::Dsgl { multi_windows: 2 }),
+        ("DSGL (mw=4)", TrainerKind::Dsgl { multi_windows: 4 }),
     ];
-    for (name, kind, sync) in variants {
+    for (name, kind) in variants {
         let cfg = TrainerConfig {
             dim: 32,
             epochs: 1,
             kind,
-            sync,
+            sync: SyncStrategy::HotnessBlock,
             sync_rounds_per_epoch: 2,
             ..TrainerConfig::default()
         };

@@ -2,6 +2,8 @@
 //! micro-benchmarks: dataset stand-ins at benchmark scale, table formatting,
 //! JSON result export/parsing, and the CI throughput-regression gate.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod gate;
 pub mod json;

@@ -28,6 +28,8 @@
 //!   ([`run_bsp_supervised`]) that restores a caller checkpoint and retries
 //!   a poisoned run under a bounded [`RecoveryPolicy`].
 
+#![forbid(unsafe_code)]
+
 pub mod bsp;
 pub mod comm;
 pub mod fault;

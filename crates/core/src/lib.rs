@@ -8,6 +8,8 @@
 //! [`launch::JobSpec`]. [`system::SystemKind`] names the three compared walk
 //! systems of §6 — KnightKing, HuGE-D and DistGER — as configuration presets.
 
+#![forbid(unsafe_code)]
+
 pub mod job;
 pub mod launch;
 pub mod pipeline;

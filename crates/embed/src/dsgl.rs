@@ -1,39 +1,47 @@
-//! DSGL — the paper's Distributed Skip-Gram Learning trainer (§4.2).
+//! The one Skip-Gram pair loop: DSGL's body (§4.2). Figure 3's progression —
+//! per-pair negatives (a), window-shared negatives (b), local buffers (c,
+//! Improvement-I), several windows in lockstep (d, Improvement-II) — is one
+//! loop, `train_walks`, and each [`TrainerKind`] is a setting of it:
 //!
-//! Improvement-I (access locality): the global matrices are rank-ordered by
-//! corpus frequency (see [`crate::vocab::Vocab`]) and, for the lifetime of the
-//! walks a thread is processing, every row the batch touches — the `φ_in` rows
-//! of its context nodes, the `φ_out` rows of its targets and of the sampled
-//! negatives — is staged in a **thread-local buffer**; only after the lifetime
-//! ends are the updated vectors written back to the global matrices. This
-//! removes most of the cache-line ping-ponging of Hogwild. One buffer per
-//! matrix, so a logical row has exactly one live copy while the batch runs: a
-//! rank that is both some window's target and a sampled negative trains on the
-//! same staged row in both roles.
+//! | kind | windows in lockstep | negatives drawn per | staging lifetime |
+//! |---|---|---|---|
+//! | `Hogwild` | 1 | pair | one window |
+//! | `Pword2vec` | 1 | window step | one window |
+//! | `Dsgl { multi_windows }` | `multi_windows` | lockstep step | one batch |
 //!
-//! Improvement-II (CPU throughput): a thread processes **multiple walks**
-//! (`multi_windows ≥ 2`) in lockstep and shares one negative set across the
-//! aligned windows of all of them; the target node of each window additionally
-//! serves as an extra negative sample for the other windows, enlarging the
-//! effective batch exactly as in Figure 3(d)/Figure 4. One lockstep step is
-//! one small block: its `W` targets and `K` negatives are gathered once into
-//! `(W + K) × dim` contiguous floats, every context row of the step's windows
-//! is trained against that block with [`sgns_step`] — one row after the other,
-//! each seeing the block as the previous row left it — and the block is
-//! scattered back once.
+//! So each step of the table changes one setting. Plain SGNS does not stage
+//! for a single pair: at two threads on a ten-node vocabulary, writing rows
+//! back after every pair lost so many of the other thread's updates that the
+//! model stopped separating the communities (`trainer`'s
+//! `all_trainer_kinds_learn_community_structure`).
+//!
+//! A group of negatives is exactly `K` draws; a draw equal to a window's own
+//! target is not its negative, and the other windows' targets are extra
+//! negatives (Figure 4). The group's targets and negatives are gathered once
+//! into a contiguous `rows × dim` block, every context row of its windows is
+//! trained against it with [`sgns_step`] in turn, and the block is scattered
+//! back once.
+//!
+//! Rows are staged in thread-local buffers, one per matrix, on first use and
+//! written back whole when the lifetime ends: a logical row has one live copy
+//! per thread, and the shared matrices are only read and written a whole row
+//! at a time. At one thread the lifetime does not change the arithmetic;
+//! longer lifetimes are Improvement-I's locality.
 
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, sgns_step};
-use crate::sgns::{sgns_pair_update, TrainContext};
+use crate::sgns::{sgns_pair_update, window_contexts, TrainContext};
+use crate::trainer::TrainerKind;
 use distger_walks::{rng::SplitMix64, WalksView};
 
-/// Thread-local staging of one matrix's rows for the lifetime of a batch: a
+/// Thread-local staging of one matrix's rows for one lifetime: a
 /// direct-mapped rank → slot table validated by an epoch stamp (starting a
-/// batch is one increment, not an `O(n)` clear), plus the staged rows.
+/// lifetime is one increment, not an `O(n)` clear), plus the staged rows.
 struct StagedRows {
     dim: usize,
     /// Per rank `(stamp, slot)`; the slot is live iff `stamp == epoch`.
     table: Vec<(u32, u32)>,
+    /// Never 0, the stamp of a rank never staged.
     epoch: u32,
     /// Staged ranks, in slot order.
     ranks: Vec<u32>,
@@ -46,26 +54,15 @@ impl StagedRows {
         Self {
             dim,
             table: vec![(0, 0); num_ranks],
-            epoch: 0,
+            epoch: 1,
             ranks: Vec::new(),
             rows: Vec::new(),
         }
     }
 
-    /// Forgets every staged row.
-    fn begin_batch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: one real clear every 2^32 batches.
-            self.table.fill((0, 0));
-            self.epoch = 1;
-        }
-        self.ranks.clear();
-        self.rows.clear();
-    }
-
     /// Ensures `rank` is staged, copying its row from `source` on first use,
     /// and returns its slot.
+    #[inline]
     fn stage(&mut self, rank: u32, source: &HogwildMatrix) -> u32 {
         let entry = &mut self.table[rank as usize];
         if entry.0 != self.epoch {
@@ -88,11 +85,22 @@ impl StagedRows {
         &mut self.rows[slot as usize * self.dim..(slot as usize + 1) * self.dim]
     }
 
-    /// Writes every staged row back to `dest`.
-    fn write_back(&self, dest: &HogwildMatrix) {
+    /// Ends a lifetime: writes every staged row back to `dest` and forgets
+    /// it. Returns the footprint the lifetime reached.
+    fn end_lifetime(&mut self, dest: &HogwildMatrix) -> usize {
+        let bytes = self.memory_bytes();
         for (&rank, row) in self.ranks.iter().zip(self.rows.chunks_exact(self.dim)) {
             dest.store_row(rank as usize, row);
         }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap-around: one real clear every 2^32 lifetimes.
+            self.table.fill((0, 0));
+            self.epoch = 1;
+        }
+        self.ranks.clear();
+        self.rows.clear();
+        bytes
     }
 
     /// Current footprint in bytes (for the memory experiments): the staged
@@ -106,143 +114,181 @@ impl StagedRows {
 /// Stream tag of DSGL's negative draws.
 const RNG_STREAM: u64 = 0xd5_61_0f_37;
 
-/// Trains one thread's share of walks with DSGL. `multi_windows` is the number
-/// of walks processed in lockstep per batch (≥ 1; the paper recommends ≥ 2).
-/// Returns `(pairs_processed, peak_buffer_bytes)`.
-pub fn train_walks_dsgl(
+/// What one group of `K` negative draws serves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Scope {
+    /// One (target, context) pair.
+    Pair,
+    /// Every window of one lockstep step.
+    Step,
+}
+
+/// How long a staged row lives before it is written back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lifetime {
+    /// One lockstep step: the windows of one step.
+    Step,
+    /// One batch of `multi_windows` walks.
+    Batch,
+}
+
+/// The settings of `train_walks` a [`TrainerKind`] stands for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Settings {
+    /// Walks trained in lockstep (≥ 1).
+    multi_windows: usize,
+    scope: Scope,
+    lifetime: Lifetime,
+    /// Tag of the negative-draw stream.
+    stream: u64,
+}
+
+impl Settings {
+    pub(crate) fn of(kind: TrainerKind) -> Self {
+        let (multi_windows, scope, lifetime, stream) = match kind {
+            TrainerKind::Hogwild => (1, Scope::Pair, Lifetime::Step, 0x5e15_0a11),
+            TrainerKind::Pword2vec => (1, Scope::Step, Lifetime::Step, 0x90d2_7ec1),
+            TrainerKind::Dsgl { multi_windows } => (
+                multi_windows.max(1),
+                Scope::Step,
+                Lifetime::Batch,
+                RNG_STREAM,
+            ),
+        };
+        Self {
+            multi_windows,
+            scope,
+            lifetime,
+            stream,
+        }
+    }
+}
+
+/// Trains one thread's share of walks with the settings of one trainer kind,
+/// `multi_windows` walks at a time in lockstep. Returns
+/// `(pairs_processed, peak_buffer_bytes)`.
+pub(crate) fn train_walks(
     ctx: &TrainContext<'_>,
     walks: WalksView<'_>,
-    multi_windows: usize,
+    settings: Settings,
     thread_id: u64,
 ) -> (u64, usize) {
-    let multi = multi_windows.max(1);
-    let dim = ctx.phi_in.dim();
-    let k = ctx.negatives;
-    let mut rng = SplitMix64::for_walker(ctx.seed ^ RNG_STREAM, thread_id);
-    let mut pairs = 0u64;
-    let mut peak_buffer = 0usize;
+    let (dim, k, multi) = (ctx.phi_in.dim(), ctx.negatives, settings.multi_windows);
+    let mut rng = SplitMix64::for_walker(ctx.seed ^ settings.stream, thread_id);
+    let (mut pairs, mut peak_bytes) = (0u64, 0usize);
 
     // Everything below is allocated once and reused by every batch and step.
     let mut inputs = StagedRows::new(ctx.phi_in.rows(), dim);
     let mut outputs = StagedRows::new(ctx.phi_out.rows(), dim);
-    // `(φ_in slot, φ_out slot)` of every token of the batch's walks, flat;
-    // walk `wi` starts at `walk_starts[wi]`.
-    let mut token_slots: Vec<(u32, u32)> = Vec::new();
-    let mut walk_starts: Vec<usize> = Vec::with_capacity(multi);
-    // `φ_out` slots of the negatives, `k` per step.
-    let mut negative_slots: Vec<u32> = Vec::new();
-    // One step: the walks active at it, and the `φ_out` slots of its block —
-    // their targets first (in the same order), then the step's negatives.
-    let mut step_walks: Vec<usize> = Vec::with_capacity(multi);
-    let mut step_slots: Vec<u32> = Vec::with_capacity(multi + k);
-    let mut block_buf = vec![0.0f32; (multi + k) * dim];
+    // The `φ_in` slot of every token of the batch the lifetime has staged:
+    // all of them up front for a batch lifetime, a step's contexts for a step
+    // lifetime. Reading a slot here rather than from the rank table keeps
+    // the per-pair path short.
+    let mut in_slots: Vec<u32> = Vec::new();
+    // The walks active at a step, each with the offset of its first token in
+    // the batch's tokens.
+    let mut active: Vec<(&[u32], usize)> = Vec::with_capacity(multi);
+    // The step's pairs: the window's index in `active` and the context's slot.
+    let mut step_pairs: Vec<(usize, u32)> = Vec::new();
+    // `φ_out` slots of one group's block: the step's targets, then `K` draws.
+    let mut slots: Vec<u32> = Vec::with_capacity(multi + k);
+    let mut block = vec![0.0f32; (multi + k) * dim];
     let mut coef = vec![0.0f32; multi + k];
     let mut input_grad = vec![0.0f32; dim];
 
     for batch in walks.chunks(multi) {
-        inputs.begin_batch();
-        outputs.begin_batch();
-
-        // Improvement-I: stage the context and target vectors of every node
-        // appearing in this batch's walks.
-        token_slots.clear();
-        walk_starts.clear();
-        for walk in batch.iter() {
-            walk_starts.push(token_slots.len());
-            token_slots.extend(walk.iter().map(|&rank| {
-                (
-                    inputs.stage(rank, ctx.phi_in),
-                    outputs.stage(rank, ctx.phi_out),
-                )
-            }));
+        in_slots.clear();
+        let tokens = batch.tokens().iter();
+        match settings.lifetime {
+            Lifetime::Batch => in_slots.extend(tokens.map(|&r| inputs.stage(r, ctx.phi_in))),
+            Lifetime::Step => in_slots.resize(tokens.len(), 0),
         }
-
-        // Stage K negatives per step of the longest walk (a different draw at
-        // every step).
         let max_len = batch.iter().map(|w| w.len()).max().unwrap_or(0);
-        negative_slots.clear();
-        negative_slots.extend((0..max_len * k).map(|_| {
-            let rank = ctx.negatives_table.sample(rng.next_u64());
-            outputs.stage(rank, ctx.phi_out)
-        }));
-        peak_buffer = peak_buffer.max(inputs.memory_bytes() + outputs.memory_bytes());
-
-        // Improvement-II: walk the batch in lockstep; windows at the same step
-        // share the step's negative set, and each window's target acts as an
-        // extra negative for the other windows.
         for step in 0..max_len {
-            step_walks.clear();
-            step_slots.clear();
-            for (wi, walk) in batch.iter().enumerate() {
+            active.clear();
+            step_pairs.clear();
+            let mut start = 0;
+            for walk in batch.iter() {
                 if step < walk.len() {
-                    step_walks.push(wi);
-                    step_slots.push(token_slots[walk_starts[wi] + step].1);
+                    active.push((walk, start));
+                }
+                start += walk.len();
+            }
+            for (own, &(walk, start)) in active.iter().enumerate() {
+                for c in window_contexts(step, walk.len(), ctx.window) {
+                    if settings.lifetime == Lifetime::Step {
+                        in_slots[start + c] = inputs.stage(walk[c], ctx.phi_in);
+                    }
+                    step_pairs.push((own, in_slots[start + c]));
                 }
             }
-            step_slots.extend_from_slice(&negative_slots[step * k..(step + 1) * k]);
-            let rows = step_slots.len();
-            let block = &mut block_buf[..rows * dim];
-
-            // A block row per slot is a second copy of a logical row unless
-            // the step's slots are distinct. A repeat — two equal draws, or a
-            // draw that hit a target — is rare outside toy vocabularies and
-            // takes the pairwise path on the staged rows themselves.
-            let distinct = (1..rows).all(|j| !step_slots[..j].contains(&step_slots[j]));
-            if distinct {
-                for (row, &slot) in block.chunks_exact_mut(dim).zip(&step_slots) {
-                    row.copy_from_slice(outputs.row(slot));
+            // A step scope draws its `K` even at a step without pairs.
+            let (groups, per_group) = match settings.scope {
+                Scope::Pair => (step_pairs.len(), 1),
+                Scope::Step => (1, step_pairs.len()),
+            };
+            for group in (0..groups).map(|g| &step_pairs[g * per_group..][..per_group]) {
+                slots.clear();
+                for &(walk, _) in &active {
+                    slots.push(outputs.stage(walk[step], ctx.phi_out));
                 }
-            }
-            for (own, &wi) in step_walks.iter().enumerate() {
-                let start = walk_starts[wi];
-                let lo = step.saturating_sub(ctx.window);
-                let hi = (step + ctx.window).min(batch.walk(wi).len() - 1);
-                for c in (lo..=hi).filter(|&c| c != step) {
-                    let input = inputs.row_mut(token_slots[start + c].0);
+                for _ in 0..k {
+                    let rank = ctx.negatives_table.sample(rng.next_u64());
+                    slots.push(outputs.stage(rank, ctx.phi_out));
+                }
+                let rows = slots.len();
+                let block = &mut block[..rows * dim];
+                // A block row per slot is a second copy of a logical row unless
+                // the slots are distinct. A repeat — two equal draws, or a draw
+                // that hit a target — is rare outside toy vocabularies and
+                // takes the pairwise path on the staged rows themselves.
+                let distinct = (1..rows).all(|j| !slots[..j].contains(&slots[j]));
+                if distinct {
+                    for (row, &slot) in block.chunks_exact_mut(dim).zip(&slots) {
+                        row.copy_from_slice(outputs.row(slot));
+                    }
+                }
+                for &(own, input) in group {
+                    let input = inputs.row_mut(input);
                     if distinct {
-                        sgns_step(
+                        let coef = &mut coef[..rows];
+                        sgns_step(ctx.sigmoid, input, block, own, ctx.learning_rate, coef);
+                        continue;
+                    }
+                    input_grad.fill(0.0);
+                    for (j, &slot) in slots.iter().enumerate() {
+                        // A repeat of this window's own target is not also
+                        // its negative.
+                        if j != own && slot == slots[own] {
+                            continue;
+                        }
+                        sgns_pair_update(
                             ctx.sigmoid,
                             input,
-                            block,
-                            own,
+                            outputs.row_mut(slot),
+                            if j == own { 1.0 } else { 0.0 },
                             ctx.learning_rate,
-                            &mut coef[..rows],
+                            &mut input_grad,
                         );
-                    } else {
-                        input_grad.fill(0.0);
-                        for (j, &slot) in step_slots.iter().enumerate() {
-                            // A repeat of this window's own target is not
-                            // also its negative.
-                            if j != own && slot == step_slots[own] {
-                                continue;
-                            }
-                            sgns_pair_update(
-                                ctx.sigmoid,
-                                input,
-                                outputs.row_mut(slot),
-                                if j == own { 1.0 } else { 0.0 },
-                                ctx.learning_rate,
-                                &mut input_grad,
-                            );
-                        }
-                        axpy(1.0, &input_grad, input);
                     }
-                    pairs += 1;
+                    axpy(1.0, &input_grad, input);
                 }
+                if distinct {
+                    for (row, &slot) in block.chunks_exact(dim).zip(&slots) {
+                        outputs.row_mut(slot).copy_from_slice(row);
+                    }
+                }
+                pairs += group.len() as u64;
             }
-            if distinct {
-                for (row, &slot) in block.chunks_exact(dim).zip(&step_slots) {
-                    outputs.row_mut(slot).copy_from_slice(row);
-                }
+            if settings.lifetime == Lifetime::Step {
+                let staged = inputs.end_lifetime(ctx.phi_in) + outputs.end_lifetime(ctx.phi_out);
+                peak_bytes = peak_bytes.max(staged);
             }
         }
-
-        // End of the batch lifetime: write the staged vectors back to the
-        // global matrices.
-        inputs.write_back(ctx.phi_in);
-        outputs.write_back(ctx.phi_out);
+        let staged = inputs.end_lifetime(ctx.phi_in) + outputs.end_lifetime(ctx.phi_out);
+        peak_bytes = peak_bytes.max(staged);
     }
-    (pairs, peak_buffer)
+    (pairs, peak_bytes)
 }
 
 #[cfg(test)]
@@ -253,6 +299,15 @@ mod tests {
     use crate::sgns::SigmoidTable;
     use crate::vocab::Vocab;
     use distger_walks::Corpus;
+
+    /// Figure 3(a) to (d): every kind, and DSGL at one, two and four windows.
+    const KINDS: [TrainerKind; 5] = [
+        TrainerKind::Hogwild,
+        TrainerKind::Pword2vec,
+        TrainerKind::Dsgl { multi_windows: 1 },
+        TrainerKind::Dsgl { multi_windows: 2 },
+        TrainerKind::Dsgl { multi_windows: 4 },
+    ];
 
     fn two_clique_walks() -> Corpus {
         let walks = (0..60)
@@ -285,30 +340,60 @@ mod tests {
         }
     }
 
+    fn row(matrix: &HogwildMatrix, r: usize) -> Vec<f32> {
+        let mut row = vec![0.0; matrix.dim()];
+        matrix.copy_row_into(r, &mut row);
+        row
+    }
+
     #[test]
-    fn dsgl_training_separates_two_cliques() {
+    fn every_kind_separates_two_cliques() {
         let walks = two_clique_walks();
         let vocab = Vocab::from_frequencies(&[100; 6]);
         let table = NegativeTable::with_size(&vocab, 1 << 12);
         let sig = SigmoidTable::new();
-        let phi_in = HogwildMatrix::random_init(6, 16, 5);
-        let phi_out = HogwildMatrix::zeros(6, 16);
-        let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
-        let mut total_pairs = 0;
-        for _ in 0..5 {
-            let (pairs, peak) = train_walks_dsgl(&ctx, walks.view(), 2, 0);
-            total_pairs += pairs;
-            assert!(peak > 0);
+        for kind in KINDS {
+            let phi_in = HogwildMatrix::random_init(6, 16, 5);
+            let phi_out = HogwildMatrix::zeros(6, 16);
+            let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
+            let mut total_pairs = 0;
+            for _ in 0..5 {
+                let (pairs, peak) = train_walks(&ctx, walks.view(), Settings::of(kind), 0);
+                total_pairs += pairs;
+                assert!(peak > 0, "{kind:?} stages rows");
+            }
+            assert!(total_pairs > 0);
+            let dot = |a: usize, b: usize| dot(&row(&phi_in, a), &row(&phi_in, b));
+            let intra = (dot(0, 1) + dot(1, 2) + dot(3, 4) + dot(4, 5)) / 4.0;
+            let inter = (dot(0, 3) + dot(1, 4) + dot(2, 5)) / 3.0;
+            assert!(
+                intra > inter,
+                "{kind:?}: intra {intra} must exceed inter {inter}"
+            );
         }
-        assert!(total_pairs > 0);
-        let dot = |a: usize, b: usize| -> f32 {
-            let ra = unsafe { phi_in.row(a) };
-            let rb = unsafe { phi_in.row(b) };
-            dot(ra, rb)
+    }
+
+    #[test]
+    fn processes_expected_number_of_pairs() {
+        // A single walk of 5 nodes with window 1: interior nodes have two
+        // context pairs, the ends one each → 8 pairs.
+        let walks = Corpus::from_walks(vec![vec![0, 1, 2, 3, 4]], 5);
+        let vocab = Vocab::from_frequencies(&[10; 5]);
+        let table = NegativeTable::with_size(&vocab, 256);
+        let sig = SigmoidTable::new();
+        let phi_in = HogwildMatrix::random_init(5, 8, 1);
+        let phi_out = HogwildMatrix::zeros(5, 8);
+        let ctx = TrainContext {
+            window: 1,
+            negatives: 2,
+            learning_rate: 0.025,
+            seed: 0,
+            ..make_ctx(&phi_in, &phi_out, &table, &sig)
         };
-        let intra = (dot(0, 1) + dot(1, 2) + dot(3, 4) + dot(4, 5)) / 4.0;
-        let inter = (dot(0, 3) + dot(1, 4) + dot(2, 5)) / 3.0;
-        assert!(intra > inter, "intra {intra} must exceed inter {inter}");
+        for kind in KINDS {
+            let (pairs, _) = train_walks(&ctx, walks.view(), Settings::of(kind), 0);
+            assert_eq!(pairs, 8, "{kind:?}");
+        }
     }
 
     #[test]
@@ -321,7 +406,8 @@ mod tests {
         let phi_in = HogwildMatrix::random_init(4, 8, 1);
         let phi_out = HogwildMatrix::zeros(4, 8);
         let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
-        let (pairs, _) = train_walks_dsgl(&ctx, walks.view(), 1, 0);
+        let settings = Settings::of(TrainerKind::Dsgl { multi_windows: 1 });
+        let (pairs, _) = train_walks(&ctx, walks.view(), settings, 0);
         // window 3 over 4-node walks: every (target, context) ordered pair →
         // 4·3 per walk → 24.
         assert_eq!(pairs, 24);
@@ -333,7 +419,6 @@ mod tests {
         source.store_row(7, &[1.0, 2.0, 3.0]);
         source.store_row(9, &[4.0, 5.0, 6.0]);
         let mut staged = StagedRows::new(12, 3);
-        staged.begin_batch();
         let slot_a = staged.stage(7, &source);
         let slot_b = staged.stage(9, &source);
         assert_ne!(slot_a, slot_b);
@@ -343,14 +428,12 @@ mod tests {
         assert_eq!(staged.stage(7, &source), slot_a);
         assert_eq!(staged.row(slot_a), &[10.0, 2.0, 3.0]);
         // The O(n) table is counted: two u32s per rank, whatever is staged.
-        assert_eq!(staged.memory_bytes(), 2 * 3 * 4 + 2 * 4 + 12 * 8);
         let dest = HogwildMatrix::zeros(12, 3);
-        staged.write_back(&dest);
-        assert_eq!(unsafe { dest.row(7) }, &[10.0, 2.0, 3.0]);
-        assert_eq!(unsafe { dest.row(9) }, &[4.0, 5.0, 6.0]);
-        assert_eq!(unsafe { dest.row(8) }, &[0.0; 3], "unstaged rows untouched");
-        // The next batch starts empty and reloads from the source.
-        staged.begin_batch();
+        assert_eq!(staged.end_lifetime(&dest), 2 * 3 * 4 + 2 * 4 + 12 * 8);
+        assert_eq!(row(&dest, 7), [10.0, 2.0, 3.0]);
+        assert_eq!(row(&dest, 9), [4.0, 5.0, 6.0]);
+        assert_eq!(row(&dest, 8), [0.0; 3], "unstaged rows untouched");
+        // The next lifetime starts empty and reloads from the source.
         let slot = staged.stage(9, &dest);
         assert_eq!(slot, 0);
         assert_eq!(staged.row(slot), &[4.0, 5.0, 6.0]);
@@ -364,60 +447,82 @@ mod tests {
         let phi_in = HogwildMatrix::random_init(2, 4, 1);
         let phi_out = HogwildMatrix::zeros(2, 4);
         let ctx = make_ctx(&phi_in, &phi_out, &table, &sig);
-        let (pairs, _) = train_walks_dsgl(&ctx, Corpus::new(2).view(), 2, 0);
-        assert_eq!(pairs, 0);
         let single = Corpus::from_walks(vec![vec![0]], 2);
-        let (pairs, _) = train_walks_dsgl(&ctx, single.view(), 2, 0);
-        assert_eq!(pairs, 0, "a single-node walk has no context pairs");
+        for kind in KINDS {
+            let settings = Settings::of(kind);
+            let (pairs, _) = train_walks(&ctx, Corpus::new(2).view(), settings, 0);
+            assert_eq!(pairs, 0, "{kind:?}");
+            let (pairs, _) = train_walks(&ctx, single.view(), settings, 0);
+            assert_eq!(
+                pairs, 0,
+                "{kind:?}: a single-node walk has no context pairs"
+            );
+        }
     }
 
-    /// The oracle: DSGL's draws, windows and update order with the scalar
-    /// pairwise arithmetic, applied straight to the global matrices — no
-    /// staging, so every logical row has one copy by construction.
+    /// The oracle: the settings' draws, windows and update order with the
+    /// scalar pairwise arithmetic, applied to the shared matrices one pair
+    /// update at a time (copy, update, store) — no staging, so every logical
+    /// row has one copy by construction, whatever the staging lifetime.
     fn train_walks_oracle(
         ctx: &TrainContext<'_>,
         walks: WalksView<'_>,
-        multi_windows: usize,
+        settings: Settings,
         thread_id: u64,
     ) -> u64 {
         let dim = ctx.phi_in.dim();
-        let mut rng = SplitMix64::for_walker(ctx.seed ^ RNG_STREAM, thread_id);
+        let mut rng = SplitMix64::for_walker(ctx.seed ^ settings.stream, thread_id);
+        let mut draw = || -> Vec<u32> {
+            (0..ctx.negatives)
+                .map(|_| ctx.negatives_table.sample(rng.next_u64()))
+                .collect()
+        };
+        let mut output = vec![0.0f32; dim];
+        let mut update = |input: &[f32], out: u32, label: f32, grad: &mut [f32]| {
+            ctx.phi_out.copy_row_into(out as usize, &mut output);
+            scalar_pair_update(
+                ctx.sigmoid,
+                input,
+                &mut output,
+                label,
+                ctx.learning_rate,
+                grad,
+            );
+            ctx.phi_out.store_row(out as usize, &output);
+        };
         let mut input = vec![0.0f32; dim];
         let mut grad = vec![0.0f32; dim];
         let mut pairs = 0;
-        let update = |input: &[f32], out: u32, label: f32, grad: &mut [f32]| {
-            let out = unsafe { ctx.phi_out.row_mut(out as usize) };
-            scalar_pair_update(ctx.sigmoid, input, out, label, ctx.learning_rate, grad);
-        };
-        for batch in walks.chunks(multi_windows) {
+        for batch in walks.chunks(settings.multi_windows) {
             let max_len = batch.iter().map(|w| w.len()).max().unwrap_or(0);
-            let negatives: Vec<u32> = (0..max_len * ctx.negatives)
-                .map(|_| ctx.negatives_table.sample(rng.next_u64()))
-                .collect();
             for step in 0..max_len {
-                let active = || batch.iter().enumerate().filter(|(_, w)| step < w.len());
-                for (wi, walk) in active() {
+                let active: Vec<&[u32]> = batch.iter().filter(|w| step < w.len()).collect();
+                let per_pair = settings.scope == Scope::Pair;
+                let step_negatives = if per_pair { Vec::new() } else { draw() };
+                for (own, walk) in active.iter().enumerate() {
                     let target = walk[step];
-                    let lo = step.saturating_sub(ctx.window);
-                    let hi = (step + ctx.window).min(walk.len() - 1);
-                    for c in (lo..=hi).filter(|&c| c != step) {
+                    for c in window_contexts(step, walk.len(), ctx.window) {
+                        let mut negatives = if per_pair {
+                            draw()
+                        } else {
+                            step_negatives.clone()
+                        };
+                        if !per_pair {
+                            let others = active.iter().enumerate().filter(|&(o, _)| o != own);
+                            negatives.extend(others.map(|(_, w)| w[step]));
+                        }
                         ctx.phi_in.copy_row_into(walk[c] as usize, &mut input);
                         grad.fill(0.0);
                         update(&input, target, 1.0, &mut grad);
-                        for &neg in &negatives[step * ctx.negatives..][..ctx.negatives] {
+                        for neg in negatives {
                             if neg != target {
                                 update(&input, neg, 0.0, &mut grad);
                             }
                         }
-                        for (other_wi, other) in active() {
-                            if other_wi != wi && other[step] != target {
-                                update(&input, other[step], 0.0, &mut grad);
-                            }
-                        }
-                        let row = unsafe { ctx.phi_in.row_mut(walk[c] as usize) };
                         for i in 0..dim {
-                            row[i] += grad[i];
+                            input[i] += grad[i];
                         }
+                        ctx.phi_in.store_row(walk[c] as usize, &input);
                         pairs += 1;
                     }
                 }
@@ -426,14 +531,15 @@ mod tests {
         pairs
     }
 
-    /// Trains the same corpus with DSGL and with the oracle from identical
+    /// Trains the same corpus with the body and with the oracle from identical
     /// matrices (`threads = 1`, several passes): pairs equal, every row of
     /// both matrices within 1e-4.
-    fn assert_matches_oracle(num_ranks: usize, walks: WalksView<'_>, multi_windows: usize) {
+    fn assert_matches_oracle(num_ranks: usize, walks: WalksView<'_>, kind: TrainerKind) {
         let dim = 20; // two whole lane chunks and a tail of four
         let vocab = Vocab::from_frequencies(&vec![10; num_ranks]);
         let table = NegativeTable::with_size(&vocab, 1 << 10);
         let sig = SigmoidTable::new();
+        let settings = Settings::of(kind);
         let matrices = || {
             (
                 HogwildMatrix::random_init(num_ranks, dim, 3),
@@ -448,18 +554,16 @@ mod tests {
                 seed: pass,
                 ..make_ctx(phi_in, phi_out, &table, &sig)
             };
-            let (pairs, _) =
-                train_walks_dsgl(&pass_ctx(&got_in, &got_out), walks, multi_windows, 7);
-            let want_pairs =
-                train_walks_oracle(&pass_ctx(&want_in, &want_out), walks, multi_windows, 7);
-            assert_eq!(pairs, want_pairs, "pairs, multi_windows {multi_windows}");
+            let (pairs, _) = train_walks(&pass_ctx(&got_in, &got_out), walks, settings, 7);
+            let want_pairs = train_walks_oracle(&pass_ctx(&want_in, &want_out), walks, settings, 7);
+            assert_eq!(pairs, want_pairs, "pairs, {kind:?}");
         }
         for (name, got, want) in [("φ_in", got_in, want_in), ("φ_out", got_out, want_out)] {
             let (got, want) = (got.into_vec(), want.into_vec());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     (g - w).abs() <= 1e-4,
-                    "{name}[{}][{}]: {g} vs oracle {w}, multi_windows {multi_windows}",
+                    "{name}[{}][{}]: {g} vs oracle {w}, {kind:?}",
                     i / dim,
                     i % dim
                 );
@@ -484,20 +588,20 @@ mod tests {
     #[test]
     fn matches_the_scalar_single_copy_oracle() {
         let walks = random_walks(50, 31, 9);
-        for multi_windows in [1, 2, 4] {
-            assert_matches_oracle(50, walks.view(), multi_windows);
+        for kind in KINDS {
+            assert_matches_oracle(50, walks.view(), kind);
         }
     }
 
-    /// Three ranks and K = 4: every step's negatives repeat each other and hit
-    /// the windows' targets, so every staged output row is target and
+    /// Three ranks and K = 4: every group's negatives repeat each other and
+    /// hit the windows' targets, so every staged output row is target and
     /// negative at once — the rows whose positive updates staging used to
     /// overwrite.
     #[test]
     fn a_rank_that_is_target_and_negative_keeps_every_update() {
         let walks = random_walks(3, 20, 10);
-        for multi_windows in [1, 2, 4] {
-            assert_matches_oracle(3, walks.view(), multi_windows);
+        for kind in KINDS {
+            assert_matches_oracle(3, walks.view(), kind);
         }
     }
 }

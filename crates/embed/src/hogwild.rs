@@ -1,42 +1,40 @@
 //! Lock-free shared embedding matrices (Hogwild-style).
 //!
 //! The original word2vec parallelizes SGD with Hogwild \[38\]: threads update
-//! the shared parameter matrices without synchronization and tolerate the
-//! (rare, benign) races. All three trainers in this crate follow that model
-//! within a machine, so the matrices must be mutably aliasable across
-//! threads. [`HogwildMatrix`] wraps the storage in an `UnsafeCell` and exposes
-//! unsafe row accessors whose contract documents the Hogwild assumption.
+//! the shared parameter matrices without synchronization. Every trainer kind
+//! here follows that model within a machine, reading and writing the shared
+//! [`HogwildMatrix`] a whole row at a time; it hands out no reference into
+//! its storage.
 
-use std::cell::UnsafeCell;
+use std::cell::Cell;
 
-/// A dense `rows × dim` matrix of `f32` that permits unsynchronized
-/// concurrent access from multiple threads.
+/// A dense `rows × dim` matrix of `f32` that the trainer threads of one
+/// machine share without locks.
 ///
-/// # Safety model
-/// Concurrent `row_mut` calls may race on the same row; per Hogwild the
-/// updates are small, sparse and idempotent-enough that the training still
-/// converges. Torn reads of individual `f32`s cannot cause undefined
-/// behaviour observable at the algorithm level (values are only ever used in
-/// arithmetic), but Rust still requires `unsafe` to express the aliasing —
-/// callers must not hold two mutable references to the same row on the same
-/// thread.
+/// # The data race
+/// [`copy_row_into`](Self::copy_row_into) and [`store_row`](Self::store_row)
+/// take `&self` and do not synchronize. Two threads calling them on the same
+/// row at the same time, at least one of them storing, is a **data race**,
+/// and by Rust's rules a data race is undefined behaviour, whatever the
+/// values are used for afterwards. These two methods are the only place the
+/// race can happen: nothing else reads or writes the storage while the matrix
+/// is shared, and at `threads = 1` there is none. A sound row API is to
+/// replace them (ROADMAP.md, "A learner without data races").
 pub struct HogwildMatrix {
-    data: UnsafeCell<Vec<f32>>,
+    data: Box<[Cell<f32>]>,
     rows: usize,
     dim: usize,
 }
 
-// SAFETY: see the type-level documentation; races are accepted by design.
+// SAFETY: not sound — sharing lets two threads reach one row's cells through
+// `copy_row_into` and `store_row` at once, the data race documented above.
 unsafe impl Sync for HogwildMatrix {}
 
 impl HogwildMatrix {
     /// Creates a zero-initialized matrix.
     pub fn zeros(rows: usize, dim: usize) -> Self {
-        Self {
-            data: UnsafeCell::new(vec![0.0; rows * dim]),
-            rows,
-            dim,
-        }
+        let data = (0..rows * dim).map(|_| Cell::new(0.0)).collect();
+        Self { data, rows, dim }
     }
 
     /// Creates a matrix initialized uniformly in `[-0.5/dim, 0.5/dim)`, the
@@ -51,14 +49,10 @@ impl HogwildMatrix {
             z ^ (z >> 31)
         };
         let scale = 1.0 / dim as f32;
-        let data: Vec<f32> = (0..rows * dim)
-            .map(|_| ((next() >> 11) as f32 / (1u64 << 53) as f32 - 0.5) * scale)
+        let data = (0..rows * dim)
+            .map(|_| Cell::new(((next() >> 11) as f32 / (1u64 << 53) as f32 - 0.5) * scale))
             .collect();
-        Self {
-            data: UnsafeCell::new(data),
-            rows,
-            dim,
-        }
+        Self { data, rows, dim }
     }
 
     /// Number of rows.
@@ -71,50 +65,36 @@ impl HogwildMatrix {
         self.dim
     }
 
-    /// Immutable view of a row.
-    ///
-    /// # Safety
-    /// The caller must accept that another thread may be concurrently writing
-    /// the same row (Hogwild); the returned slice must not outlive `self`.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn row(&self, r: usize) -> &[f32] {
-        debug_assert!(r < self.rows);
-        let base = (*self.data.get()).as_ptr();
-        std::slice::from_raw_parts(base.add(r * self.dim), self.dim)
+    /// Row `r`'s cells; panics if `r` is out of range.
+    fn cells(&self, r: usize) -> &[Cell<f32>] {
+        &self.data[r * self.dim..(r + 1) * self.dim]
     }
 
-    /// Mutable view of a row.
-    ///
-    /// # Safety
-    /// Same contract as [`HogwildMatrix::row`]; additionally the caller must
-    /// not create two overlapping mutable row views on the same thread.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
-        debug_assert!(r < self.rows);
-        let base = (*self.data.get()).as_mut_ptr();
-        std::slice::from_raw_parts_mut(base.add(r * self.dim), self.dim)
-    }
-
-    /// Copies a row into `dst` (safe snapshot; may observe a torn update).
+    /// Copies row `r` into `dst`, which must be `dim` floats long.
     pub fn copy_row_into(&self, r: usize, dst: &mut [f32]) {
-        // SAFETY: read-only snapshot under the Hogwild contract.
-        let src = unsafe { self.row(r) };
-        dst.copy_from_slice(src);
+        let cells = self.cells(r);
+        assert_eq!(dst.len(), cells.len(), "copy_row_into: row length");
+        for (x, cell) in dst.iter_mut().zip(cells) {
+            *x = cell.get();
+        }
     }
 
-    /// Overwrites a row from `src`.
+    /// Overwrites row `r` from `src`, which must be `dim` floats long.
     pub fn store_row(&self, r: usize, src: &[f32]) {
-        // SAFETY: single logical writer per row at write-back time (callers
-        // partition rows or accept Hogwild races).
-        let dst = unsafe { self.row_mut(r) };
-        dst.copy_from_slice(src);
+        let cells = self.cells(r);
+        assert_eq!(src.len(), cells.len(), "store_row: row length");
+        for (cell, &x) in cells.iter().zip(src) {
+            cell.set(x);
+        }
     }
 
     /// Consumes the matrix and returns the underlying storage (row-major).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data.into_inner()
+        self.data
+            .into_vec()
+            .into_iter()
+            .map(Cell::into_inner)
+            .collect()
     }
 
     /// Memory footprint in bytes.
@@ -133,7 +113,8 @@ mod tests {
         assert_eq!(m.rows(), 4);
         assert_eq!(m.dim(), 8);
         assert_eq!(m.memory_bytes(), 4 * 8 * 4);
-        let row = unsafe { m.row(2) };
+        let mut row = [1.0f32; 8];
+        m.copy_row_into(2, &mut row);
         assert!(row.iter().all(|&x| x == 0.0));
     }
 
@@ -143,10 +124,9 @@ mod tests {
         let b = HogwildMatrix::random_init(10, 16, 7);
         let c = HogwildMatrix::random_init(10, 16, 8);
         let bound = 0.5 / 16.0 + 1e-6;
+        let (a, b, c) = (a.into_vec(), b.into_vec(), c.into_vec());
         for r in 0..10 {
-            let ra = unsafe { a.row(r) };
-            let rb = unsafe { b.row(r) };
-            let rc = unsafe { c.row(r) };
+            let (ra, rb, rc) = (&a[r * 16..][..16], &b[r * 16..][..16], &c[r * 16..][..16]);
             assert_eq!(ra, rb, "same seed must give the same init");
             assert!(ra.iter().any(|&x| x != 0.0));
             assert!(ra.iter().all(|&x| x.abs() <= bound));
@@ -163,28 +143,5 @@ mod tests {
         assert_eq!(buf, [1.0, 2.0, 3.0, 4.0]);
         let v = m.into_vec();
         assert_eq!(&v[4..8], &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn concurrent_updates_do_not_crash() {
-        let m = HogwildMatrix::zeros(8, 16);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let m = &m;
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        let r = (t + i) % 8;
-                        let row = unsafe { m.row_mut(r) };
-                        for x in row.iter_mut() {
-                            *x += 1.0;
-                        }
-                    }
-                });
-            }
-        });
-        // All entries must have been incremented a plausible number of times
-        // (exact counts are racy by design).
-        let v = m.into_vec();
-        assert!(v.iter().all(|&x| x > 0.0));
     }
 }

@@ -12,7 +12,7 @@
 //! is why there is no `std::arch`, no `target_feature` dispatch and no build
 //! flag here: trained embeddings and served scores do not depend on the box.
 //!
-//! Every dot product in the workspace — the three trainers, `Embeddings`, the
+//! Every dot product in the workspace — the one trainer loop, `Embeddings`, the
 //! serve scan / LSH hashing / re-rank, the comparison baselines — goes through
 //! this module (CI greps for a second one).
 
@@ -65,7 +65,11 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// That is the arithmetic of `coef.len()` pairwise updates sharing one read
 /// of the input — provided the rows are distinct logical rows, since every
 /// score is taken before any row moves.
-#[inline]
+///
+/// Always inlined: the trainer loop instantiates its group step once per
+/// negative scope, and left to itself the compiler then calls this out of
+/// line on DSGL's per-pair path.
+#[inline(always)]
 pub fn sgns_step(
     sig: &SigmoidTable,
     input: &mut [f32],

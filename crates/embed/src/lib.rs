@@ -1,18 +1,18 @@
 //! Embedding learner for the DistGER reproduction (the *learner* of Figure 1).
 //!
-//! Three Skip-Gram-with-negative-sampling trainers are provided, mirroring
-//! Figure 3 of the paper:
+//! One Skip-Gram-with-negative-sampling loop, DSGL's body ([`dsgl`]),
+//! trains every [`TrainerKind`]; the kinds are its settings and walk Figure 3
+//! of the paper from (a) to (d):
 //!
-//! * [`TrainerKind::Hogwild`] — the classic word2vec/SGNS scheme: threads
-//!   update the shared matrices lock-free, one fresh negative set per
-//!   (target, context) pair (Figure 3(a)).
+//! * [`TrainerKind::Hogwild`] — the classic word2vec/SGNS scheme: one fresh
+//!   negative set per (target, context) pair (Figure 3(a)).
 //! * [`TrainerKind::Pword2vec`] — Intel's Pword2vec: the negative set is
 //!   shared by all context nodes of a window, converting level-1 into
 //!   level-3-style batched updates (Figure 3(b)).
 //! * [`TrainerKind::Dsgl`] — the paper's DSGL (§4.2): frequency-ordered
-//!   global matrices, per-thread local context/negative buffers
-//!   (Improvement-I), multi-window shared negative samples across several
-//!   walks assigned to the same thread (Improvement-II).
+//!   global matrices, rows staged in per-thread local buffers for a whole
+//!   batch of walks (Improvement-I), multi-window shared negative samples
+//!   across several walks assigned to the same thread (Improvement-II).
 //!
 //! Distributed training partitions the corpus across machines, each holding a
 //! model replica, and synchronizes parameters either fully or with the
@@ -24,13 +24,15 @@
 //! runs it on a [`SocketTransport`]. For a given machine count both train
 //! the same model (see [`dist`]).
 
+#![deny(unsafe_code)]
+
 pub mod dist;
 pub mod dsgl;
 pub mod embeddings;
+#[allow(unsafe_code)]
 pub mod hogwild;
 pub mod kernel;
 pub mod negative;
-pub mod pword2vec;
 pub mod sgns;
 pub mod sync;
 pub mod trainer;

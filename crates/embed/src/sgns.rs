@@ -1,16 +1,15 @@
-//! Skip-Gram-with-negative-sampling primitives and the Hogwild baseline
-//! trainer (Figure 3(a)).
+//! Skip-Gram-with-negative-sampling primitives shared by every trainer kind.
 //!
-//! All trainers share the same SGD kernel: for a (context, target) pair the
-//! context vector `φ_in(context)` is trained against the target vector
-//! `φ_out(target)` with label 1 and against `K` negative vectors with label 0
-//! (Eq. 2). The trainers differ only in *which* negatives are shared across
-//! *which* updates and in how the vectors are staged in memory.
+//! For a (context, target) pair the context vector `φ_in(context)` is trained
+//! against the target vector `φ_out(target)` with label 1 and against `K`
+//! negative vectors with label 0 (Eq. 2). The trainer kinds are settings of
+//! one loop, `dsgl::train_walks`; they differ only in *which*
+//! negatives are shared across *which* updates and in how long rows stay
+//! staged in local buffers.
 
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, dot};
 use crate::negative::NegativeTable;
-use distger_walks::{rng::SplitMix64, WalksView};
 
 /// Precomputed sigmoid lookup table (the `expTable` of word2vec).
 #[derive(Clone, Debug)]
@@ -91,70 +90,18 @@ pub struct TrainContext<'a> {
     pub seed: u64,
 }
 
-/// Trains one thread's share of walks with the plain SGNS/Hogwild scheme:
-/// a fresh negative set per (target, context) pair. Returns the number of
-/// (target, context) pairs processed.
-#[allow(clippy::needless_range_loop)]
-pub fn train_walks_hogwild(ctx: &TrainContext<'_>, walks: WalksView<'_>, thread_id: u64) -> u64 {
-    let dim = ctx.phi_in.dim();
-    let mut rng = SplitMix64::for_walker(ctx.seed ^ 0x5e15_0a11, thread_id);
-    let mut input_grad = vec![0.0f32; dim];
-    let mut pairs = 0u64;
-
-    for walk in walks.iter() {
-        for (j, &target) in walk.iter().enumerate() {
-            let lo = j.saturating_sub(ctx.window);
-            let hi = (j + ctx.window).min(walk.len() - 1);
-            for c in lo..=hi {
-                if c == j {
-                    continue;
-                }
-                let context = walk[c];
-                // SAFETY: Hogwild contract — concurrent racy updates accepted.
-                let input = unsafe { ctx.phi_in.row_mut(context as usize) };
-                input_grad.iter_mut().for_each(|x| *x = 0.0);
-                // Positive sample.
-                {
-                    let out = unsafe { ctx.phi_out.row_mut(target as usize) };
-                    sgns_pair_update(
-                        ctx.sigmoid,
-                        input,
-                        out,
-                        1.0,
-                        ctx.learning_rate,
-                        &mut input_grad,
-                    );
-                }
-                // Fresh negatives for every pair (this is what Pword2vec and
-                // DSGL improve on).
-                for _ in 0..ctx.negatives {
-                    let neg = ctx.negatives_table.sample(rng.next_u64());
-                    if neg == target {
-                        continue;
-                    }
-                    let out = unsafe { ctx.phi_out.row_mut(neg as usize) };
-                    sgns_pair_update(
-                        ctx.sigmoid,
-                        input,
-                        out,
-                        0.0,
-                        ctx.learning_rate,
-                        &mut input_grad,
-                    );
-                }
-                axpy(1.0, &input_grad, input);
-                pairs += 1;
-            }
-        }
-    }
-    pairs
+/// Context positions of the window centred on position `j` of a walk of
+/// `len` tokens: every position within `window` of `j`, except `j` itself.
+#[inline]
+pub(crate) fn window_contexts(j: usize, len: usize, window: usize) -> impl Iterator<Item = usize> {
+    let lo = j.saturating_sub(window);
+    let hi = (j + window).min(len - 1);
+    (lo..=hi).filter(move |&c| c != j)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::Vocab;
-    use distger_walks::Corpus;
 
     #[test]
     fn sigmoid_table_matches_exact_sigmoid() {
@@ -204,54 +151,6 @@ mod tests {
         assert!(
             after < 0.1,
             "negative pair similarity must shrink, got {after}"
-        );
-    }
-
-    #[test]
-    fn hogwild_training_separates_two_cliques() {
-        // Two "communities" of ranks {0,1,2} and {3,4,5}; walks stay inside a
-        // community, so after training, intra-community similarity should
-        // exceed inter-community similarity.
-        let walks = (0..60)
-            .map(|i| {
-                if i % 2 == 0 {
-                    vec![0, 1, 2, 0, 2, 1, 0, 1, 2, 0]
-                } else {
-                    vec![3, 4, 5, 3, 5, 4, 3, 4, 5, 3]
-                }
-            })
-            .collect();
-        let walks = Corpus::from_walks(walks, 6);
-        let freqs = vec![100u64; 6];
-        let vocab = Vocab::from_frequencies(&freqs);
-        let table = NegativeTable::with_size(&vocab, 1 << 12);
-        let sig = SigmoidTable::new();
-        let dim = 16;
-        let phi_in = HogwildMatrix::random_init(6, dim, 1);
-        let phi_out = HogwildMatrix::zeros(6, dim);
-        let ctx = TrainContext {
-            phi_in: &phi_in,
-            phi_out: &phi_out,
-            negatives_table: &table,
-            sigmoid: &sig,
-            window: 3,
-            negatives: 4,
-            learning_rate: 0.05,
-            seed: 3,
-        };
-        for _ in 0..5 {
-            train_walks_hogwild(&ctx, walks.view(), 0);
-        }
-        let dot = |a: usize, b: usize| -> f32 {
-            let ra = unsafe { phi_in.row(a) };
-            let rb = unsafe { phi_in.row(b) };
-            crate::kernel::dot(ra, rb)
-        };
-        let intra = (dot(0, 1) + dot(1, 2) + dot(3, 4) + dot(4, 5)) / 4.0;
-        let inter = (dot(0, 3) + dot(1, 4) + dot(2, 5)) / 3.0;
-        assert!(
-            intra > inter,
-            "intra-community similarity {intra} must exceed inter {inter}"
         );
     }
 }

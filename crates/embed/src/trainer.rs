@@ -19,21 +19,24 @@ use distger_cluster::{
 use distger_walks::{Corpus, WalksView};
 
 use crate::dist::train_over;
-use crate::dsgl::train_walks_dsgl;
+use crate::dsgl::{train_walks, Settings};
 use crate::embeddings::Embeddings;
 use crate::negative::NegativeTable;
-use crate::pword2vec::train_walks_pword2vec;
-use crate::sgns::{train_walks_hogwild, SigmoidTable, TrainContext};
+use crate::sgns::{SigmoidTable, TrainContext};
 use crate::sync::{ModelReplica, SyncStrategy};
 
-/// Which Skip-Gram trainer runs on each machine (Figure 3).
+/// Which scheme of Figure 3 the one Skip-Gram loop runs on each machine;
+/// every kind is a setting of DSGL's body ([`crate::dsgl`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrainerKind {
-    /// Plain SGNS / Hogwild: fresh negatives per (target, context) pair.
+    /// Plain SGNS / Hogwild: fresh negatives per (target, context) pair, rows
+    /// staged for one window.
     Hogwild,
-    /// Pword2vec: negatives shared across one window.
+    /// Pword2vec: negatives shared across one window, rows staged for one
+    /// window.
     Pword2vec,
-    /// DSGL: local buffers + multi-window shared negatives (§4.2).
+    /// DSGL: rows staged for a batch of walks + multi-window shared negatives
+    /// (§4.2).
     Dsgl {
         /// Number of walks processed in lockstep per thread (≥ 1, paper
         /// default 2).
@@ -277,9 +280,10 @@ pub(crate) fn train_machine_chunk(
         learning_rate: lr,
         seed: config.seed ^ (machine << 32),
     };
+    let settings = Settings::of(config.kind);
     let threads = config.threads.max(1).min(walks.len());
     if threads == 1 {
-        return run_kind(&ctx, walks, config.kind, machine);
+        return train_walks(&ctx, walks, settings, machine);
     }
     let per = walks.len().div_ceil(threads);
     let results: Vec<(u64, usize)> = std::thread::scope(|scope| {
@@ -288,7 +292,7 @@ pub(crate) fn train_machine_chunk(
             .enumerate()
             .map(|(t, chunk)| {
                 let ctx_ref = &ctx;
-                scope.spawn(move || run_kind(ctx_ref, chunk, config.kind, machine * 97 + t as u64))
+                scope.spawn(move || train_walks(ctx_ref, chunk, settings, machine * 97 + t as u64))
             })
             .collect();
         handles
@@ -299,21 +303,6 @@ pub(crate) fn train_machine_chunk(
     results
         .into_iter()
         .fold((0, 0), |(p, b), (pp, bb)| (p + pp, b.max(bb)))
-}
-
-fn run_kind(
-    ctx: &TrainContext<'_>,
-    walks: WalksView<'_>,
-    kind: TrainerKind,
-    thread_id: u64,
-) -> (u64, usize) {
-    match kind {
-        TrainerKind::Hogwild => (train_walks_hogwild(ctx, walks, thread_id), 0),
-        TrainerKind::Pword2vec => (train_walks_pword2vec(ctx, walks, thread_id), 0),
-        TrainerKind::Dsgl { multi_windows } => {
-            train_walks_dsgl(ctx, walks, multi_windows, thread_id)
-        }
-    }
 }
 
 #[cfg(test)]

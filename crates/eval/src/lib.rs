@@ -11,6 +11,8 @@
 //!   backend against the exact brute-force reference, the quality metric of
 //!   the query engine in `distger-serve`.
 
+#![forbid(unsafe_code)]
+
 pub mod classification;
 pub mod link_prediction;
 pub mod metrics;

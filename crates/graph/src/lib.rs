@@ -15,6 +15,8 @@
 //! * [`io`] — plain-text edge-list loading/saving so real datasets can be
 //!   dropped in.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod csr;
 pub mod generate;

@@ -16,6 +16,8 @@
 //! quality metrics used throughout §6.5 (edge cut, local edge fraction,
 //! balance factor).
 
+#![forbid(unsafe_code)]
+
 pub mod balanced;
 pub mod fennel;
 pub mod hash;

@@ -50,6 +50,8 @@
 //! `distger-eval`'s `recall` module and enforced (together with the LSH QPS
 //! advantage) by the bench regression gate.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod engine;
 pub mod exact;

@@ -42,6 +42,8 @@
 //! [`CommStats`](distger_cluster::CommStats) alongside the sampled
 //! [`Corpus`].
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod checkpoint;
 pub mod corpus;

@@ -43,6 +43,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use distger_cluster as cluster;
 pub use distger_core as core;
 pub use distger_embed as embed;
