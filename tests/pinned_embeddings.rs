@@ -127,26 +127,26 @@ fn in_process_embeddings_are_pinned() {
             ("hogwild", "hotness", 4),
             (0xc4c7c71c8c42f8c8, 16200, 1856, 59392),
         ),
-        (("pword2vec", "full", 1), (0x803f2dd8123bbf0b, 16200, 0, 0)),
+        (("pword2vec", "full", 1), (0xfe8d7a4bca4c8294, 16200, 0, 0)),
         (
             ("pword2vec", "full", 2),
-            (0xf97a18e74e3596dc, 16200, 1536, 49152),
+            (0x31ed23354b04c3ae, 16200, 1536, 49152),
         ),
         (
             ("pword2vec", "full", 4),
-            (0xc29b11f64a17b439, 16200, 3072, 98304),
+            (0x4ba6e714d4c43268, 16200, 3072, 98304),
         ),
         (
             ("pword2vec", "hotness", 1),
-            (0x803f2dd8123bbf0b, 16200, 0, 0),
+            (0xfe8d7a4bca4c8294, 16200, 0, 0),
         ),
         (
             ("pword2vec", "hotness", 2),
-            (0x66a4e6e0e1617eaf, 16200, 928, 29696),
+            (0x9c36e4ed2eefb466, 16200, 928, 29696),
         ),
         (
             ("pword2vec", "hotness", 4),
-            (0xac722c724a76a6c1, 16200, 1856, 59392),
+            (0x6fb2266739a99abc, 16200, 1856, 59392),
         ),
         (("dsgl", "full", 1), (0x239284fdabfb60a4, 16200, 0, 0)),
         (
