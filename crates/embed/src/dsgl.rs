@@ -9,11 +9,8 @@
 //! | `Pword2vec` | 1 | window step | one window |
 //! | `Dsgl { multi_windows }` | `multi_windows` | lockstep step | one batch |
 //!
-//! So each step of the table changes one setting. Plain SGNS does not stage
-//! for a single pair: at two threads on a ten-node vocabulary, writing rows
-//! back after every pair lost so many of the other thread's updates that the
-//! model stopped separating the communities (`trainer`'s
-//! `all_trainer_kinds_learn_community_structure`).
+//! Why plain SGNS stages for a window and not a pair is in
+//! `docs/ARCHITECTURE.md` ("One loop, three settings").
 //!
 //! A group of negatives is exactly `K` draws; a draw equal to a window's own
 //! target is not its negative, and the other windows' targets are extra
@@ -22,11 +19,11 @@
 //! trained against it with [`sgns_step`] in turn, and the block is scattered
 //! back once.
 //!
-//! Rows are staged in thread-local buffers, one per matrix, on first use and
-//! written back whole when the lifetime ends: a logical row has one live copy
-//! per thread, and the shared matrices are only read and written a whole row
-//! at a time. At one thread the lifetime does not change the arithmetic;
-//! longer lifetimes are Improvement-I's locality.
+//! Every row a lifetime touches is staged in a thread-local buffer, one per
+//! matrix, before the lifetime trains, and written back whole when it ends: a
+//! logical row has one live copy per thread, and the shared matrices are only
+//! read and written a whole row at a time. At one thread the lifetime does
+//! not change the arithmetic; longer lifetimes are Improvement-I's locality.
 
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, sgns_step};
@@ -114,21 +111,19 @@ impl StagedRows {
 /// Stream tag of DSGL's negative draws.
 const RNG_STREAM: u64 = 0xd5_61_0f_37;
 
-/// What one group of `K` negative draws serves.
+/// What one group of `K` negative draws serves: one (target, context) pair,
+/// or every window of one lockstep step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Scope {
-    /// One (target, context) pair.
     Pair,
-    /// Every window of one lockstep step.
     Step,
 }
 
-/// How long a staged row lives before it is written back.
+/// How long a staged row lives before it is written back: one lockstep
+/// step, or one batch of `multi_windows` walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Lifetime {
-    /// One lockstep step: the windows of one step.
     Step,
-    /// One batch of `multi_windows` walks.
     Batch,
 }
 
@@ -148,20 +143,25 @@ impl Settings {
         let (multi_windows, scope, lifetime, stream) = match kind {
             TrainerKind::Hogwild => (1, Scope::Pair, Lifetime::Step, 0x5e15_0a11),
             TrainerKind::Pword2vec => (1, Scope::Step, Lifetime::Step, 0x90d2_7ec1),
-            TrainerKind::Dsgl { multi_windows } => (
-                multi_windows.max(1),
-                Scope::Step,
-                Lifetime::Batch,
-                RNG_STREAM,
-            ),
+            TrainerKind::Dsgl { multi_windows: m } => (m, Scope::Step, Lifetime::Batch, RNG_STREAM),
         };
         Self {
-            multi_windows,
+            multi_windows: multi_windows.max(1),
             scope,
             lifetime,
             stream,
         }
     }
+}
+
+/// The walks of `batch` active at `step`, each with the offset of its first
+/// token in the batch's tokens.
+fn active_at(batch: WalksView<'_>, step: usize) -> impl Iterator<Item = (&[u32], usize)> {
+    let offsets = batch.iter().scan(0, |start, walk| {
+        *start += walk.len();
+        Some((walk, *start - walk.len()))
+    });
+    offsets.filter(move |(walk, _)| step < walk.len())
 }
 
 /// Trains one thread's share of walks with the settings of one trainer kind,
@@ -173,20 +173,19 @@ pub(crate) fn train_walks(
     settings: Settings,
     thread_id: u64,
 ) -> (u64, usize) {
-    let (dim, k, multi) = (ctx.phi_in.dim(), ctx.negatives, settings.multi_windows);
+    let (dim, k, w) = (ctx.phi_in.dim(), ctx.negatives, ctx.window);
+    let multi = settings.multi_windows;
     let mut rng = SplitMix64::for_walker(ctx.seed ^ settings.stream, thread_id);
     let (mut pairs, mut peak_bytes) = (0u64, 0usize);
 
     // Everything below is allocated once and reused by every batch and step.
     let mut inputs = StagedRows::new(ctx.phi_in.rows(), dim);
     let mut outputs = StagedRows::new(ctx.phi_out.rows(), dim);
-    // The `φ_in` slot of every token of the batch the lifetime has staged:
-    // all of them up front for a batch lifetime, a step's contexts for a step
-    // lifetime. Reading a slot here rather than from the rank table keeps
-    // the per-pair path short.
-    let mut in_slots: Vec<u32> = Vec::new();
-    // The walks active at a step, each with the offset of its first token in
-    // the batch's tokens.
+    // Per token of the batch, its `(φ_in, φ_out)` slots as the current
+    // lifetime staged them, and the lifetime's negative draws in the order its
+    // groups use them.
+    let mut token_slots: Vec<(u32, u32)> = Vec::new();
+    let mut neg_slots: Vec<u32> = Vec::new();
     let mut active: Vec<(&[u32], usize)> = Vec::with_capacity(multi);
     // The step's pairs: the window's index in `active` and the context's slot.
     let mut step_pairs: Vec<(usize, u32)> = Vec::new();
@@ -197,96 +196,107 @@ pub(crate) fn train_walks(
     let mut input_grad = vec![0.0f32; dim];
 
     for batch in walks.chunks(multi) {
-        in_slots.clear();
-        let tokens = batch.tokens().iter();
-        match settings.lifetime {
-            Lifetime::Batch => in_slots.extend(tokens.map(|&r| inputs.stage(r, ctx.phi_in))),
-            Lifetime::Step => in_slots.resize(tokens.len(), 0),
-        }
+        token_slots.clear();
+        token_slots.resize(batch.tokens().len(), (0, 0));
         let max_len = batch.iter().map(|w| w.len()).max().unwrap_or(0);
-        for step in 0..max_len {
-            active.clear();
-            step_pairs.clear();
-            let mut start = 0;
-            for walk in batch.iter() {
-                if step < walk.len() {
-                    active.push((walk, start));
+        let span = match settings.lifetime {
+            Lifetime::Batch => max_len.max(1),
+            Lifetime::Step => 1,
+        };
+        for first in (0..max_len).step_by(span) {
+            let steps = first..(first + span).min(max_len);
+            // Stage everything the lifetime touches before it trains: the
+            // `φ_in` rows of its contexts, the `φ_out` rows of its targets and
+            // of its negatives.
+            for (walk, start) in active_at(batch, first) {
+                let hi = (steps.end - 1 + w).min(walk.len() - 1);
+                // A one-step lifetime's target is not its own context.
+                for p in (first.saturating_sub(w)..=hi).filter(|&p| span > 1 || p != first) {
+                    token_slots[start + p].0 = inputs.stage(walk[p], ctx.phi_in);
                 }
-                start += walk.len();
+                for p in first..steps.end.min(walk.len()) {
+                    token_slots[start + p].1 = outputs.stage(walk[p], ctx.phi_out);
+                }
             }
-            for (own, &(walk, start)) in active.iter().enumerate() {
-                for c in window_contexts(step, walk.len(), ctx.window) {
-                    if settings.lifetime == Lifetime::Step {
-                        in_slots[start + c] = inputs.stage(walk[c], ctx.phi_in);
-                    }
-                    step_pairs.push((own, in_slots[start + c]));
-                }
-            }
-            // A step scope draws its `K` even at a step without pairs.
-            let (groups, per_group) = match settings.scope {
-                Scope::Pair => (step_pairs.len(), 1),
-                Scope::Step => (1, step_pairs.len()),
-            };
-            for group in (0..groups).map(|g| &step_pairs[g * per_group..][..per_group]) {
-                slots.clear();
-                for &(walk, _) in &active {
-                    slots.push(outputs.stage(walk[step], ctx.phi_out));
-                }
-                for _ in 0..k {
+            neg_slots.clear();
+            for step in steps.clone() {
+                // A step scope draws its `K` even at a step without pairs.
+                let groups = match settings.scope {
+                    Scope::Step => 1,
+                    Scope::Pair => active_at(batch, step)
+                        .map(|(walk, _)| window_contexts(step, walk.len(), w).count())
+                        .sum(),
+                };
+                for _ in 0..groups * k {
                     let rank = ctx.negatives_table.sample(rng.next_u64());
-                    slots.push(outputs.stage(rank, ctx.phi_out));
+                    neg_slots.push(outputs.stage(rank, ctx.phi_out));
                 }
-                let rows = slots.len();
-                let block = &mut block[..rows * dim];
-                // A block row per slot is a second copy of a logical row unless
-                // the slots are distinct. A repeat — two equal draws, or a draw
-                // that hit a target — is rare outside toy vocabularies and
-                // takes the pairwise path on the staged rows themselves.
-                let distinct = (1..rows).all(|j| !slots[..j].contains(&slots[j]));
-                if distinct {
-                    for (row, &slot) in block.chunks_exact_mut(dim).zip(&slots) {
-                        row.copy_from_slice(outputs.row(slot));
-                    }
+            }
+            let mut negatives = neg_slots.iter().copied();
+            for step in steps {
+                active.clear();
+                active.extend(active_at(batch, step));
+                step_pairs.clear();
+                for (own, &(walk, start)) in active.iter().enumerate() {
+                    let contexts = window_contexts(step, walk.len(), w);
+                    step_pairs.extend(contexts.map(|c| (own, token_slots[start + c].0)));
                 }
-                for &(own, input) in group {
-                    let input = inputs.row_mut(input);
+                let (groups, per_group) = match settings.scope {
+                    Scope::Pair => (step_pairs.len(), 1),
+                    Scope::Step => (1, step_pairs.len()),
+                };
+                for group in (0..groups).map(|g| &step_pairs[g * per_group..][..per_group]) {
+                    slots.clear();
+                    slots.extend(active.iter().map(|&(_, start)| token_slots[start + step].1));
+                    slots.extend(negatives.by_ref().take(k));
+                    let rows = slots.len();
+                    let block = &mut block[..rows * dim];
+                    // A block row per slot is a second copy of a logical row
+                    // unless the slots are distinct. A repeat (two equal draws,
+                    // or a draw that hit a target) takes the pairwise path on
+                    // the staged rows themselves.
+                    let distinct = (1..rows).all(|j| !slots[..j].contains(&slots[j]));
                     if distinct {
-                        let coef = &mut coef[..rows];
-                        sgns_step(ctx.sigmoid, input, block, own, ctx.learning_rate, coef);
-                        continue;
+                        for (row, &slot) in block.chunks_exact_mut(dim).zip(&slots) {
+                            row.copy_from_slice(outputs.row(slot));
+                        }
                     }
-                    input_grad.fill(0.0);
-                    for (j, &slot) in slots.iter().enumerate() {
-                        // A repeat of this window's own target is not also
-                        // its negative.
-                        if j != own && slot == slots[own] {
+                    for &(own, input) in group {
+                        let input = inputs.row_mut(input);
+                        if distinct {
+                            let coef = &mut coef[..rows];
+                            sgns_step(ctx.sigmoid, input, block, own, ctx.learning_rate, coef);
                             continue;
                         }
-                        sgns_pair_update(
-                            ctx.sigmoid,
-                            input,
-                            outputs.row_mut(slot),
-                            if j == own { 1.0 } else { 0.0 },
-                            ctx.learning_rate,
-                            &mut input_grad,
-                        );
+                        input_grad.fill(0.0);
+                        for (j, &slot) in slots.iter().enumerate() {
+                            // A repeat of this window's own target is not also
+                            // its negative.
+                            if j != own && slot == slots[own] {
+                                continue;
+                            }
+                            sgns_pair_update(
+                                ctx.sigmoid,
+                                input,
+                                outputs.row_mut(slot),
+                                if j == own { 1.0 } else { 0.0 },
+                                ctx.learning_rate,
+                                &mut input_grad,
+                            );
+                        }
+                        axpy(1.0, &input_grad, input);
                     }
-                    axpy(1.0, &input_grad, input);
-                }
-                if distinct {
-                    for (row, &slot) in block.chunks_exact(dim).zip(&slots) {
-                        outputs.row_mut(slot).copy_from_slice(row);
+                    if distinct {
+                        for (row, &slot) in block.chunks_exact(dim).zip(&slots) {
+                            outputs.row_mut(slot).copy_from_slice(row);
+                        }
                     }
+                    pairs += group.len() as u64;
                 }
-                pairs += group.len() as u64;
             }
-            if settings.lifetime == Lifetime::Step {
-                let staged = inputs.end_lifetime(ctx.phi_in) + outputs.end_lifetime(ctx.phi_out);
-                peak_bytes = peak_bytes.max(staged);
-            }
+            let staged = inputs.end_lifetime(ctx.phi_in) + outputs.end_lifetime(ctx.phi_out);
+            peak_bytes = peak_bytes.max(staged);
         }
-        let staged = inputs.end_lifetime(ctx.phi_in) + outputs.end_lifetime(ctx.phi_out);
-        peak_bytes = peak_bytes.max(staged);
     }
     (pairs, peak_bytes)
 }

@@ -65,14 +65,9 @@ impl HogwildMatrix {
         self.dim
     }
 
-    /// Row `r`'s cells; panics if `r` is out of range.
-    fn cells(&self, r: usize) -> &[Cell<f32>] {
-        &self.data[r * self.dim..(r + 1) * self.dim]
-    }
-
     /// Copies row `r` into `dst`, which must be `dim` floats long.
     pub fn copy_row_into(&self, r: usize, dst: &mut [f32]) {
-        let cells = self.cells(r);
+        let cells = &self.data[r * self.dim..(r + 1) * self.dim];
         assert_eq!(dst.len(), cells.len(), "copy_row_into: row length");
         for (x, cell) in dst.iter_mut().zip(cells) {
             *x = cell.get();
@@ -81,7 +76,7 @@ impl HogwildMatrix {
 
     /// Overwrites row `r` from `src`, which must be `dim` floats long.
     pub fn store_row(&self, r: usize, src: &[f32]) {
-        let cells = self.cells(r);
+        let cells = &self.data[r * self.dim..(r + 1) * self.dim];
         assert_eq!(src.len(), cells.len(), "store_row: row length");
         for (cell, &x) in cells.iter().zip(src) {
             cell.set(x);

@@ -1,8 +1,7 @@
 //! Embedding learner for the DistGER reproduction (the *learner* of Figure 1).
 //!
-//! One Skip-Gram-with-negative-sampling loop, DSGL's body ([`dsgl`]),
-//! trains every [`TrainerKind`]; the kinds are its settings and walk Figure 3
-//! of the paper from (a) to (d):
+//! One Skip-Gram-with-negative-sampling loop ([`dsgl`]) trains every
+//! [`TrainerKind`], walking Figure 3 of the paper from (a) to (d):
 //!
 //! * [`TrainerKind::Hogwild`] — the classic word2vec/SGNS scheme: one fresh
 //!   negative set per (target, context) pair (Figure 3(a)).
@@ -10,9 +9,9 @@
 //!   shared by all context nodes of a window, converting level-1 into
 //!   level-3-style batched updates (Figure 3(b)).
 //! * [`TrainerKind::Dsgl`] — the paper's DSGL (§4.2): frequency-ordered
-//!   global matrices, rows staged in per-thread local buffers for a whole
-//!   batch of walks (Improvement-I), multi-window shared negative samples
-//!   across several walks assigned to the same thread (Improvement-II).
+//!   global matrices, per-thread local context/negative buffers
+//!   (Improvement-I), multi-window shared negative samples across several
+//!   walks assigned to the same thread (Improvement-II).
 //!
 //! Distributed training partitions the corpus across machines, each holding a
 //! model replica, and synchronizes parameters either fully or with the

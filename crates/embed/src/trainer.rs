@@ -25,18 +25,14 @@ use crate::negative::NegativeTable;
 use crate::sgns::{SigmoidTable, TrainContext};
 use crate::sync::{ModelReplica, SyncStrategy};
 
-/// Which scheme of Figure 3 the one Skip-Gram loop runs on each machine;
-/// every kind is a setting of DSGL's body ([`crate::dsgl`]).
+/// Which scheme of Figure 3 runs on each machine: a setting of [`crate::dsgl`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrainerKind {
-    /// Plain SGNS / Hogwild: fresh negatives per (target, context) pair, rows
-    /// staged for one window.
+    /// Plain SGNS / Hogwild: fresh negatives per (target, context) pair.
     Hogwild,
-    /// Pword2vec: negatives shared across one window, rows staged for one
-    /// window.
+    /// Pword2vec: negatives shared across one window.
     Pword2vec,
-    /// DSGL: rows staged for a batch of walks + multi-window shared negatives
-    /// (§4.2).
+    /// DSGL: local buffers + multi-window shared negatives (§4.2).
     Dsgl {
         /// Number of walks processed in lockstep per thread (≥ 1, paper
         /// default 2).
