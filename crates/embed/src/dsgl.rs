@@ -517,10 +517,8 @@ mod tests {
                         } else {
                             step_negatives.clone()
                         };
-                        if !per_pair {
-                            let others = active.iter().enumerate().filter(|&(o, _)| o != own);
-                            negatives.extend(others.map(|(_, w)| w[step]));
-                        }
+                        let others = active.iter().enumerate().filter(|&(o, _)| o != own);
+                        negatives.extend(others.map(|(_, w)| w[step]));
                         ctx.phi_in.copy_row_into(walk[c] as usize, &mut input);
                         grad.fill(0.0);
                         update(&input, target, 1.0, &mut grad);

@@ -65,9 +65,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// That is the arithmetic of `coef.len()` pairwise updates sharing one read
 /// of the input — provided the rows are distinct logical rows, since every
 /// score is taken before any row moves.
-///
-/// Always inlined: out of line, a call per pair slowed DSGL measurably.
-#[inline(always)]
+#[inline]
 pub fn sgns_step(
     sig: &SigmoidTable,
     input: &mut [f32],

@@ -3,9 +3,9 @@
 //! For a (context, target) pair the context vector `φ_in(context)` is trained
 //! against the target vector `φ_out(target)` with label 1 and against `K`
 //! negative vectors with label 0 (Eq. 2). The trainer kinds are settings of
-//! one loop, `dsgl::train_walks`; they differ only in *which*
-//! negatives are shared across *which* updates and in how long rows stay
-//! staged in local buffers.
+//! one loop, `dsgl::train_walks`; they differ only in *which* negatives are
+//! shared across *which* updates and in how long rows stay staged in local
+//! buffers.
 
 use crate::hogwild::HogwildMatrix;
 use crate::kernel::{axpy, dot};
